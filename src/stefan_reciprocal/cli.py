@@ -5,15 +5,15 @@ Exit codes: 0 success (and all identities passing for `verify`);
 2 numerical failure (no sign change, quadrature failure, instability).
 
 Output is deterministic: floats are printed with 17 significant digits and
-sweep cells are written in parameter order regardless of completion order.
+sweep cells are written in parameter order.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -43,6 +43,8 @@ def _parse_range(text: str):
     if len(parts) != 3:
         raise InvalidParameters(f"expected lo:hi:n, got {text!r}")
     lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InvalidParameters(f"range bounds must be finite, got {text!r}")
     if n < 1:
         raise InvalidParameters("range count must be >= 1")
     return np.linspace(lo, hi, n)
@@ -188,7 +190,9 @@ def cmd_eval(args) -> int:
     field = StefanField.from_params(params, cfg["tol"])
     psi_field = PsiField.from_stefan(field)
     t = args.t
-    if t is not None and t <= 0 and args.field not in ("S", "boundaries", "H"):
+    if not math.isfinite(t):
+        raise InvalidParameters(f"t must be finite, got {t}")
+    if t <= 0 and args.field not in ("S", "boundaries", "H"):
         raise InvalidParameters("t must be > 0")
     sink = _Sink(args.out)
 
@@ -309,8 +313,7 @@ def cmd_sweep(args) -> int:
         root = solve_gamma(params, cfg["tol"])
         return (q, l0, tm0, root.gamma, root.residual, physical_margin(params, root.gamma))
 
-    with ThreadPoolExecutor(max_workers=min(8, len(cells))) as pool:
-        rows = list(pool.map(solve_cell, cells))
+    rows = [solve_cell(cell) for cell in cells]
     sink = _Sink(args.out)
     _emit_rows(sink, ["q", "l0", "tm0", "gamma", "residual", "margin"], rows, args.json)
     sink.flush()

@@ -26,9 +26,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
-from .errors import InvalidParameters, NonmonotoneFront, StabilityViolation
+from .errors import InvalidParameters, NonmonotoneFront, StabilityViolation, StefanError
 from .similarity import PhysicalParams, StefanField
 from .verify import ResidualReport, _reduce
 
@@ -46,6 +45,10 @@ class OracleConfig:
     n_snapshots: int = 11
 
     def __post_init__(self):
+        for name in ("t0", "t_end", "dt", "s0"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvalidParameters(f"{name} must be finite, got {value}")
         if self.n_xi < 32:
             raise InvalidParameters("n_xi must be >= 32")
         if not (self.t0 > 0 and self.t_end > self.t0):
@@ -88,7 +91,15 @@ class OracleResult:
 
 
 def solve(config: OracleConfig, params: PhysicalParams) -> OracleResult:
-    """March the immobilized system from t0 to t_end."""
+    """March the immobilized system from t0 to t_end.
+
+    Each step calls LAPACK gtsv on buffers that it overwrites in place: the
+    three diagonals are refilled every step, and the two temperature
+    buffers swap roles.
+    """
+    # scipy.linalg takes ~0.3 s to import and only the march needs it.
+    from scipy.linalg.lapack import dgtsv
+
     n = config.n_xi
     dxi = 1.0 / n
     xi = np.linspace(0.0, 1.0, n + 1)
@@ -105,7 +116,9 @@ def solve(config: OracleConfig, params: PhysicalParams) -> OracleResult:
     span = config.t_end - config.t0
     steps = max(1, int(math.ceil(span / config.dt - 1e-12)))
     dt = span / steps
-    snap_at = np.unique(np.round(np.linspace(0, steps, config.n_snapshots)).astype(int))
+    snap_at = set(
+        np.round(np.linspace(0, steps, config.n_snapshots)).astype(int).tolist()
+    )
 
     times, fronts, snaps = [config.t0], [front], [u.copy()]
     t = config.t0
@@ -114,13 +127,15 @@ def solve(config: OracleConfig, params: PhysicalParams) -> OracleResult:
     diag = np.empty(n)
     upper = np.empty(n - 1)
     lower = np.empty(n - 1)
+    u_new = np.empty(n + 1)
+    u_min, u_max = u.min(), u.max()
 
     for k in range(steps):
         grad_front = (3.0 * u[n] - 4.0 * u[n - 1] + u[n - 2]) / (2.0 * dxi)
         s_dot = -grad_front / (front * l0 * math.sqrt(t))
         cfl = abs(s_dot) / front * dt / dxi
         max_cfl = max(max_cfl, cfl)
-        if cfl > 1.0:
+        if not cfl <= 1.0:
             raise StabilityViolation(
                 f"advective CFL {cfl:.3f} > 1 at t={t:.6g}; reduce dt"
             )
@@ -128,7 +143,10 @@ def solve(config: OracleConfig, params: PhysicalParams) -> OracleResult:
         if front_new <= front:
             raise NonmonotoneFront(f"front stalled at t={t:.6g}")
 
-        rhs = u[:n].copy()
+        # gtsv overwrites the right-hand side with the solution, so the
+        # interior of u_new starts as the right-hand side.
+        rhs = u_new[:n]
+        rhs[:] = u[:n]
         rhs[1:] += dt * (xi[1:n] * s_dot / front) * (u[2 : n + 1] - u[: n - 1]) / (
             2.0 * dxi
         )
@@ -142,21 +160,31 @@ def solve(config: OracleConfig, params: PhysicalParams) -> OracleResult:
         upper[0] = -2.0 * r
         rhs[0] += 2.0 * r * dxi * q * front_new
         rhs[n - 1] += r * dirichlet
-        ab = np.zeros((3, n))
-        ab[0, 1:] = upper
-        ab[1, :] = diag
-        ab[2, :-1] = lower
-        interior = solve_banded((1, 1), ab, rhs)
-        u_new = np.append(interior, dirichlet)
+        info = dgtsv(
+            lower, diag, upper, rhs,
+            overwrite_dl=True, overwrite_d=True, overwrite_du=True, overwrite_b=True,
+        )[4]
+        if info != 0:
+            raise StefanError(
+                f"tridiagonal solve failed (gtsv info={info}) at t={t_new:.6g}"
+            )
+        u_new[n] = dirichlet
 
-        lo = min(u.min(), dirichlet, u_new[0])
-        hi = max(u.max(), dirichlet, u_new[0])
+        inner_min, inner_max = u_new[1:n].min(), u_new[1:n].max()
+        if not (math.isfinite(inner_min) and math.isfinite(inner_max)
+                and math.isfinite(u_new[0])):
+            raise StefanError(f"non-finite temperature at t={t_new:.6g}")
+        lo = min(u_min, dirichlet, u_new[0])
+        hi = max(u_max, dirichlet, u_new[0])
         tol = 1e-10 * (1.0 + abs(hi))
-        if u_new[1:n].min() < lo - tol or u_new[1:n].max() > hi + tol:
+        if inner_min < lo - tol or inner_max > hi + tol:
             violations += 1
 
-        u, front, t = u_new, front_new, t_new
-        if (k + 1) in snap_at:
+        u_min = min(inner_min, u_new[0], dirichlet)
+        u_max = max(inner_max, u_new[0], dirichlet)
+        u, u_new = u_new, u
+        front, t = front_new, t_new
+        if k + 1 in snap_at:
             times.append(t)
             fronts.append(front)
             snaps.append(u.copy())

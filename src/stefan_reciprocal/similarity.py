@@ -47,6 +47,10 @@ class PhysicalParams:
     delta: float = 1.0
 
     def __post_init__(self):
+        for name in ("q", "l0", "tm0", "delta"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvalidParameters(f"{name} must be finite, got {value}")
         if not (self.q > 0):
             raise InvalidParameters(f"q must be > 0, got {self.q}")
         if not (self.l0 > 0):

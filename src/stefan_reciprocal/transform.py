@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 from scipy.special import erf
 
 from .errors import (
@@ -51,6 +50,9 @@ def quad_checked(func, a: float, b: float, quad_tol: float, limit: int = 200) ->
     """Adaptive quadrature that raises QuadratureFailure when the estimate misses tol."""
     if a == b:
         return 0.0
+    # scipy.integrate takes ~0.2 s to import and only quadrature needs it.
+    from scipy.integrate import IntegrationWarning, quad
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
         value, abserr = quad(func, a, b, epsabs=quad_tol, epsrel=quad_tol, limit=limit)

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import stefan_reciprocal
 from stefan_reciprocal.cli import main
 
 GAMMA_BASELINE = 0.47461192717277908806
@@ -204,12 +210,56 @@ class TestDeterminism:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_sweep_deterministic_despite_threads(self, capsys):
+    def test_sweep_deterministic(self, capsys):
         outputs = []
         for _ in range(2):
             _, out, _ = run(capsys, "sweep", "--q-range", "0.5:2:6")
             outputs.append(out)
         assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gamma", "--q", "inf"],
+        ["gamma", "--delta", "nan"],
+        ["eval", "--field", "psi", "--t", "inf"],
+        ["eval", "--field", "psi", "--t", "nan"],
+        ["eval", "--field", "S", "--t-range", "0.5:inf:4"],
+        ["eval", "--field", "H", "--t-range", "nan:2:4"],
+        ["sweep", "--q-range", "0.5:inf:3"],
+        ["oracle", "--t-end", "inf"],
+        ["oracle", "--seed", "linear", "--s0", "inf", "--n-xi", "32", "--t-end", "0.2"],
+    ],
+)
+def test_rejects_nonfinite_input(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_scipy_submodules_load_only_on_demand():
+    """Importing the CLI and running gamma load neither scipy.linalg nor
+    scipy.integrate; oracle and verify import them when they first need them."""
+    script = (
+        "import json, sys\n"
+        "import stefan_reciprocal.cli as cli\n"
+        "heavy = ('scipy.linalg', 'scipy.integrate')\n"
+        "after_import = [m for m in heavy if m in sys.modules]\n"
+        "code = cli.main(['gamma', '--out', sys.argv[1]])\n"
+        "after_gamma = [m for m in heavy if m in sys.modules]\n"
+        "print(json.dumps([code, after_import, after_gamma]))\n"
+    )
+    src = str(Path(stefan_reciprocal.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    res = subprocess.run(
+        [sys.executable, "-c", script, os.devnull],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert json.loads(res.stdout) == [0, [], []]
 
 
 def test_usage_error_exit_code(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -114,11 +115,61 @@ class TestGuards:
             {"seed_mode": "bogus"},
             {"seed_mode": "linear_profile", "s0": 0.0},
             {"n_snapshots": 1},
+            {"t_end": math.inf},
+            {"seed_mode": "linear_profile", "s0": math.inf},
+            {"t0": math.nan},
+            {"dt": math.inf},
+            {"s0": math.nan},
         ],
     )
     def test_config_validation(self, kwargs):
         with pytest.raises(sr.InvalidParameters):
             OracleConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [("info", "tridiagonal solve failed"), ("nan", "non-finite temperature")],
+    )
+    def test_tridiagonal_failures_raise(
+        self, baseline_params, monkeypatch, fault, message
+    ):
+        import scipy.linalg.lapack as lapack
+
+        def broken_gtsv(dl, d, du, b, **overwrite):
+            if fault == "info":
+                return dl, d, du, b, 1
+            b[:] = math.nan
+            return dl, d, du, b, 0
+
+        monkeypatch.setattr(lapack, "dgtsv", broken_gtsv)
+        with pytest.raises(sr.StefanError, match=message):
+            solve(OracleConfig(n_xi=32, t0=0.1, t_end=0.3, dt=1e-3), baseline_params)
+
+
+class TestBitIdentity:
+    """Pinned results of the march, to the last bit."""
+
+    @pytest.mark.parametrize(
+        "kwargs, gamma_hex, cfl_hex, digest",
+        [
+            (
+                {"n_xi": 32, "t0": 0.1, "t_end": 0.3, "dt": 1e-3},
+                "0x1.e604cf790ce41p-2", "0x1.47a28abd87381p-3", "5f1161f2a00c73e9",
+            ),
+            (
+                {"n_xi": 96, "t0": 0.02, "t_end": 0.2, "dt": 4e-5,
+                 "seed_mode": "linear_profile", "s0": 0.05},
+                "0x1.bc272a699b9c3p-2", "0x1.160bb2fff6940p-1", "a1c519ae4e84169c",
+            ),
+        ],
+    )
+    def test_pinned(self, baseline_params, kwargs, gamma_hex, cfl_hex, digest):
+        result = solve(OracleConfig(**kwargs), baseline_params)
+        assert result.gamma_estimate.hex() == gamma_hex
+        assert result.max_cfl.hex() == cfl_hex
+        assert result.max_principle_violations == 0
+        data = result.snapshots.tobytes() + result.fronts.tobytes()
+        assert hashlib.sha256(data).hexdigest()[:16] == digest
 
 
 class TestExport:

@@ -135,6 +135,11 @@ class TestSolveGamma:
         {"q": 1.0, "l0": 1.0, "delta": 0.0},
         {"q": 1.0, "l0": 1.0, "tm0": 1.0},
         {"q": 1.0, "l0": 1.0, "tm0": 1.5},
+        {"q": math.inf, "l0": 1.0},
+        {"q": 1.0, "l0": math.inf},
+        {"q": 1.0, "l0": 1.0, "tm0": -math.inf},
+        {"q": 1.0, "l0": 1.0, "tm0": math.nan},
+        {"q": 1.0, "l0": 1.0, "delta": math.inf},
     ],
 )
 def test_params_validation(kwargs):
