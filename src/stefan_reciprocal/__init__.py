@@ -32,8 +32,6 @@ from .transform import (
     BoundaryCoefficients,
     PsiField,
     StefanSolutionHandle,
-    boundary_x0,
-    boundary_x1,
     c_of_t_general,
     compute_boundary_coefficients,
     theta_quadrature,
@@ -75,8 +73,6 @@ __all__ = [
     "StefanError",
     "StefanField",
     "StefanSolutionHandle",
-    "boundary_x0",
-    "boundary_x1",
     "burgers_bc_residuals",
     "burgers_residual",
     "c_of_t_general",

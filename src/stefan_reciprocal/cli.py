@@ -107,9 +107,16 @@ def _merge_config(args) -> dict:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise InvalidParameters("config file must hold a JSON object")
         unknown = set(loaded) - set(DEFAULTS)
         if unknown:
             raise InvalidParameters(f"unknown config keys: {sorted(unknown)}")
+        for key, value in loaded.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise InvalidParameters(
+                    f"config value of {key} must be a number, got {value!r}"
+                )
         merged.update(loaded)
     for key in DEFAULTS:
         flag = getattr(args, key, None)
@@ -192,6 +199,8 @@ def cmd_eval(args) -> int:
     t = args.t
     if not math.isfinite(t):
         raise InvalidParameters(f"t must be finite, got {t}")
+    if args.n < 1:
+        raise InvalidParameters(f"n must be >= 1, got {args.n}")
     if t <= 0 and args.field not in ("S", "boundaries", "H"):
         raise InvalidParameters("t must be > 0")
     sink = _Sink(args.out)

@@ -33,6 +33,9 @@ from .verify import ResidualReport, _reduce
 
 SEED_MODES = ("closed_form", "linear_profile")
 
+#: Largest march accepted, in time steps ceil((t_end - t0)/dt).
+MAX_STEPS = 10**8
+
 
 @dataclass(frozen=True)
 class OracleConfig:
@@ -55,6 +58,11 @@ class OracleConfig:
             raise InvalidParameters("need 0 < t0 < t_end")
         if not self.dt > 0:
             raise InvalidParameters("dt must be > 0")
+        steps = (self.t_end - self.t0) / self.dt
+        if steps > MAX_STEPS:
+            raise InvalidParameters(
+                f"(t_end - t0)/dt = {steps:.6g} steps exceeds MAX_STEPS = {MAX_STEPS}"
+            )
         if self.seed_mode not in SEED_MODES:
             raise InvalidParameters(f"seed_mode must be one of {SEED_MODES}")
         if self.seed_mode == "linear_profile" and not self.s0 > 0:

@@ -101,11 +101,14 @@ def solve_gamma(params: PhysicalParams, tol: float = 1e-12) -> GammaRoot:
     returned gamma is the bracket midpoint, making the result deterministic
     for fixed inputs.
 
-    Raises NoSignChange when G - F is single-signed on the bracket, which
-    signals inadmissible data (e.g. strongly negative tm0).
+    Raises InvalidParameters unless tol is finite and > 0, and NoSignChange
+    when G - F is single-signed on the bracket, which signals inadmissible
+    data (e.g. strongly negative tm0).
     """
     if not (tol > 0):
         raise InvalidParameters(f"tol must be > 0, got {tol}")
+    if not math.isfinite(tol):
+        raise InvalidParameters(f"tol must be finite, got {tol}")
     upper = params.q / params.l0
     eps = 1e-14 * upper
     lo, hi = eps, upper - eps

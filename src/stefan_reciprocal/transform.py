@@ -11,17 +11,21 @@ produces a parametric solution Psi(x*, t) of the nonlinear evolution
 equation Psi_t = d/dx*(Psi_x*/Psi^2) + 2*delta posed between the two free
 boundaries X0*(t) = x*(0,t) and X1*(t) = Tm(t)/(delta*C(t)).
 
-Everything here works in two modes: a user-supplied solution bundle
-(:class:`StefanSolutionHandle`, quadrature-backed) and the closed-form
-sqrt(t) specialization built from a :class:`StefanField`, for which C is
-linear in t and Theta has an explicit erf/exp expression.
+:class:`PsiField` evaluates the chain from two ingredients chosen once, at
+construction: Theta(y,t) and C(t).  :meth:`PsiField.from_stefan` supplies
+the closed forms of the sqrt(t) family (:func:`closed_form_theta`,
+:func:`closed_form_c`); :meth:`PsiField.from_handle` supplies the
+quadratures :func:`theta_quadrature` and :func:`c_of_t_general` for any
+caller-supplied :class:`StefanSolutionHandle`, whose scalar callables it
+vectorizes.  Every other method has a single code path.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -123,6 +127,39 @@ def theta_quadrature(
     return c_val - integral
 
 
+def closed_form_c(field: StefanField, t):
+    """C(t) = gamma*(l0 - tm0)*t, linear in t for the sqrt(t) family."""
+    p = field.params
+    g = field.gamma.gamma
+    t_arr = np.asarray(t, dtype=float)
+    out = g * (p.l0 - p.tm0) * t_arr
+    return float(out) if out.ndim == 0 else out
+
+
+def closed_form_theta(field: StefanField, y, t):
+    """Explicit erf/exp form of Theta(y,t) for the sqrt(t) family on 0 <= y <= S(t)."""
+    field._check_domain(y, t)
+    p = field.params
+    g = field.gamma.gamma
+    amp = field.amplitude
+    y = np.asarray(y, dtype=float)
+    t = np.asarray(t, dtype=float)
+    xi = y / (2.0 * np.sqrt(t))
+    erf_xi, erf_g = erf(xi), math.erf(g)
+    bracket = (
+        SQRT_PI / 2.0 * (erf_xi - erf_g)
+        + SQRT_PI * (xi * xi * erf_xi - g * g * erf_g)
+        + xi * np.exp(-xi * xi)
+        - g * math.exp(-g * g)
+    )
+    out = (
+        g * (p.l0 - p.tm0)
+        + 2.0 * p.q * (xi * xi - g * g)
+        - 2.0 * amp * bracket
+    ) * t
+    return float(out) if out.ndim == 0 else out
+
+
 @dataclass(frozen=True)
 class BoundaryCoefficients:
     """Coefficients of the 1/sqrt(t) free boundaries: Xi*(t) = Ci/(delta*sqrt(t))."""
@@ -155,49 +192,37 @@ def compute_boundary_coefficients(params: PhysicalParams, gamma) -> BoundaryCoef
     return BoundaryCoefficients(c0=2.0 * amp / den, c1=c1)
 
 
-def boundary_x0(t, coeffs: BoundaryCoefficients, delta: float):
-    """X0*(t) = C0/(delta*sqrt(t))."""
-    t = np.asarray(t, dtype=float)
-    out = coeffs.c0 / (delta * np.sqrt(t))
-    return float(out) if out.ndim == 0 else out
-
-
-def boundary_x1(t, coeffs: BoundaryCoefficients, delta: float):
-    """X1*(t) = C1/(delta*sqrt(t))."""
-    t = np.asarray(t, dtype=float)
-    out = coeffs.c1 / (delta * np.sqrt(t))
-    return float(out) if out.ndim == 0 else out
-
-
 class PsiField:
     """Evaluator bundle for the transformed problem.
 
     Exposes Theta, the parametric map (y,t) -> (x*, Psi), its inversion, the
-    free boundaries, H(t) and the inverse-direction front recovery.  Built
-    either from a closed-form :class:`StefanField` or from a generic
-    :class:`StefanSolutionHandle` (quadrature-backed).
+    free boundaries, H(t) and the inverse-direction front recovery.  ``theta``
+    (y, t) -> Theta and ``c`` t -> C must accept arrays, as must the handle's
+    callables; build through :meth:`from_stefan` or :meth:`from_handle`.
     """
 
     def __init__(
         self,
         handle: StefanSolutionHandle,
         delta: float,
-        stefan: Optional[StefanField] = None,
-        quad_tol: float = 1e-10,
+        theta: Callable,
+        c: Callable,
     ):
         if not delta > 0:
             raise InvalidParameters(f"delta must be > 0, got {delta}")
         self.handle = handle
         self.delta = float(delta)
-        self.stefan = stefan
-        self.quad_tol = float(quad_tol)
+        self._theta = theta
+        self._c = c
 
     @classmethod
     def from_stefan(cls, field: StefanField, delta: Optional[float] = None) -> "PsiField":
+        """Closed-form Theta and C of the sqrt(t) family."""
         return cls(
             StefanSolutionHandle.from_field(field),
             field.params.delta if delta is None else delta,
-            stefan=field,
+            partial(closed_form_theta, field),
+            partial(closed_form_c, field),
         )
 
     @classmethod
@@ -208,47 +233,29 @@ class PsiField:
         quad_tol: float = 1e-10,
         validate: bool = True,
     ) -> "PsiField":
+        """Quadrature Theta and C for a caller-supplied solution bundle."""
         if validate:
             handle.validate()
-        return cls(handle, delta, stefan=None, quad_tol=quad_tol)
+        vec = partial(np.vectorize, otypes=[float])
+        vectorized = StefanSolutionHandle(
+            **{f.name: vec(getattr(handle, f.name)) for f in fields(handle)}
+        )
+        return cls(
+            vectorized,
+            delta,
+            vec(lambda y, t: theta_quadrature(y, t, handle, quad_tol)),
+            vec(lambda t: c_of_t_general(handle, t, quad_tol)),
+        )
 
     # -- scalar building blocks --------------------------------------------
 
     def c(self, t):
-        """C(t); linear gamma*(l0-tm0)*t in the closed-form mode."""
-        if self.stefan is not None:
-            p = self.stefan.params
-            g = self.stefan.gamma.gamma
-            t_arr = np.asarray(t, dtype=float)
-            out = g * (p.l0 - p.tm0) * t_arr
-            return float(out) if out.ndim == 0 else out
-        return c_of_t_general(self.handle, t, self.quad_tol)
+        """C(t) = integral_0^t [L - Tm] * dS/dtau dtau."""
+        return self._c(t)
 
     def theta(self, y, t):
         """Theta(y,t) = C(t) - integral_{S(t)}^{y} T(u,t) du on 0 <= y <= S(t)."""
-        if self.stefan is not None:
-            field = self.stefan
-            field._check_domain(y, t)
-            p = field.params
-            g = field.gamma.gamma
-            amp = field.amplitude
-            y = np.asarray(y, dtype=float)
-            t = np.asarray(t, dtype=float)
-            xi = y / (2.0 * np.sqrt(t))
-            erf_xi, erf_g = erf(xi), math.erf(g)
-            bracket = (
-                SQRT_PI / 2.0 * (erf_xi - erf_g)
-                + SQRT_PI * (xi * xi * erf_xi - g * g * erf_g)
-                + xi * np.exp(-xi * xi)
-                - g * math.exp(-g * g)
-            )
-            out = (
-                g * (p.l0 - p.tm0)
-                + 2.0 * p.q * (xi * xi - g * g)
-                - 2.0 * amp * bracket
-            ) * t
-            return float(out) if out.ndim == 0 else out
-        return theta_quadrature(y, t, self.handle, self.quad_tol)
+        return self._theta(y, t)
 
     def x_star(self, y, t):
         """Parametric coordinate x* = T / (delta * Theta)."""
@@ -276,16 +283,11 @@ class PsiField:
 
     def x0(self, t):
         """Left parametric boundary X0*(t) = x*(0, t)."""
-        if np.ndim(t) == 0:
-            return self.x_star(0.0, t)
-        return np.array([self.x_star(0.0, ti) for ti in np.asarray(t, dtype=float)])
+        return self.x_star(0.0, t)
 
     def x1(self, t):
         """Moving-front image X1*(t) = Tm(t) / (delta * C(t))."""
-        if np.ndim(t) == 0:
-            return self.handle.Tm(t) / (self.delta * self.c(t))
-        t = np.asarray(t, dtype=float)
-        return np.array([self.handle.Tm(ti) / (self.delta * self.c(ti)) for ti in t])
+        return self.handle.Tm(t) / (self.delta * self.c(t))
 
     # -- inversion ----------------------------------------------------------
 
@@ -293,9 +295,7 @@ class PsiField:
         """Sampled monotonicity check; returns (sign, x0, x1, S)."""
         s = self.handle.S(t)
         ys = np.linspace(0.0, s, MONOTONE_SAMPLES)
-        xv = self.x_star(ys, t) if self.stefan is not None else np.array(
-            [self.x_star(yi, t) for yi in ys]
-        )
+        xv = self.x_star(ys, t)
         diffs = np.diff(xv)
         if np.all(diffs > 0):
             sign = 1.0
@@ -326,11 +326,7 @@ class PsiField:
         floor = 16.0 * np.finfo(float).eps * s
         for _ in range(110):
             mid = 0.5 * (lo + hi)
-            if self.stefan is not None:
-                fm = sign * np.asarray(self.x_star(mid, t), dtype=float)
-            else:
-                fm = sign * np.array([self.x_star(m, t) for m in np.atleast_1d(mid)])
-                fm = fm.reshape(np.shape(mid))
+            fm = sign * np.asarray(self.x_star(mid, t), dtype=float)
             hit = ~frozen & (np.abs(fm - target) <= tol)
             result = np.where(hit, mid, result)
             frozen = frozen | hit
@@ -373,7 +369,7 @@ class PsiField:
         s = self.handle.S(t)
         psi1 = self.psi_parametric(s, t)
         psi0 = self.psi_parametric(0.0, t)
-        x0v = self.x_star(0.0, t)
+        x0v = self.x0(t)
         d = self.delta
         return (
             -(tm**3) / (lat * c_val * c_val)

@@ -15,6 +15,7 @@ from stefan_reciprocal.verify import (
     burgers_bc_values,
     burgers_residual,
     evolution_residual,
+    h_ratio_value,
     heat_residual,
     psi_bc_values,
     reciprocal_identity_residual,
@@ -185,7 +186,7 @@ def test_criterion_6_transformed_boundary_conditions(baseline_psi):
             pvals["esepunto"],
             pvals["c5"],
         )
-        worst_ratio = max(worst_ratio, pvals["c4ii_ratio"])
+        worst_ratio = max(worst_ratio, h_ratio_value(baseline_psi, t))
     elapsed = time.perf_counter() - start
     ok = worst_bc <= 1e-5 and worst_ratio <= 1e-6 and elapsed < 10.0
     _report(

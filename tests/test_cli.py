@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -198,6 +199,18 @@ class TestConfigPrecedence:
         code, _, _ = run(capsys, "gamma", "--config", str(tmp_path / "nope.json"))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "payload", [{"q": "2"}, {"q": True}, {"tol": None}, {"tm0": [0.5]}, ["q"]]
+    )
+    def test_rejects_non_number_values(self, capsys, tmp_path, payload):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "gamma", "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
 
 class TestDeterminism:
     def test_byte_identical_output_files(self, capsys, tmp_path):
@@ -230,6 +243,9 @@ class TestDeterminism:
         ["sweep", "--q-range", "0.5:inf:3"],
         ["oracle", "--t-end", "inf"],
         ["oracle", "--seed", "linear", "--s0", "inf", "--n-xi", "32", "--t-end", "0.2"],
+        ["gamma", "--tol", "inf"],
+        ["eval", "--field", "T", "--n", "-1"],
+        ["oracle", "--dt", "1e-300", "--n-xi", "32", "--t-end", "0.2"],
     ],
 )
 def test_rejects_nonfinite_input(capsys, argv):
@@ -238,6 +254,40 @@ def test_rejects_nonfinite_input(capsys, argv):
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+class TestBitIdentity:
+    """sha256 of stdout, pinned to the last byte of the 17-digit output."""
+
+    @pytest.mark.parametrize(
+        "argv, code, digest",
+        [
+            (["eval", "--field", "T"], 0,
+             "fa695d3ee27e94a35cef6a4ddd30497db6aeb52dc990203cf3114a9902e9a1bb"),
+            (["eval", "--field", "Ty"], 0,
+             "2ec5beb37d66930e59989aeefa50acb76a8ef72b5ace4cc8b0096e57094c9f7c"),
+            (["eval", "--field", "S"], 0,
+             "972f3ce80fec5b3ed0b5b78a50c4f70c5143eb5d451267c903243846f8802dbb"),
+            (["eval", "--field", "xstar"], 0,
+             "d280a691b0263f86e70272cfee7ca7223e64c812463a1b6af955fc6aea40d034"),
+            (["eval", "--field", "psi"], 0,
+             "9fc181f0e282a11a91f2cd4d0b162c15d845823d050f376eaac16d5e05998634"),
+            (["eval", "--field", "theta"], 0,
+             "1c5eabc8a7487fbafdcd707c09ff7efe17e85908d0e197ed1703255ec9d52254"),
+            (["eval", "--field", "H"], 0,
+             "67e891802d1477e9556be097ba37d2bff6b60e60057023d754ace0b5a70316a3"),
+            (["eval", "--field", "boundaries"], 0,
+             "facc541938db5d897ac6d44c1ca1cc1be65de8a77e50dabc363ff62ac5a83f72"),
+            (["verify", "--grid", "12,3", "--json", "--tm0", "0.5"], 0,
+             "c5aa7e91129d80d44289470f9d054be8d8784ed0cc74ded4b2f01790d0db5d73"),
+            (["verify", "--grid", "12,3", "--json", "--tm0", "0"], 2,
+             "e0e4cb6334bbc41dd02f4f4f7ca5f3f1327f4748bb6f2d3ddb8440ace98b1871"),
+        ],
+    )
+    def test_pinned_stdout(self, capsys, argv, code, digest):
+        got, out, _ = run(capsys, *argv)
+        assert got == code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_scipy_submodules_load_only_on_demand():

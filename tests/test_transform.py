@@ -87,7 +87,7 @@ class TestXStar:
         )
         for t in (0.25, 1.0, 4.0):
             lhs = baseline_psi.x_star(0.0, t)
-            rhs = sr.boundary_x0(t, coeffs, baseline_field.params.delta)
+            rhs = coeffs.c0 / (baseline_field.params.delta * math.sqrt(t))
             assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
 
     def test_monotone_dense_sampling(self, baseline_psi, baseline_field):
@@ -189,20 +189,17 @@ class TestBoundaryCoefficients:
         )
         assert coeffs.c1 == 0.0
         for t in (0.5, 2.0):
-            assert sr.boundary_x1(t, coeffs, 1.0) == 0.0
             assert zero_tm0_psi.x1(t) == 0.0
 
-    def test_inverse_sqrt_scaling(self, baseline_field):
+    def test_inverse_sqrt_scaling(self, baseline_field, baseline_psi):
         coeffs = sr.compute_boundary_coefficients(
             baseline_field.params, baseline_field.gamma
         )
         d = baseline_field.params.delta
-        assert sr.boundary_x1(4.0, coeffs, d) == pytest.approx(
-            sr.boundary_x1(1.0, coeffs, d) / 2.0, rel=1e-15
+        assert baseline_psi.x1(4.0) == pytest.approx(
+            baseline_psi.x1(1.0) / 2.0, rel=1e-15
         )
-        assert sr.boundary_x1(1.0, coeffs, d) * d == pytest.approx(
-            coeffs.c1, rel=1e-15
-        )
+        assert baseline_psi.x1(1.0) * d == pytest.approx(coeffs.c1, rel=1e-15)
 
 
 class TestInversion:
@@ -321,6 +318,23 @@ class TestGeneralHandleMode:
         )
         assert general.x1(t) == pytest.approx(baseline_psi.x1(t), rel=1e-9)
         assert general.h_of_t(t) == pytest.approx(0.0, abs=1e-8)
+
+    def test_array_time_and_inversion(self, baseline_field, baseline_psi):
+        """The vectorized handle serves array t and array inversion targets."""
+        handle = sr.StefanSolutionHandle.from_field(baseline_field)
+        general = sr.PsiField.from_handle(handle, delta=1.0)
+        ts = np.array([0.25, 1.0, 4.0])
+        for bound in ("x0", "x1"):
+            got = getattr(general, bound)(ts)
+            want = [getattr(baseline_psi, bound)(t) for t in ts]
+            assert got.shape == ts.shape
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-9
+        t = 1.0
+        s = baseline_field.free_boundary(t)
+        y = np.array([0.2, 0.5, 0.8]) * s
+        back = general.invert_x_star(baseline_psi.x_star(y, t), t)
+        assert back.shape == y.shape
+        assert np.max(np.abs(back - y)) <= 1e-9 * s
 
     def test_validation_rejects_inconsistent_handle(self, baseline_field):
         handle = sr.StefanSolutionHandle.from_field(baseline_field)

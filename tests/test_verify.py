@@ -10,6 +10,7 @@ from stefan_reciprocal.verify import (
     boundary_consistency_residual,
     evolution_residual,
     h_ratio_residual,
+    h_ratio_value,
     heat_residual,
     psi_bc_values,
     reciprocal_identity_residual,
@@ -149,7 +150,7 @@ class TestBurgersResidual:
                 u = (np.asarray(y) - 0.5 * s) / (0.1 * s)
                 return base + eps * np.exp(-(u * u))
 
-        bad = Bumped(baseline_psi.handle, baseline_psi.delta, baseline_psi.stefan)
+        bad = Bumped.from_stefan(field)
         report = burgers_residual(bad, GridSpec(n_space=49, n_time=3))
         assert report.max_abs >= eps / 2
 
@@ -200,7 +201,7 @@ class TestBoundaryConditionResiduals:
         assert vals["c4iii"] <= 1e-7
         assert vals["esepunto"] <= 1e-7
         assert vals["c5"] <= 1e-5
-        assert vals["c4ii_ratio"] <= 1e-6
+        assert h_ratio_value(baseline_psi, 1.0) <= 1e-6
 
     def test_front_speed_reconstruction(self, baseline_psi, baseline_field):
         # the esepunto combination reproduces dS/dt = gamma at t=1
@@ -227,8 +228,8 @@ class TestConsistencyResiduals:
         report = c_consistency_residual(baseline_psi)
         assert report.passed and report.max_abs <= 1e-10
 
-    def test_boundary_consistency(self, baseline_psi):
-        report = boundary_consistency_residual(baseline_psi)
+    def test_boundary_consistency(self, baseline_field):
+        report = boundary_consistency_residual(baseline_field)
         assert report.passed and report.max_abs <= 1e-10
 
     def test_front_recovery(self, baseline_psi):
