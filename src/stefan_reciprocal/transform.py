@@ -113,18 +113,19 @@ def c_of_t_general(handle: StefanSolutionHandle, t: float, quad_tol: float = 1e-
     return quad_checked(integrand, 0.0, float(t), quad_tol)
 
 
-def theta_quadrature(
-    y: float, t: float, handle: StefanSolutionHandle, quad_tol: float = 1e-10
-) -> float:
+def theta_quadrature(y, t: float, handle: StefanSolutionHandle, quad_tol: float = 1e-10):
     """Theta(y,t) = C(t) - integral_{S(t)}^{y} T(u,t) du, both by quadrature.
 
+    ``y`` may be an array; C(t) is integrated once per call, T once per y.
     Serves as the independent oracle for the closed-form Theta.
     """
     if t <= 0:
         raise DomainError("t must be > 0")
     c_val = c_of_t_general(handle, t, quad_tol)
-    integral = quad_checked(lambda u: handle.T(u, t), handle.S(t), float(y), quad_tol)
-    return c_val - integral
+    s, ys = handle.S(t), np.asarray(y, dtype=float)
+    integrals = [quad_checked(lambda u: handle.T(u, t), s, yi, quad_tol) for yi in ys.flat]
+    out = c_val - np.array(integrals).reshape(ys.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def closed_form_c(field: StefanField, t):
@@ -257,17 +258,27 @@ class PsiField:
         """Theta(y,t) = C(t) - integral_{S(t)}^{y} T(u,t) du on 0 <= y <= S(t)."""
         return self._theta(y, t)
 
-    def x_star(self, y, t):
-        """Parametric coordinate x* = T / (delta * Theta)."""
+    def _checked_theta(self, y, t):
+        """Theta as a float array; raises SingularTheta where it breaks down."""
         th = self.theta(y, t)
-        c_val = self.c(t)
-        if np.any(np.abs(th) < THETA_RTOL * np.abs(c_val)):
+        if np.any(np.abs(th) < THETA_RTOL * np.abs(self.c(t))):
             raise SingularTheta(
                 "Theta below breakdown threshold; the transformation is singular"
             )
-        tval = self.handle.T(y, t)
-        out = np.asarray(tval, dtype=float) / (self.delta * np.asarray(th, dtype=float))
+        return np.asarray(th, dtype=float)
+
+    def x_star(self, y, t):
+        """Parametric coordinate x* = T / (delta * Theta)."""
+        th = self._checked_theta(y, t)
+        out = np.asarray(self.handle.T(y, t), dtype=float) / (self.delta * th)
         return float(out) if out.ndim == 0 else out
+
+    def _x_and_slope(self, y, t):
+        """x* and its slope dx*/dy = 1/Psi = (T_y*Theta + T^2)/(delta*Theta^2)."""
+        th = self._checked_theta(y, t)
+        tval = np.asarray(self.handle.T(y, t), dtype=float)
+        ty = np.asarray(self.handle.T_y(y, t), dtype=float)
+        return tval / (self.delta * th), (ty * th + tval * tval) / (self.delta * th * th)
 
     def psi_parametric(self, y, t):
         """Psi = delta*Theta^2 / (T_y*Theta + T^2), parametrized by (y, t)."""
@@ -306,10 +317,12 @@ class PsiField:
         return sign, float(xv[0]), float(xv[-1]), float(s)
 
     def _invert_array(self, xs, t, tol, sign, x0v, x1v, s):
-        """Vectorized bisection of x*(., t) = xs on [0, S(t)].
+        """Vectorized Newton solve of x*(., t) = xs on [0, S(t)] with dx*/dy = 1/Psi.
 
-        Assumes monotonicity has been established; ``sign`` is +1 when x* is
-        increasing in y.
+        Starts from the chord between (0, X0*) and (S, X1*); a step that is
+        not finite or leaves the bisection bracket [lo, hi] becomes its
+        midpoint.  Assumes monotonicity has been established; ``sign`` is +1
+        when x* is increasing in y.
         """
         xs = np.asarray(xs, dtype=float)
         lo_x, hi_x = min(x0v, x1v), max(x0v, x1v)
@@ -321,28 +334,33 @@ class PsiField:
         target = sign * np.clip(xs, lo_x, hi_x)
         lo = np.zeros_like(target)
         hi = np.full_like(target, s)
+        y = s * (target - sign * x0v) / (sign * (x1v - x0v))
         frozen = np.zeros_like(target, dtype=bool)
         result = np.full_like(target, np.nan)
         floor = 16.0 * np.finfo(float).eps * s
         for _ in range(110):
-            mid = 0.5 * (lo + hi)
-            fm = sign * np.asarray(self.x_star(mid, t), dtype=float)
+            fx, slope = self._x_and_slope(y, t)
+            fm = sign * fx
             hit = ~frozen & (np.abs(fm - target) <= tol)
-            result = np.where(hit, mid, result)
+            result = np.where(hit, y, result)
             frozen = frozen | hit
             below = fm < target
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-            if np.all(frozen) or np.max(hi - lo) <= floor:
+            lo = np.where(below, y, lo)
+            hi = np.where(below, hi, y)
+            if np.all(frozen | (hi - lo <= floor)):
                 break
-        return np.where(frozen, result, 0.5 * (lo + hi))
+            with np.errstate(all="ignore"):
+                step = y - (fm - target) / (sign * slope)
+            inside = np.isfinite(step) & (step > lo) & (step < hi)
+            y = np.where(inside, step, 0.5 * (lo + hi))
+        return np.where(frozen, result, y)
 
     def invert_x_star(self, xs, t, tol: float = 1e-12):
-        """Solve x*(y, t) = xs for y by bracketed bisection.
+        """Solve x*(y, t) = xs for y: Newton on dx*/dy = 1/Psi inside a bisection bracket.
 
-        The achieved residual |x*(y,t) - xs| is <= max(tol, machine floor).
-        Raises NotMonotone if the sampled map is not single-signed and
-        OutOfRange if xs lies outside the boundary interval.
+        A point is accepted once |x*(y,t) - xs| <= tol or its bracket is
+        16*eps*S(t) wide.  Raises NotMonotone if the sampled map is not
+        single-signed and OutOfRange if xs lies outside the boundary interval.
         """
         sign, x0v, x1v, s = self._orientation(t)
         out = self._invert_array(xs, t, tol, sign, x0v, x1v, s)

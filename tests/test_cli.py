@@ -279,9 +279,9 @@ class TestBitIdentity:
             (["eval", "--field", "boundaries"], 0,
              "facc541938db5d897ac6d44c1ca1cc1be65de8a77e50dabc363ff62ac5a83f72"),
             (["verify", "--grid", "12,3", "--json", "--tm0", "0.5"], 0,
-             "c5aa7e91129d80d44289470f9d054be8d8784ed0cc74ded4b2f01790d0db5d73"),
+             "9522a6af5f3fcdd2fe29e8742e379ff2f4bf1d658e2a5becf66cdddf75c28c6c"),
             (["verify", "--grid", "12,3", "--json", "--tm0", "0"], 2,
-             "e0e4cb6334bbc41dd02f4f4f7ca5f3f1327f4748bb6f2d3ddb8440ace98b1871"),
+             "b443dbb758137a6c7acf586c08f3c361927eab1a8044c9d8981b32080ed8a087"),
         ],
     )
     def test_pinned_stdout(self, capsys, argv, code, digest):

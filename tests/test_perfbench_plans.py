@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from stefan_reciprocal.cli import build_parser
+from stefan_reciprocal.cli import build_parser, main
 
 WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 workloads = runpy.run_path(str(WORKLOADS_PY))
@@ -25,3 +25,14 @@ def test_plan_parses(workload, seed):
     for argv in plan:
         args = parser.parse_args(argv)
         assert args.command == argv[0]
+
+
+def test_verify_suite_plan_passes(capsys):
+    """Every verify of the gated verify-suite round exits 0 in-process.
+
+    The benchmark counts a nonzero exit as a failed operation, and a gated
+    workload must have none.
+    """
+    for argv in workloads["make_plan"]("verify-suite", 1):
+        assert main(argv) == 0, argv
+        capsys.readouterr()

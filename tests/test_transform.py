@@ -239,6 +239,55 @@ class TestInversion:
         back = baseline_psi.invert_x_star(xs, t)
         assert np.max(np.abs(back - y)) <= 1e-9 * s
 
+    @pytest.mark.parametrize("name", ["baseline_psi", "zero_tm0_psi"])
+    @pytest.mark.parametrize("t", [0.25, 1.0, 4.0])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-12])
+    def test_residual_within_tol(self, request, name, t, tol):
+        """Targets across [X0*, X1*]: y stays in [0, S(t)] and the residual <= tol."""
+        pf = request.getfixturevalue(name)
+        s = pf.handle.S(t)
+        xs = np.linspace(pf.x0(t), pf.x1(t), 65)
+        scalar = [pf.invert_x_star(x, t, tol) for x in xs]
+        for y in (pf.invert_x_star(xs, t, tol), np.array(scalar)):
+            assert np.all((y >= 0.0) & (y <= s))
+            assert np.max(np.abs(pf.x_star(y, t) - xs)) <= tol
+
+    @staticmethod
+    def _counted(field):
+        """A fresh PsiField whose fused x*/slope evaluations are counted."""
+        pf = sr.PsiField.from_stefan(field)
+        inner, calls = pf._x_and_slope, []
+
+        def counting(y, t):
+            calls.append(np.size(y))
+            return inner(y, t)
+
+        pf._x_and_slope = counting
+        return pf, calls
+
+    def test_newton_evaluation_count(self, baseline_field):
+        pf, calls = self._counted(baseline_field)
+        for t in (0.25, 1.0, 4.0):
+            for xs in np.linspace(pf.x0(t), pf.x1(t), 17):
+                calls.clear()
+                pf.invert_x_star(xs, t)
+                assert 1 <= len(calls) <= 10
+            calls.clear()
+            pf.invert_x_star(np.linspace(pf.x0(t), pf.x1(t), 17), t)
+            assert 1 <= len(calls) <= 10 and set(calls) == {17}
+
+    def test_zero_tol_terminates_at_machine_floor(self, baseline_field):
+        pf, calls = self._counted(baseline_field)
+        t = 1.0
+        x0, x1 = pf.x0(t), pf.x1(t)
+        ulp = np.spacing(max(abs(x0), abs(x1)))
+        for frac in (0.1, 0.37, 0.5, 0.9):
+            xs = x0 + frac * (x1 - x0)
+            calls.clear()
+            y = pf.invert_x_star(xs, t, tol=0.0)
+            assert len(calls) <= 12
+            assert abs(pf.x_star(y, t) - xs) <= 8 * ulp
+
 
 class TestPsiAt:
     def test_boundary_values(self, baseline_psi, baseline_field):
@@ -335,6 +384,10 @@ class TestGeneralHandleMode:
         back = general.invert_x_star(baseline_psi.x_star(y, t), t)
         assert back.shape == y.shape
         assert np.max(np.abs(back - y)) <= 1e-9 * s
+        xs = 0.5 * (baseline_psi.x0(t) + baseline_psi.x1(t))
+        assert general.invert_x_star(xs, t) == pytest.approx(
+            baseline_psi.invert_x_star(xs, t), rel=1e-9
+        )
 
     def test_validation_rejects_inconsistent_handle(self, baseline_field):
         handle = sr.StefanSolutionHandle.from_field(baseline_field)
