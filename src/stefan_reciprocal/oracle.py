@@ -218,9 +218,7 @@ def solve(config: OracleConfig, params: PhysicalParams) -> OracleResult:
     )
 
 
-def compare_to_closed_form(
-    result: OracleResult, field: StefanField, tolerance: float = 5e-4
-) -> ResidualReport:
+def compare_to_closed_form(result: OracleResult, field: StefanField) -> ResidualReport:
     """Max/L2 temperature error and front error against the closed form.
 
     The exact temperature is evaluated on the numerical grid y = xi*S_num(t)
@@ -235,7 +233,7 @@ def compare_to_closed_form(
         front_errs.append(s - field.free_boundary(t))
     t_errs = np.array(t_errs)
     front_errs = np.array(front_errs)
-    report = _reduce("oracle-vs-closed-form", t_errs, tolerance)
+    report = _reduce("oracle-vs-closed-form", t_errs, 5e-4)
     report.details = {
         "T_max": float(np.max(np.abs(t_errs))),
         "T_l2": float(np.sqrt(np.mean(t_errs * t_errs))),

@@ -237,7 +237,7 @@ class StefanField:
         )
         return float(out) if out.ndim == 0 else out
 
-    def temperature_gradient(self, y, t, check_domain: bool = True):
+    def temperature_gradient(self, y, t):
         """T_y(y,t) = A*sqrt(pi)*erf(y/(2 sqrt(t))) - q.
 
         The cross terms of differentiating T cancel, leaving this single
@@ -246,10 +246,7 @@ class StefanField:
         """
         y = np.asarray(y, dtype=float)
         t = np.asarray(t, dtype=float)
-        if check_domain:
-            self._check_domain(y, t)
-        elif np.any(t <= 0):
-            raise DomainError("temperature is defined for t > 0 only")
+        self._check_domain(y, t)
         xi = y / (2.0 * np.sqrt(t))
         out = self.amplitude * SQRT_PI * erf(xi) - self.params.q
         return float(out) if out.ndim == 0 else out

@@ -128,8 +128,8 @@ def test_criterion_3_pde_residuals(baseline_field, baseline_psi):
 def test_criterion_4_transformation_round_trips(baseline_psi):
     start = time.perf_counter()
     recip = reciprocal_identity_residual(baseline_psi, FULL_GRID)
-    rt = roundtrip_residual(baseline_psi, T_SAMPLES)
-    rec = s_recovery_residual(baseline_psi, T_SAMPLES)
+    rt = roundtrip_residual(baseline_psi)
+    rec = s_recovery_residual(baseline_psi)
     elapsed = time.perf_counter() - start
     ok = (
         recip.max_abs <= 1e-6

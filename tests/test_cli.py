@@ -246,6 +246,8 @@ class TestDeterminism:
         ["gamma", "--tol", "inf"],
         ["eval", "--field", "T", "--n", "-1"],
         ["oracle", "--dt", "1e-300", "--n-xi", "32", "--t-end", "0.2"],
+        ["verify", "--grid", "8,0"],
+        ["verify", "--grid", "8,-2"],
     ],
 )
 def test_rejects_nonfinite_input(capsys, argv):

@@ -231,6 +231,12 @@ class TestInversion:
         with pytest.raises(sr.OutOfRange):
             baseline_psi.invert_x_star(10.0 * baseline_psi.x1(1.0), 1.0)
 
+    @pytest.mark.parametrize("xs", [math.nan, np.array([1.5, math.nan])])
+    @pytest.mark.parametrize("method", ["invert_x_star", "psi_at"])
+    def test_nan_target_refused(self, baseline_psi, method, xs):
+        with pytest.raises(sr.OutOfRange):
+            getattr(baseline_psi, method)(xs, 1.0)
+
     def test_vectorized(self, baseline_psi, baseline_field):
         t = 1.0
         s = baseline_field.free_boundary(t)

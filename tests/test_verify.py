@@ -35,7 +35,7 @@ class TestGridSpec:
         with pytest.raises(sr.InvalidParameters):
             GridSpec(n_space=4)
         with pytest.raises(sr.InvalidParameters):
-            GridSpec(t_range=(0.0, 1.0))
+            GridSpec(n_time=0)
         with pytest.raises(sr.InvalidParameters):
             GridSpec(margin=0.6)
         with pytest.raises(sr.InvalidParameters):
@@ -243,7 +243,7 @@ class TestConsistencyResiduals:
 
 class TestSuite:
     def test_all_pass_small_grid(self, baseline_field, baseline_psi):
-        reports = run_verification_suite(baseline_field, baseline_psi, SMALL)
+        reports = run_verification_suite(baseline_field, SMALL)
         assert len(reports) == 13
         failing = [r.identity for r in reports if not r.passed]
         assert failing == []
@@ -255,8 +255,8 @@ class TestSuite:
         assert a.as_record() == b.as_record()
         assert a.max_abs == b.max_abs and a.l2 == b.l2
         assert np.array_equal(a.per_point, b.per_point)
-        ra = sr.psi_bc_residuals(baseline_psi, t_samples=(1.0,))
-        rb = sr.psi_bc_residuals(baseline_psi, t_samples=(1.0,))
+        ra = sr.psi_bc_residuals(baseline_psi)
+        rb = sr.psi_bc_residuals(baseline_psi)
         assert ra.as_record() == rb.as_record()
         assert ra.details == rb.details
 
