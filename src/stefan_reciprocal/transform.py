@@ -17,13 +17,19 @@ the closed forms of the sqrt(t) family (:func:`closed_form_theta`,
 :func:`closed_form_c`); :meth:`PsiField.from_handle` supplies the
 quadratures :func:`theta_quadrature` and :func:`c_of_t_general` for any
 caller-supplied :class:`StefanSolutionHandle`, whose scalar callables it
-vectorizes.  Every other method has a single code path.
+vectorizes, integrating once per distinct t.  Every other method has a
+single code path.
+
+Every integral of the package goes through :func:`quad_checked`, an adaptive
+Gauss-Kronrod (G7/K15) rule written in numpy: it integrates a batch of
+intervals at once and calls the integrand on arrays of nodes.  C(t) is
+integrated in u = sqrt(tau/t), which makes the tau^(-1/2) front speed of
+sqrt(t) fronts smooth.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, fields
 from functools import partial
 from typing import Callable
@@ -50,21 +56,95 @@ THETA_RTOL = 1e-13
 MONOTONE_SAMPLES = 64
 
 
-def quad_checked(func, a: float, b: float, quad_tol: float, limit: int = 200) -> float:
-    """Adaptive quadrature that raises QuadratureFailure when the estimate misses tol."""
-    if a == b:
-        return 0.0
-    # scipy.integrate takes ~0.2 s to import and only quadrature needs it.
-    from scipy.integrate import IntegrationWarning, quad
+#: Kronrod abscissae on [0, 1] and the weights of the 15-point Kronrod and
+#: 7-point Gauss rules (QUADPACK's qk15; Piessens et al., 1983).  The Gauss
+#: nodes are the odd-indexed Kronrod nodes, the centre among them.
+_XGK = (
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0,
+)
+_WGK = (
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+)
+_WG = (
+    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975, 0.417959183673469387755102040816327,
+)
+_NODES = np.concatenate([-np.array(_XGK[:7]), np.array(_XGK[::-1])])
+_W_KRONROD = np.concatenate([_WGK[:7], _WGK[::-1]])
+_W_GAUSS = np.zeros(15)
+_W_GAUSS[1::2] = _WG + _WG[-2::-1]
+_EPS = np.finfo(float).eps
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        value, abserr = quad(func, a, b, epsabs=quad_tol, epsrel=quad_tol, limit=limit)
-    if abserr > 10.0 * max(quad_tol, abs(value) * quad_tol):
-        raise QuadratureFailure(
-            f"quadrature error estimate {abserr:.3e} exceeds tolerance {quad_tol:.3e}"
+
+def _gk15(func, left, right):
+    """G7/K15 values, error estimates and round-off flags of the panels [left, right].
+
+    ``func`` is called once, on a flat array of the 15 nodes of every panel.
+    A panel's error estimate is |K15 - G7|, floored at the round-off level
+    50*eps*integral|f| that bisection cannot lower; panels at that floor are
+    flagged.  QUADPACK's scaled estimate is not used: on an integrand whose
+    rounding noise is far above eps*|f|, such as H(t), a cancellation of
+    terms of size 1/t, it stays at the panel's mean deviation however far
+    the panel is bisected.
+    """
+    half = 0.5 * (right - left)
+    nodes = (0.5 * (left + right))[:, None] + half[:, None] * _NODES
+    fv = np.asarray(func(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    # row sums rather than a matrix product, whose rounding depends on the batch
+    kronrod, gauss = (fv * _W_KRONROD).sum(axis=1), (fv * _W_GAUSS).sum(axis=1)
+    err = np.abs((kronrod - gauss) * half)
+    floor = 50.0 * _EPS * (np.abs(fv) * _W_KRONROD).sum(axis=1) * np.abs(half)
+    return kronrod * half, np.maximum(err, floor), err <= floor
+
+
+def quad_checked(func, a, b, quad_tol: float, limit: int = 200):
+    """Adaptive G7/K15 quadrature of ``func`` over [a, b]; a and b may be arrays.
+
+    Every interval of the batch is integrated to max(quad_tol, |value|*quad_tol).
+    Each pass calls ``func`` once, on a 1-D array holding the nodes of all
+    live panels, and bisects the panels whose error estimate exceeds their
+    length's share of that tolerance and is not at the round-off floor.  An
+    integral stops when it meets its tolerance or when bisecting would give
+    it more than ``limit`` panels.  Raises QuadratureFailure when a final
+    error estimate is above ten times the tolerance.  A reversed interval
+    gives the negated value.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    lo, hi = np.minimum(a, b).ravel(), np.maximum(a, b).ravel()
+    n = lo.size
+    value, error, panels = np.zeros(n), np.zeros(n), np.ones(n, dtype=int)
+    owner = np.flatnonzero(lo != hi)
+    left, right = lo[owner], hi[owner]
+    while owner.size:
+        val, err, roundoff = _gk15(func, left, right)
+        tol = np.maximum(quad_tol, np.abs(value + np.bincount(owner, val, n)) * quad_tol)
+        split = (err > tol[owner] * (right - left) / (hi - lo)[owner]) & ~roundoff
+        stop = (error + np.bincount(owner, err, n) <= tol) | (
+            panels + np.bincount(owner[split], minlength=n) > limit
         )
-    return value
+        split &= ~stop[owner]
+        value += np.bincount(owner, np.where(split, 0.0, val), n)
+        error += np.bincount(owner, np.where(split, 0.0, err), n)
+        panels += np.bincount(owner[split], minlength=n)
+        mid = 0.5 * (left[split] + right[split])
+        owner = np.repeat(owner[split], 2)
+        left = np.column_stack((left[split], mid)).ravel()
+        right = np.column_stack((mid, right[split])).ravel()
+    value = np.where(b.ravel() < a.ravel(), -value, value)
+    bound = 10.0 * np.maximum(quad_tol, np.abs(value) * quad_tol)
+    if not np.all(error <= bound):
+        worst = int(np.argmax(np.where(error <= bound, -np.inf, error)))
+        raise QuadratureFailure(
+            f"quadrature error estimate {error[worst]:.3e} exceeds tolerance {quad_tol:.3e}"
+        )
+    out = value.reshape(a.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -103,28 +183,43 @@ class StefanSolutionHandle:
 
 
 def c_of_t_general(handle: StefanSolutionHandle, t: float, quad_tol: float = 1e-10) -> float:
-    """C(t) = integral_0^t [L(tau) - Tm(tau)] * dS/dtau dtau by adaptive quadrature."""
+    """C(t) = integral_0^t [L(tau) - Tm(tau)] * dS/dtau dtau by adaptive quadrature.
+
+    Integrated in u = sqrt(tau/t), where dtau = 2*t*u du: a front speed that
+    blows up like tau^(-1/2), as for sqrt(t) fronts, becomes smooth in u.
+    """
     if t < 0:
         raise DomainError("t must be >= 0")
+    if t == 0:
+        return 0.0
 
-    def integrand(tau):
-        return (handle.L(tau) - handle.Tm(tau)) * handle.S_dot(tau)
+    def integrand(u):
+        tau = t * u * u
+        return (handle.L(tau) - handle.Tm(tau)) * handle.S_dot(tau) * (2.0 * t * u)
 
-    return quad_checked(integrand, 0.0, float(t), quad_tol)
+    return quad_checked(integrand, 0.0, 1.0, quad_tol)
 
 
 def theta_quadrature(y, t: float, handle: StefanSolutionHandle, quad_tol: float = 1e-10):
     """Theta(y,t) = C(t) - integral_{S(t)}^{y} T(u,t) du, both by quadrature.
 
-    ``y`` may be an array; C(t) is integrated once per call, T once per y.
-    Serves as the independent oracle for the closed-form Theta.
+    ``y`` may be an array: C(t) is integrated once per call and the integrals
+    of T over every [S(t), y] form one batch.  Serves as the independent
+    oracle for the closed-form Theta.
     """
     if t <= 0:
         raise DomainError("t must be > 0")
     c_val = c_of_t_general(handle, t, quad_tol)
-    s, ys = handle.S(t), np.asarray(y, dtype=float)
-    integrals = [quad_checked(lambda u: handle.T(u, t), s, yi, quad_tol) for yi in ys.flat]
-    out = c_val - np.array(integrals).reshape(ys.shape)
+    return c_val - quad_checked(lambda u: handle.T(u, t), handle.S(t), y, quad_tol)
+
+
+def _per_distinct_t(fn, y, t):
+    """fn(y_k, t_k) once per distinct t_k, on all the y_k that share it."""
+    y, t = np.broadcast_arrays(np.asarray(y, dtype=float), np.asarray(t, dtype=float))
+    out = np.full(y.shape, np.nan)
+    for tk in np.unique(t):
+        at = t == tk
+        out[at] = fn(y[at], float(tk))
     return float(out) if out.ndim == 0 else out
 
 
@@ -234,18 +329,28 @@ class PsiField:
         quad_tol: float = 1e-10,
         validate: bool = True,
     ) -> "PsiField":
-        """Quadrature Theta and C for a caller-supplied solution bundle."""
+        """Quadrature Theta and C for a caller-supplied solution bundle.
+
+        Each evaluation integrates C once per distinct t it is given.
+        """
         if validate:
             handle.validate()
         vec = partial(np.vectorize, otypes=[float])
         vectorized = StefanSolutionHandle(
             **{f.name: vec(getattr(handle, f.name)) for f in fields(handle)}
         )
+
+        def theta(y, tk):
+            return theta_quadrature(y, tk, vectorized, quad_tol)
+
+        def c(_, tk):
+            return c_of_t_general(vectorized, tk, quad_tol)
+
         return cls(
             vectorized,
             delta,
-            vec(lambda y, t: theta_quadrature(y, t, handle, quad_tol)),
-            vec(lambda t: c_of_t_general(handle, t, quad_tol)),
+            partial(_per_distinct_t, theta),
+            partial(_per_distinct_t, c, 0.0),
         )
 
     # -- scalar building blocks --------------------------------------------
@@ -303,18 +408,18 @@ class PsiField:
     # -- inversion ----------------------------------------------------------
 
     def _orientation(self, t):
-        """Sampled monotonicity check; returns (sign, x0, x1, S)."""
+        """Sampled monotonicity check; returns (sign, x0, x1, S), each shaped like t."""
         s = self.handle.S(t)
-        ys = np.linspace(0.0, s, MONOTONE_SAMPLES)
-        xv = self.x_star(ys, t)
-        diffs = np.diff(xv)
-        if np.all(diffs > 0):
-            sign = 1.0
-        elif np.all(diffs < 0):
-            sign = -1.0
-        else:
-            raise NotMonotone(f"x*(., t={t}) is not monotone on [0, S(t)]")
-        return sign, float(xv[0]), float(xv[-1]), float(s)
+        xv = self.x_star(np.linspace(0.0, s, MONOTONE_SAMPLES), t)
+        diffs = np.diff(xv, axis=0)
+        rising, falling = np.all(diffs > 0, axis=0), np.all(diffs < 0, axis=0)
+        if not np.all(rising | falling):
+            t_bad = np.broadcast_to(t, rising.shape)[~(rising | falling)][0]
+            raise NotMonotone(f"x*(., t={t_bad}) is not monotone on [0, S(t)]")
+        sign = np.where(rising, 1.0, -1.0)
+        if np.ndim(t) == 0:
+            return float(sign), float(xv[0]), float(xv[-1]), float(s)
+        return sign, xv[0], xv[-1], s
 
     def _invert_array(self, xs, t, tol, sign, x0v, x1v, s):
         """Vectorized Newton solve of x*(., t) = xs on [0, S(t)] with dx*/dy = 1/Psi.
@@ -322,18 +427,21 @@ class PsiField:
         Starts from the chord between (0, X0*) and (S, X1*); a step that is
         not finite or leaves the bisection bracket [lo, hi] becomes its
         midpoint.  Assumes monotonicity has been established; ``sign`` is +1
-        when x* is increasing in y.
+        when x* is increasing in y.  ``t``, ``tol`` and the orientation
+        values broadcast against ``xs``.
         """
         xs = np.asarray(xs, dtype=float)
-        lo_x, hi_x = min(x0v, x1v), max(x0v, x1v)
+        lo_x, hi_x = np.minimum(x0v, x1v), np.maximum(x0v, x1v)
         slack = 1e-9 * (hi_x - lo_x)
-        if not np.all((xs >= lo_x - slack) & (xs <= hi_x + slack)):
-            raise OutOfRange(
-                f"target outside [{lo_x:.6g}, {hi_x:.6g}] at t={t}"
+        inside = (xs >= lo_x - slack) & (xs <= hi_x + slack)
+        if not np.all(inside):
+            lo_b, hi_b, t_b = (
+                np.broadcast_to(v, inside.shape)[~inside][0] for v in (lo_x, hi_x, t)
             )
+            raise OutOfRange(f"target outside [{lo_b:.6g}, {hi_b:.6g}] at t={t_b}")
         target = sign * np.clip(xs, lo_x, hi_x)
         lo = np.zeros_like(target)
-        hi = np.full_like(target, s)
+        hi = lo + s
         y = s * (target - sign * x0v) / (sign * (x1v - x0v))
         frozen = np.zeros_like(target, dtype=bool)
         result = np.full_like(target, np.nan)
@@ -359,7 +467,8 @@ class PsiField:
         """Solve x*(y, t) = xs for y: Newton on dx*/dy = 1/Psi inside a bisection bracket.
 
         A point is accepted once |x*(y,t) - xs| <= tol or its bracket is
-        16*eps*S(t) wide.  Raises NotMonotone if the sampled map is not
+        16*eps*S(t) wide.  ``t`` and ``tol`` may be arrays that broadcast
+        against ``xs``.  Raises NotMonotone if the sampled map is not
         single-signed and OutOfRange if xs is not finite or lies outside the
         boundary interval.
         """
@@ -380,7 +489,7 @@ class PsiField:
         For the sqrt(t) family every term scales as 1/t and the sum cancels
         to rounding (the face identity Theta(0,t) = q*t makes H vanish).
         """
-        if t <= 0:
+        if np.any(np.asarray(t) <= 0):
             raise DomainError("t must be > 0")
         tm = self.handle.Tm(t)
         lat = self.handle.L(t)
@@ -410,6 +519,6 @@ class PsiField:
 
         def integrand(sigma):
             y = self._invert_array(sigma, t, inv_tol, sign, x0v, x1v, s)
-            return self.psi_parametric(float(y), t)
+            return self.psi_parametric(y, t)
 
         return quad_checked(integrand, x0v, x1v, quad_tol)

@@ -173,27 +173,28 @@ def _d_dt(f, t: float) -> float:
 
 
 def _from_t0(rate, t: float, quad_tol: float, limit: int = 200) -> float:
-    """integral_{T0}^{t} rate(tau) dtau, integrated in u = log(tau)."""
+    """integral_{T0}^{t} rate(tau) dtau, integrated in u = log(tau).
+
+    ``rate`` receives an array of tau.
+    """
     lo, hi = math.log(T0), math.log(t)
-    return quad_checked(lambda u: rate(math.exp(u)) * math.exp(u), lo, hi, quad_tol, limit)
+    return quad_checked(lambda u: rate(np.exp(u)) * np.exp(u), lo, hi, quad_tol, limit)
 
 
-def one_sided_derivative(f, x0: float, h: float, direction: float) -> float:
+def one_sided_derivative(f, x0, h, direction):
     """First derivative at a domain edge: 5-point one-sided stencil, O(h^4).
 
     ``direction`` is +1/-1 and points into the domain; ``f`` must accept an
-    ndarray of evaluation points.  The high order keeps boundary derivatives
-    accurate enough for the X0* integral identity, whose integrand spans four
-    decades in magnitude.
+    ndarray of evaluation points.  ``x0``, ``h`` and ``direction`` may be
+    arrays of edges: ``f`` then receives the stencil points with a leading
+    axis of 5.  The high order keeps boundary derivatives accurate enough for
+    the X0* integral identity, whose integrand spans four decades in magnitude.
     """
-    d = 1.0 if direction > 0 else -1.0
-    pts = x0 + d * h * np.arange(5.0)
-    v = np.asarray(f(pts), dtype=float)
-    return float(
-        d
-        * (-25.0 * v[0] + 48.0 * v[1] - 36.0 * v[2] + 16.0 * v[3] - 3.0 * v[4])
-        / (12.0 * h)
-    )
+    d = np.where(np.asarray(direction) > 0, 1.0, -1.0)
+    offsets = np.arange(5.0).reshape((5,) + (1,) * np.broadcast(x0, h, d).ndim)
+    v = np.asarray(f(x0 + d * h * offsets), dtype=float)
+    out = d * (-25.0 * v[0] + 48.0 * v[1] - 36.0 * v[2] + 16.0 * v[3] - 3.0 * v[4]) / (12.0 * h)
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -326,13 +327,14 @@ def burgers_bc_residuals(field: PsiField):
     )
 
 
-def _psi_slope(field: PsiField, t: float, edge: float, other: float) -> float:
+def _psi_slope(field: PsiField, t, edge, other):
     """Psi_x* at the boundary ``edge`` of [X0*, X1*]; ``other`` is the far one.
 
     One-sided stencil of step 1e-3*|X1* - X0*| pointing into the interval,
-    through re-inversion of the parametric map.
+    through re-inversion of the parametric map.  ``t``, ``edge`` and
+    ``other`` may be arrays of the same shape.
     """
-    width = abs(other - edge)
+    width = np.abs(other - edge)
     return one_sided_derivative(
         lambda xx: field.psi_at(xx, t, 1e-13 * width), edge, 1e-3 * width, other - edge
     )
@@ -361,7 +363,7 @@ def psi_bc_values(field: PsiField, t: float) -> dict:
     s_dot_rec = psi1 * x1_dot + psi_x1 / (psi1 * psi1) + 2.0 * d * x1v
 
     def boundary_rate(tau):
-        """Integrand of the X0* identity: Psi_x*/Psi^3 + 2 delta X0*/Psi at X0*."""
+        """Psi_x*/Psi^3 + 2 delta X0*/Psi at X0*, the X0* integrand, on an array of tau."""
         x0_tau = field.x0(tau)
         psi0_tau = field.psi_parametric(0.0, tau)
         px0 = _psi_slope(field, tau, x0_tau, field.x1(tau))

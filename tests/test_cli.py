@@ -281,9 +281,9 @@ class TestBitIdentity:
             (["eval", "--field", "boundaries"], 0,
              "facc541938db5d897ac6d44c1ca1cc1be65de8a77e50dabc363ff62ac5a83f72"),
             (["verify", "--grid", "12,3", "--json", "--tm0", "0.5"], 0,
-             "9522a6af5f3fcdd2fe29e8742e379ff2f4bf1d658e2a5becf66cdddf75c28c6c"),
+             "7f1285251c07b07ea2c2f73d8ee1288b15e3d2a6868e5a29bf905caa2de7a87a"),
             (["verify", "--grid", "12,3", "--json", "--tm0", "0"], 2,
-             "b443dbb758137a6c7acf586c08f3c361927eab1a8044c9d8981b32080ed8a087"),
+             "fd3658f3e845bf616fc29a3544420b904afa59769d4510011ed0a72fb565c762"),
         ],
     )
     def test_pinned_stdout(self, capsys, argv, code, digest):
@@ -294,7 +294,8 @@ class TestBitIdentity:
 
 def test_scipy_submodules_load_only_on_demand():
     """Importing the CLI and running gamma load neither scipy.linalg nor
-    scipy.integrate; oracle and verify import them when they first need them."""
+    scipy.integrate; verify integrates with the package's own quadrature and
+    loads neither either.  Only oracle imports scipy.linalg, when it marches."""
     script = (
         "import json, sys\n"
         "import stefan_reciprocal.cli as cli\n"
@@ -302,7 +303,9 @@ def test_scipy_submodules_load_only_on_demand():
         "after_import = [m for m in heavy if m in sys.modules]\n"
         "code = cli.main(['gamma', '--out', sys.argv[1]])\n"
         "after_gamma = [m for m in heavy if m in sys.modules]\n"
-        "print(json.dumps([code, after_import, after_gamma]))\n"
+        "verify_code = cli.main(['verify', '--grid', '8,1', '--out', sys.argv[1]])\n"
+        "after_verify = [m for m in heavy if m in sys.modules]\n"
+        "print(json.dumps([code, after_import, after_gamma, verify_code, after_verify]))\n"
     )
     src = str(Path(stefan_reciprocal.__file__).resolve().parents[1])
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
@@ -311,7 +314,7 @@ def test_scipy_submodules_load_only_on_demand():
         [sys.executable, "-c", script, os.devnull],
         capture_output=True, text=True, env=env, check=True,
     )
-    assert json.loads(res.stdout) == [0, [], []]
+    assert json.loads(res.stdout) == [0, [], [], 0, []]
 
 
 def test_usage_error_exit_code(capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import stefan_reciprocal as sr
+from stefan_reciprocal import transform
 from stefan_reciprocal.transform import quad_checked
 
 # frozen from a 50-digit evaluation at the baseline parameters
@@ -395,6 +396,23 @@ class TestGeneralHandleMode:
             baseline_psi.invert_x_star(xs, t), rel=1e-9
         )
 
+    def test_c_integrated_once_per_distinct_t(self, baseline_field, monkeypatch):
+        inner, counts = transform.c_of_t_general, []
+
+        def counting(*args, **kwargs):
+            counts[-1] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(transform, "c_of_t_general", counting)
+        general = sr.PsiField.from_handle(
+            sr.StefanSolutionHandle.from_field(baseline_field), delta=1.0
+        )
+        s = baseline_field.free_boundary(1.0)
+        for y in (np.linspace(0.05, 0.95, 10) * s, np.array([0.5 * s])):
+            counts.append(0)
+            general.x_star(y, 1.0)
+        assert counts[0] <= 2 and counts[0] == counts[1]
+
     def test_validation_rejects_inconsistent_handle(self, baseline_field):
         handle = sr.StefanSolutionHandle.from_field(baseline_field)
         broken = sr.StefanSolutionHandle(
@@ -460,7 +478,60 @@ class TestSingularities:
             )
 
 
+class TestQuadrature:
+    def test_reversed_interval_negates(self):
+        forward = quad_checked(np.exp, 0.2, 1.7, 1e-12)
+        assert quad_checked(np.exp, 1.7, 0.2, 1e-12) == -forward
+        assert forward == pytest.approx(math.exp(1.7) - math.exp(0.2), rel=1e-14)
+
+    def test_empty_interval_is_zero(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return np.ones_like(x)
+
+        assert quad_checked(f, 0.5, 0.5, 1e-10) == 0.0
+        assert calls == []
+
+    def test_batch_matches_one_at_a_time(self):
+        def f(x):
+            return np.exp(np.sin(5.0 * x)) / (1.0 + x * x)
+
+        ends = np.array([-2.0, -0.3, 0.0, 0.4, 1.1, 3.0, 7.5])
+        batch = quad_checked(f, 0.1, ends, 1e-12)
+        single = [quad_checked(f, 0.1, b, 1e-12) for b in ends]
+        assert batch.shape == ends.shape
+        assert np.max(np.abs(batch - single)) <= 1e-14
+
+    def test_integrable_endpoint_singularity(self):
+        value = quad_checked(lambda x: x**-0.5, 0.0, 1.0, 1e-13)
+        assert abs(value - 2.0) <= 1e-12 * 2.0
+
+    def test_singular_theta_handle_c_is_exact(self):
+        # the handle of TestSingularities.test_singular_theta, whose front
+        # speed blows up like t^(-1/2): (L - Tm)*S_dot = 0.5/sqrt(t), so C(1) = 1
+        handle = sr.StefanSolutionHandle(
+            T=lambda y, t: -10.0,
+            T_y=lambda y, t: 0.0,
+            S=lambda t: 2.0 * math.sqrt(t),
+            S_dot=lambda t: 1.0 / math.sqrt(t),
+            L=lambda t: 1.5,
+            Tm=lambda t: 1.0,
+        )
+        pf = sr.PsiField.from_handle(handle, delta=1.0, validate=False)
+        assert abs(sr.c_of_t_general(pf.handle, 1.0) - 1.0) <= 1e-13
+
+    def test_failure_when_limit_binds(self):
+        def f(x):
+            return x**-0.5
+
+        assert quad_checked(f, 0.0, 1.0, 1e-10) == pytest.approx(2.0, rel=1e-10)
+        with pytest.raises(sr.QuadratureFailure):
+            quad_checked(f, 0.0, 1.0, 1e-10, limit=10)
+
+
 def test_quad_checked_failure():
     with pytest.raises(sr.QuadratureFailure):
         # highly oscillatory integrand with a tiny subdivision budget
-        quad_checked(lambda x: math.sin(1e4 * x * x), 0.0, 3.0, 1e-13, limit=1)
+        quad_checked(lambda x: np.sin(1e4 * x * x), 0.0, 3.0, 1e-13, limit=1)

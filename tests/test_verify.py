@@ -267,3 +267,31 @@ class TestSuite:
         parsed = json.loads(report.to_json())
         assert parsed["identity"] == "heat-equation"
         assert parsed["pass"] is True
+
+
+#: The 60-point scan of the ROADMAP: l0 = 1, default identities at 12x3.
+SCAN_Q = (1e-3, 0.1, 1.0, 10.0, 100.0)
+SCAN_TM0 = (-0.5, 0.0, 0.5, 0.99)
+SCAN_DELTA = (0.1, 1.0, 10.0)
+#: (q, tm0) where every identity passes at every delta of the scan.
+SCAN_PASSING = {(0.1, 0.0), (1.0, 0.5)}
+
+
+def test_scan_regression_floor():
+    """Every scan point ends in reports or a StefanError; six pass everything.
+
+    Only the passing points are pinned, so checker fixes can add to them.
+    """
+    grid = GridSpec(n_space=12, n_time=3)
+    for q in SCAN_Q:
+        for tm0 in SCAN_TM0:
+            for delta in SCAN_DELTA:
+                params = sr.PhysicalParams(q=q, l0=1.0, tm0=tm0, delta=delta)
+                try:
+                    reports = run_verification_suite(sr.StefanField.from_params(params), grid)
+                except sr.StefanError as exc:
+                    assert (q, tm0) not in SCAN_PASSING, (params, exc)
+                    continue
+                assert len(reports) == 13
+                if (q, tm0) in SCAN_PASSING:
+                    assert [r.identity for r in reports if not r.passed] == [], params
