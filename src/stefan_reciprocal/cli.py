@@ -1,7 +1,8 @@
 """Command-line surface: gamma | eval | verify | oracle | sweep.
 
 Exit codes: 0 success (and all identities passing for `verify`);
-1 invalid input (parameter invariants, malformed flags);
+1 invalid input (parameter invariants, parameters whose x* is not monotone
+in y, malformed flags);
 2 numerical failure (no sign change, quadrature failure, instability).
 
 Output is deterministic: floats are printed with 17 significant digits and
@@ -18,7 +19,7 @@ import sys
 import numpy as np
 
 from . import oracle as oracle_mod
-from .errors import InvalidParameters, StefanError
+from .errors import InvalidParameters, NotMonotone, StefanError
 from .similarity import PhysicalParams, StefanField, physical_margin, solve_gamma
 from .transform import PsiField
 from .verify import GridSpec, run_verification_suite
@@ -346,7 +347,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return COMMANDS[args.command](args)
-    except InvalidParameters as exc:
+    except (InvalidParameters, NotMonotone) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (StefanError, OSError, json.JSONDecodeError) as exc:

@@ -11,14 +11,14 @@ produces a parametric solution Psi(x*, t) of the nonlinear evolution
 equation Psi_t = d/dx*(Psi_x*/Psi^2) + 2*delta posed between the two free
 boundaries X0*(t) = x*(0,t) and X1*(t) = Tm(t)/(delta*C(t)).
 
-:class:`PsiField` evaluates the chain from two ingredients chosen once, at
-construction: Theta(y,t) and C(t).  :meth:`PsiField.from_stefan` supplies
-the closed forms of the sqrt(t) family (:func:`closed_form_theta`,
-:func:`closed_form_c`); :meth:`PsiField.from_handle` supplies the
-quadratures :func:`theta_quadrature` and :func:`c_of_t_general` for any
-caller-supplied :class:`StefanSolutionHandle`, whose scalar callables it
-vectorizes, integrating once per distinct t.  Every other method has a
-single code path.
+The paper solves the problem explicitly only for the sqrt(t) family, and
+:class:`PsiField` has one construction, :meth:`PsiField.from_stefan`, from
+its closed forms :func:`closed_form_theta` and :func:`closed_form_c`.  There
+x* = tau(eta)/(delta*sqrt(t)*theta(eta)) with eta = y/(2*sqrt(t)), so whether
+x* is monotone on [0, S(t)] does not depend on t: the first inversion decides
+it once per field and raises NotMonotone when it is not.  The quadratures
+:func:`theta_quadrature` and :func:`c_of_t_general` of a
+:class:`StefanSolutionHandle` are the independent oracle for the closed forms.
 
 Every integral of the package goes through :func:`quad_checked`, an adaptive
 Gauss-Kronrod (G7/K15) rule written in numpy: it integrates a batch of
@@ -30,8 +30,8 @@ sqrt(t) fronts smooth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from functools import partial
+from dataclasses import dataclass
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -52,8 +52,11 @@ from .similarity import SQRT_PI, GammaRoot, PhysicalParams, StefanField
 #: Theta values below this fraction of C(t) count as a breakdown of the map.
 THETA_RTOL = 1e-13
 
-#: Sample count of the monotonicity pre-check used before inversion.
+#: Sample count of the monotonicity check run before the first inversion.
 MONOTONE_SAMPLES = 64
+
+#: Absolute and relative tolerance of the front recovery and the verify quadratures.
+QUAD_TOL = 1e-10
 
 
 #: Kronrod abscissae on [0, 1] and the weights of the 15-point Kronrod and
@@ -149,7 +152,7 @@ def quad_checked(func, a, b, quad_tol: float, limit: int = 200):
 
 @dataclass(frozen=True)
 class StefanSolutionHandle:
-    """Caller-supplied solution bundle (T, T_y, S, dS/dt, L, Tm)."""
+    """Solution bundle (T, T_y, S, dS/dt, L, Tm) whose callables accept arrays."""
 
     T: Callable[[float, float], float]
     T_y: Callable[[float, float], float]
@@ -168,18 +171,6 @@ class StefanSolutionHandle:
             L=field.latent_heat,
             Tm=field.melt_temperature,
         )
-
-    def validate(self) -> None:
-        """Check T(S(t),t) = Tm(t) to 1e-8 at t = 0.5, 1, 2; raise on violation."""
-        for t in (0.5, 1.0, 2.0):
-            s = self.S(t)
-            if not s > 0:
-                raise InvalidParameters(f"S({t}) = {s} is not positive")
-            dev = abs(self.T(s, t) - self.Tm(t))
-            if dev > 1e-8 * (1.0 + abs(self.Tm(t))):
-                raise InvalidParameters(
-                    f"handle violates T(S(t),t)=Tm(t) at t={t}: deviation {dev:.3e}"
-                )
 
 
 def c_of_t_general(handle: StefanSolutionHandle, t: float, quad_tol: float = 1e-10) -> float:
@@ -211,16 +202,6 @@ def theta_quadrature(y, t: float, handle: StefanSolutionHandle, quad_tol: float 
         raise DomainError("t must be > 0")
     c_val = c_of_t_general(handle, t, quad_tol)
     return c_val - quad_checked(lambda u: handle.T(u, t), handle.S(t), y, quad_tol)
-
-
-def _per_distinct_t(fn, y, t):
-    """fn(y_k, t_k) once per distinct t_k, on all the y_k that share it."""
-    y, t = np.broadcast_arrays(np.asarray(y, dtype=float), np.asarray(t, dtype=float))
-    out = np.full(y.shape, np.nan)
-    for tk in np.unique(t):
-        at = t == tk
-        out[at] = fn(y[at], float(tk))
-    return float(out) if out.ndim == 0 else out
 
 
 def closed_form_c(field: StefanField, t):
@@ -292,9 +273,12 @@ class PsiField:
     """Evaluator bundle for the transformed problem.
 
     Exposes Theta, the parametric map (y,t) -> (x*, Psi), its inversion, the
-    free boundaries, H(t) and the inverse-direction front recovery.  ``theta``
-    (y, t) -> Theta and ``c`` t -> C must accept arrays, as must the handle's
-    callables; build through :meth:`from_stefan` or :meth:`from_handle`.
+    free boundaries, H(t) and the inverse-direction front recovery.  Build it
+    with :meth:`from_stefan`.  The initialiser is the seam through which
+    tests pass other ingredients: ``theta`` (y, t) -> Theta and ``c``
+    t -> C must accept arrays, as must the handle's callables, and the field
+    must be self-similar, because whether x* is monotone in y is decided
+    once, at t = 1 (:attr:`monotone_sign`), and then holds for every t.
     """
 
     def __init__(
@@ -319,38 +303,6 @@ class PsiField:
             field.params.delta,
             partial(closed_form_theta, field),
             partial(closed_form_c, field),
-        )
-
-    @classmethod
-    def from_handle(
-        cls,
-        handle: StefanSolutionHandle,
-        delta: float,
-        quad_tol: float = 1e-10,
-        validate: bool = True,
-    ) -> "PsiField":
-        """Quadrature Theta and C for a caller-supplied solution bundle.
-
-        Each evaluation integrates C once per distinct t it is given.
-        """
-        if validate:
-            handle.validate()
-        vec = partial(np.vectorize, otypes=[float])
-        vectorized = StefanSolutionHandle(
-            **{f.name: vec(getattr(handle, f.name)) for f in fields(handle)}
-        )
-
-        def theta(y, tk):
-            return theta_quadrature(y, tk, vectorized, quad_tol)
-
-        def c(_, tk):
-            return c_of_t_general(vectorized, tk, quad_tol)
-
-        return cls(
-            vectorized,
-            delta,
-            partial(_per_distinct_t, theta),
-            partial(_per_distinct_t, c, 0.0),
         )
 
     # -- scalar building blocks --------------------------------------------
@@ -407,19 +359,27 @@ class PsiField:
 
     # -- inversion ----------------------------------------------------------
 
+    @cached_property
+    def monotone_sign(self) -> float:
+        """+1.0 if x* increases in y on [0, S(t)] for every t, -1.0 if it decreases.
+
+        Decided from MONOTONE_SAMPLES samples at t = 1, which holds for every
+        t on a self-similar field; raises NotMonotone if neither holds there.
+        """
+        y = np.linspace(0.0, self.handle.S(1.0), MONOTONE_SAMPLES)
+        diffs = np.diff(self.x_star(y, 1.0))
+        if np.all(diffs > 0):
+            return 1.0
+        if np.all(diffs < 0):
+            return -1.0
+        raise NotMonotone("x*(., t) is not monotone on [0, S(t)], for every t")
+
     def _orientation(self, t):
-        """Sampled monotonicity check; returns (sign, x0, x1, S), each shaped like t."""
+        """(monotone_sign, x*(0, t), x*(S(t), t), S(t)); the last three shaped like t."""
+        sign = self.monotone_sign
         s = self.handle.S(t)
-        xv = self.x_star(np.linspace(0.0, s, MONOTONE_SAMPLES), t)
-        diffs = np.diff(xv, axis=0)
-        rising, falling = np.all(diffs > 0, axis=0), np.all(diffs < 0, axis=0)
-        if not np.all(rising | falling):
-            t_bad = np.broadcast_to(t, rising.shape)[~(rising | falling)][0]
-            raise NotMonotone(f"x*(., t={t_bad}) is not monotone on [0, S(t)]")
-        sign = np.where(rising, 1.0, -1.0)
-        if np.ndim(t) == 0:
-            return float(sign), float(xv[0]), float(xv[-1]), float(s)
-        return sign, xv[0], xv[-1], s
+        xv = self.x_star(np.linspace(0.0, s, 2), t)
+        return sign, xv[0], xv[1], s
 
     def _invert_array(self, xs, t, tol, sign, x0v, x1v, s):
         """Vectorized Newton solve of x*(., t) = xs on [0, S(t)] with dx*/dy = 1/Psi.
@@ -468,9 +428,9 @@ class PsiField:
 
         A point is accepted once |x*(y,t) - xs| <= tol or its bracket is
         16*eps*S(t) wide.  ``t`` and ``tol`` may be arrays that broadcast
-        against ``xs``.  Raises NotMonotone if the sampled map is not
-        single-signed and OutOfRange if xs is not finite or lies outside the
-        boundary interval.
+        against ``xs``.  Raises NotMonotone if x* is not monotone in y (see
+        :attr:`monotone_sign`) and OutOfRange if xs is not finite or lies
+        outside the boundary interval.
         """
         sign, x0v, x1v, s = self._orientation(t)
         out = self._invert_array(xs, t, tol, sign, x0v, x1v, s)
@@ -508,7 +468,7 @@ class PsiField:
             - d * d * x0v * x0v
         )
 
-    def s_from_psi(self, t, quad_tol: float = 1e-10):
+    def s_from_psi(self, t):
         """Recover S(t) as the directed integral of Psi over [X0*(t), X1*(t)].
 
         The directed integral is orientation-agnostic: when x* decreases in y
@@ -521,4 +481,4 @@ class PsiField:
             y = self._invert_array(sigma, t, inv_tol, sign, x0v, x1v, s)
             return self.psi_parametric(y, t)
 
-        return quad_checked(integrand, x0v, x1v, quad_tol)
+        return quad_checked(integrand, x0v, x1v, QUAD_TOL)

@@ -31,6 +31,7 @@ import numpy as np
 from .errors import InvalidParameters
 from .similarity import StefanField
 from .transform import (
+    QUAD_TOL,
     PsiField,
     c_of_t_general,
     compute_boundary_coefficients,
@@ -40,9 +41,6 @@ from .transform import (
 
 #: Times at which the boundary and consistency identities are sampled.
 T_SAMPLES = (0.25, 1.0, 4.0)
-
-#: Absolute and relative tolerance of the verification quadratures.
-QUAD_TOL = 1e-10
 
 #: Lower end of the improper time integrals, which scale like 1/t near 0.
 T0 = 1e-8
@@ -476,7 +474,7 @@ def s_recovery_residual(field: PsiField):
     """|s_from_psi(t) - S(t)| / sqrt(t): the inverse-direction front recovery."""
     return _reduce_rows(
         "front-recovery",
-        lambda t: (field.s_from_psi(t, QUAD_TOL) - field.handle.S(t)) / math.sqrt(t),
+        lambda t: (field.s_from_psi(t) - field.handle.S(t)) / math.sqrt(t),
         1e-7,
     )
 
@@ -496,6 +494,7 @@ def roundtrip_residual(field: PsiField):
 def run_verification_suite(field: StefanField, grid: GridSpec = GridSpec()) -> list:
     """Run every identity check and return the reports in a fixed order."""
     pf = PsiField.from_stefan(field)
+    pf.monotone_sign  # refuses a non-monotone x* before any identity runs
     return [
         heat_residual(field, grid),
         burgers_residual(pf, grid),

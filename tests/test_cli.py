@@ -122,6 +122,17 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--grid", "12")
         assert code == 1
 
+    def test_non_monotone_point_refused_up_front(self, capsys):
+        point = ("--q", "1.7", "--tm0", "0.3")
+        code, out, err = run(capsys, "verify", *point)
+        lines = err.splitlines()
+        assert code == 1 and out == ""
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "not monotone" in lines[0]
+        for field in ("psi", "xstar"):
+            code, out, _ = run(capsys, "eval", "--field", field, *point)
+            assert code == 0 and len(out.splitlines()) > 1
+
 
 class TestOracle:
     def test_summary_json(self, capsys):

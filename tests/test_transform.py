@@ -103,6 +103,19 @@ class TestXStar:
         xv = zero_tm0_psi.x_star(y, t)
         assert np.all(np.diff(xv) < 0)
 
+    def test_array_time_boundaries(self, baseline_psi):
+        """x0, x1 and the inversion take an array of t, one time per target."""
+        ts = np.array([0.25, 1.0, 4.0])
+        for bound in ("x0", "x1"):
+            got = getattr(baseline_psi, bound)(ts)
+            want = [getattr(baseline_psi, bound)(t) for t in ts]
+            assert got.shape == ts.shape
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
+        y = np.array([0.2, 0.5, 0.8]) * baseline_psi.handle.S(ts)
+        back = baseline_psi.invert_x_star(baseline_psi.x_star(y, ts), ts)
+        assert back.shape == ts.shape
+        assert np.max(np.abs(back - y) / baseline_psi.handle.S(ts)) <= 1e-9
+
     def test_similarity_scaling(self, baseline_psi, baseline_field):
         fracs = np.linspace(0.0, 1.0, 9)
         scaled = []
@@ -283,17 +296,62 @@ class TestInversion:
             pf.invert_x_star(np.linspace(pf.x0(t), pf.x1(t), 17), t)
             assert 1 <= len(calls) <= 10 and set(calls) == {17}
 
-    def test_zero_tol_terminates_at_machine_floor(self, baseline_field):
-        pf, calls = self._counted(baseline_field)
+    def test_zero_tol_terminates_at_machine_floor(self, baseline_field, zero_tm0_field):
+        """Interior targets and the end targets X0*, X1* end within 8 ulp.
+
+        X1* = Tm/(delta*C) differs from x*(S(t), t) by the root residual, so
+        it may lie just outside [x*(0,t), x*(S,t)]; it is then clamped.
+        """
         t = 1.0
-        x0, x1 = pf.x0(t), pf.x1(t)
-        ulp = np.spacing(max(abs(x0), abs(x1)))
-        for frac in (0.1, 0.37, 0.5, 0.9):
-            xs = x0 + frac * (x1 - x0)
-            calls.clear()
-            y = pf.invert_x_star(xs, t, tol=0.0)
-            assert len(calls) <= 12
-            assert abs(pf.x_star(y, t) - xs) <= 8 * ulp
+        for field in (baseline_field, zero_tm0_field):
+            pf, calls = self._counted(field)
+            x0, x1 = pf.x0(t), pf.x1(t)
+            ends = np.sort(pf.x_star(np.array([0.0, pf.handle.S(t)]), t))
+            ulp = np.spacing(max(abs(x0), abs(x1)))
+            for xs in [x0, x1] + [x0 + frac * (x1 - x0) for frac in (0.1, 0.37, 0.5, 0.9)]:
+                calls.clear()
+                y = pf.invert_x_star(xs, t, tol=0.0)
+                assert len(calls) <= 12
+                assert abs(pf.x_star(y, t) - np.clip(xs, *ends)) <= 8 * ulp
+
+
+class TestOrientation:
+    def test_sampled_once_per_field(self, baseline_field):
+        pf = sr.PsiField.from_stefan(baseline_field)
+        inner, sampled_at = pf.x_star, []
+
+        def counting(y, t):
+            if np.shape(y)[:1] == (transform.MONOTONE_SAMPLES,):
+                sampled_at.append(t)
+            return inner(y, t)
+
+        pf.x_star = counting
+        for t in (0.25, 1.0, 4.0):
+            pf.invert_x_star(0.5 * (pf.x0(t) + pf.x1(t)), t)
+            pf.s_from_psi(t)
+        ts = np.array([0.5, 2.0])
+        pf.invert_x_star(pf.x_star(0.3 * pf.handle.S(ts), ts), ts)
+        assert sampled_at == [1.0]
+
+    @pytest.mark.parametrize("q, tm0", [(1.0, 0.5), (1.0, 0.0), (1.7, 0.3), (10.0, 0.0)])
+    def test_sign_does_not_depend_on_t(self, q, tm0):
+        """The sign decided at t = 1 is the sampled x* test at every t."""
+        field = sr.StefanField.from_params(sr.PhysicalParams(q=q, l0=1.0, tm0=tm0))
+        pf = sr.PsiField.from_stefan(field)
+
+        def sampled_sign(t):
+            y = np.linspace(0.0, field.free_boundary(t), transform.MONOTONE_SAMPLES)
+            diffs = np.diff(pf.x_star(y, t))
+            return 1.0 if np.all(diffs > 0) else -1.0 if np.all(diffs < 0) else None
+
+        signs = {sampled_sign(t) for t in (1e-3, 1.0, 100.0)}
+        assert len(signs) == 1
+        sign = signs.pop()
+        if sign is None:
+            with pytest.raises(sr.NotMonotone, match="for every t"):
+                pf.monotone_sign
+        else:
+            assert pf.monotone_sign == sign
 
 
 class TestPsiAt:
@@ -357,116 +415,57 @@ class TestFrontRecovery:
                 assert pf.x0(t) != pf.x1(t)
 
 
-class TestGeneralHandleMode:
-    def test_matches_closed_form(self, baseline_field, baseline_psi):
-        handle = sr.StefanSolutionHandle.from_field(baseline_field)
-        general = sr.PsiField.from_handle(handle, delta=1.0, quad_tol=1e-12)
-        t = 1.0
-        y = 0.6 * baseline_field.free_boundary(t)
-        assert general.theta(y, t) == pytest.approx(
-            baseline_psi.theta(y, t), abs=1e-10
-        )
-        assert general.x_star(y, t) == pytest.approx(
-            baseline_psi.x_star(y, t), rel=1e-9
-        )
-        assert general.psi_parametric(y, t) == pytest.approx(
-            baseline_psi.psi_parametric(y, t), rel=1e-9
-        )
-        assert general.x1(t) == pytest.approx(baseline_psi.x1(t), rel=1e-9)
-        assert general.h_of_t(t) == pytest.approx(0.0, abs=1e-8)
+def _fake_psi(**callables):
+    """A PsiField on a hand-made handle, with Theta and C taken by quadrature."""
+    handle = sr.StefanSolutionHandle(**callables)
+    return sr.PsiField(
+        handle,
+        1.0,
+        lambda y, t: sr.theta_quadrature(y, t, handle),
+        lambda t: sr.c_of_t_general(handle, t),
+    )
 
-    def test_array_time_and_inversion(self, baseline_field, baseline_psi):
-        """The vectorized handle serves array t and array inversion targets."""
-        handle = sr.StefanSolutionHandle.from_field(baseline_field)
-        general = sr.PsiField.from_handle(handle, delta=1.0)
-        ts = np.array([0.25, 1.0, 4.0])
-        for bound in ("x0", "x1"):
-            got = getattr(general, bound)(ts)
-            want = [getattr(baseline_psi, bound)(t) for t in ts]
-            assert got.shape == ts.shape
-            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-9
-        t = 1.0
-        s = baseline_field.free_boundary(t)
-        y = np.array([0.2, 0.5, 0.8]) * s
-        back = general.invert_x_star(baseline_psi.x_star(y, t), t)
-        assert back.shape == y.shape
-        assert np.max(np.abs(back - y)) <= 1e-9 * s
-        xs = 0.5 * (baseline_psi.x0(t) + baseline_psi.x1(t))
-        assert general.invert_x_star(xs, t) == pytest.approx(
-            baseline_psi.invert_x_star(xs, t), rel=1e-9
-        )
 
-    def test_c_integrated_once_per_distinct_t(self, baseline_field, monkeypatch):
-        inner, counts = transform.c_of_t_general, []
+def _singular_theta_callables():
+    """Constant negative temperature, which forces Theta through zero.
 
-        def counting(*args, **kwargs):
-            counts[-1] += 1
-            return inner(*args, **kwargs)
-
-        monkeypatch.setattr(transform, "c_of_t_general", counting)
-        general = sr.PsiField.from_handle(
-            sr.StefanSolutionHandle.from_field(baseline_field), delta=1.0
-        )
-        s = baseline_field.free_boundary(1.0)
-        for y in (np.linspace(0.05, 0.95, 10) * s, np.array([0.5 * s])):
-            counts.append(0)
-            general.x_star(y, 1.0)
-        assert counts[0] <= 2 and counts[0] == counts[1]
-
-    def test_validation_rejects_inconsistent_handle(self, baseline_field):
-        handle = sr.StefanSolutionHandle.from_field(baseline_field)
-        broken = sr.StefanSolutionHandle(
-            T=lambda y, t: handle.T(y, t) + 0.1,
-            T_y=handle.T_y,
-            S=handle.S,
-            S_dot=handle.S_dot,
-            L=handle.L,
-            Tm=handle.Tm,
-        )
-        with pytest.raises(sr.InvalidParameters):
-            sr.PsiField.from_handle(broken, delta=1.0)
+    The front speed blows up like t^(-1/2): (L - Tm)*S_dot = 0.5/sqrt(t), so
+    C(t) = sqrt(t) and Theta(y, t) = sqrt(t) + 10*(y - S(t)).
+    """
+    return dict(
+        T=lambda y, t: -10.0 + 0.0 * y,
+        T_y=lambda y, t: 0.0 * y,
+        S=lambda t: 2.0 * np.sqrt(t),
+        S_dot=lambda t: 1.0 / np.sqrt(t),
+        L=lambda t: 1.5 + 0.0 * t,
+        Tm=lambda t: 1.0 + 0.0 * t,
+    )
 
 
 class TestSingularities:
     def test_singular_theta(self):
-        # constant negative temperature forces Theta through zero
-        handle = sr.StefanSolutionHandle(
-            T=lambda y, t: -10.0,
-            T_y=lambda y, t: 0.0,
-            S=lambda t: 2.0 * math.sqrt(t),
-            S_dot=lambda t: 1.0 / math.sqrt(t),
-            L=lambda t: 1.5,
-            Tm=lambda t: 1.0,
-        )
-        pf = sr.PsiField.from_handle(handle, delta=1.0, validate=False)
-        crossing = handle.S(1.0) - 0.1  # Theta(y,1) = 1 + 10*(y - S)
+        pf = _fake_psi(**_singular_theta_callables())
+        crossing = pf.handle.S(1.0) - 0.1  # Theta(y,1) = 1 + 10*(y - S)
         with pytest.raises(sr.SingularTheta):
             pf.x_star(crossing, 1.0)
 
     def test_not_monotone(self):
-        handle = sr.StefanSolutionHandle(
-            T=lambda y, t: 1.0 + 0.5 * math.sin(6.0 * y),
-            T_y=lambda y, t: 3.0 * math.cos(6.0 * y),
+        pf = _fake_psi(
+            T=lambda y, t: 1.0 + 0.5 * np.sin(6.0 * y),
+            T_y=lambda y, t: 3.0 * np.cos(6.0 * y),
             S=lambda t: t,
-            S_dot=lambda t: 1.0,
-            L=lambda t: 3.0,
-            Tm=lambda t: 0.0,
+            S_dot=lambda t: 1.0 + 0.0 * t,
+            L=lambda t: 3.0 + 0.0 * t,
+            Tm=lambda t: 0.0 * t,
         )
-        pf = sr.PsiField.from_handle(handle, delta=1.0, validate=False)
         with pytest.raises(sr.NotMonotone):
             pf.invert_x_star(0.3, 1.0)
 
     def test_singular_denominator(self):
         # T_y*Theta + T^2 = 0 when T = 0 and T_y = 0 at a point
-        handle = sr.StefanSolutionHandle(
-            T=lambda y, t: 0.0,
-            T_y=lambda y, t: 0.0,
-            S=lambda t: 2.0 * math.sqrt(t),
-            S_dot=lambda t: 1.0 / math.sqrt(t),
-            L=lambda t: 1.5,
-            Tm=lambda t: 1.0,
-        )
-        pf = sr.PsiField.from_handle(handle, delta=1.0, validate=False)
+        callables = _singular_theta_callables()
+        callables.update(T=lambda y, t: 0.0 * y, T_y=lambda y, t: 0.0 * y)
+        pf = _fake_psi(**callables)
         with pytest.raises(sr.SingularDenominator):
             pf.psi_parametric(0.5, 1.0)
 
@@ -509,18 +508,9 @@ class TestQuadrature:
         assert abs(value - 2.0) <= 1e-12 * 2.0
 
     def test_singular_theta_handle_c_is_exact(self):
-        # the handle of TestSingularities.test_singular_theta, whose front
-        # speed blows up like t^(-1/2): (L - Tm)*S_dot = 0.5/sqrt(t), so C(1) = 1
-        handle = sr.StefanSolutionHandle(
-            T=lambda y, t: -10.0,
-            T_y=lambda y, t: 0.0,
-            S=lambda t: 2.0 * math.sqrt(t),
-            S_dot=lambda t: 1.0 / math.sqrt(t),
-            L=lambda t: 1.5,
-            Tm=lambda t: 1.0,
-        )
-        pf = sr.PsiField.from_handle(handle, delta=1.0, validate=False)
-        assert abs(sr.c_of_t_general(pf.handle, 1.0) - 1.0) <= 1e-13
+        # C(1) = 1 for the handle of TestSingularities.test_singular_theta
+        handle = sr.StefanSolutionHandle(**_singular_theta_callables())
+        assert abs(sr.c_of_t_general(handle, 1.0) - 1.0) <= 1e-13
 
     def test_failure_when_limit_binds(self):
         def f(x):

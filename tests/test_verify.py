@@ -260,6 +260,16 @@ class TestSuite:
         assert ra.as_record() == rb.as_record()
         assert ra.details == rb.details
 
+    def test_non_monotone_refused_before_first_identity(self, monkeypatch):
+        from stefan_reciprocal import verify
+
+        ran = []
+        monkeypatch.setattr(verify, "heat_residual", lambda *args: ran.append(args))
+        params = sr.PhysicalParams(q=1.7, l0=1.0, tm0=0.3)
+        with pytest.raises(sr.NotMonotone):
+            run_verification_suite(sr.StefanField.from_params(params), SMALL)
+        assert ran == []
+
     def test_json_roundtrip(self, baseline_field):
         import json
 
