@@ -31,7 +31,6 @@ from .similarity import (
 from .transform import (
     BoundaryCoefficients,
     PsiField,
-    StefanSolutionHandle,
     c_of_t_general,
     compute_boundary_coefficients,
     theta_quadrature,
@@ -72,7 +71,6 @@ __all__ = [
     "StabilityViolation",
     "StefanError",
     "StefanField",
-    "StefanSolutionHandle",
     "burgers_bc_residuals",
     "burgers_residual",
     "c_of_t_general",

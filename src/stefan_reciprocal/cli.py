@@ -81,18 +81,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the identity verification suite")
     add_common(p_verify)
-    p_verify.add_argument("--grid", type=str, default="50,5")
-    p_verify.add_argument("--margin", type=float, default=0.02)
-    p_verify.add_argument("--fd-step", type=float, default=1e-4)
+    p_verify.add_argument("--grid", type=str, default=f"{GridSpec.n_space},{GridSpec.n_time}")
+    p_verify.add_argument("--margin", type=float, default=GridSpec.margin)
+    p_verify.add_argument("--fd-step", type=float, default=GridSpec.fd_step)
 
     p_oracle = sub.add_parser("oracle", help="front-fixing cross-check")
     add_common(p_oracle)
-    p_oracle.add_argument("--n-xi", type=int, default=256)
-    p_oracle.add_argument("--t0", type=float, default=0.1)
-    p_oracle.add_argument("--t-end", type=float, default=1.0)
-    p_oracle.add_argument("--dt", type=float, default=2e-4)
+    config = oracle_mod.OracleConfig
+    p_oracle.add_argument("--n-xi", type=int, default=config.n_xi)
+    p_oracle.add_argument("--t0", type=float, default=config.t0)
+    p_oracle.add_argument("--t-end", type=float, default=config.t_end)
+    p_oracle.add_argument("--dt", type=float, default=config.dt)
     p_oracle.add_argument("--seed", choices=["closed", "linear"], default="closed")
-    p_oracle.add_argument("--s0", type=float, default=0.05)
+    p_oracle.add_argument("--s0", type=float, default=config.s0)
 
     p_sweep = sub.add_parser("sweep", help="gamma over a parameter grid")
     add_common(p_sweep)
@@ -196,7 +197,7 @@ def cmd_eval(args) -> int:
     cfg = _merge_config(args)
     params = _params(cfg)
     field = StefanField.from_params(params, cfg["tol"])
-    psi_field = PsiField.from_stefan(field)
+    psi_field = PsiField(field)
     t = args.t
     if not math.isfinite(t):
         raise InvalidParameters(f"t must be finite, got {t}")

@@ -216,25 +216,28 @@ class StefanField:
         if np.any(y < -slack) or np.any(y > s + slack):
             raise DomainError("y outside [0, S(t)]")
 
-    def temperature(self, y, t, check_domain: bool = True):
-        """T(y,t) on 0 <= y <= S(t), t > 0.
+    def profile(self, y, t):
+        """(T, T_y, eta, erf(eta), exp(-eta^2)) as arrays, eta = y/(2*sqrt(t)); unchecked.
 
-        With check_domain=False the closed form is evaluated as-is, which is
-        useful for comparisons against numerical fronts that overshoot S(t)
-        slightly.
+        The closed form is evaluated as-is for any y and any t > 0, which
+        suits numerical fronts that overshoot S(t) slightly.  The eta terms
+        are returned so that Theta can be assembled from the same values.
         """
         y = np.asarray(y, dtype=float)
-        t = np.asarray(t, dtype=float)
-        if check_domain:
-            self._check_domain(y, t)
-        elif np.any(t <= 0):
-            raise DomainError("temperature is defined for t > 0 only")
-        sqrt_t = np.sqrt(t)
-        xi = y / (2.0 * sqrt_t)
-        out = (
-            self.amplitude * (2.0 * sqrt_t * np.exp(-xi * xi) + SQRT_PI * y * erf(xi))
+        sqrt_t = np.sqrt(np.asarray(t, dtype=float))
+        eta = y / (2.0 * sqrt_t)
+        erf_eta, gauss = erf(eta), np.exp(-eta * eta)
+        temp = (
+            self.amplitude * (2.0 * sqrt_t * gauss + SQRT_PI * y * erf_eta)
             - self.params.q * y
         )
+        grad = self.amplitude * SQRT_PI * erf_eta - self.params.q
+        return temp, grad, eta, erf_eta, gauss
+
+    def temperature(self, y, t):
+        """T(y,t) on 0 <= y <= S(t), t > 0."""
+        self._check_domain(y, t)
+        out = self.profile(y, t)[0]
         return float(out) if out.ndim == 0 else out
 
     def temperature_gradient(self, y, t):
@@ -244,9 +247,6 @@ class StefanField:
         term; it ties both face conditions together: T_y(0,t) = -q and
         T_y(S(t),t) = -l0*gamma.
         """
-        y = np.asarray(y, dtype=float)
-        t = np.asarray(t, dtype=float)
         self._check_domain(y, t)
-        xi = y / (2.0 * np.sqrt(t))
-        out = self.amplitude * SQRT_PI * erf(xi) - self.params.q
+        out = self.profile(y, t)[1]
         return float(out) if out.ndim == 0 else out

@@ -12,13 +12,16 @@ equation Psi_t = d/dx*(Psi_x*/Psi^2) + 2*delta posed between the two free
 boundaries X0*(t) = x*(0,t) and X1*(t) = Tm(t)/(delta*C(t)).
 
 The paper solves the problem explicitly only for the sqrt(t) family, and
-:class:`PsiField` has one construction, :meth:`PsiField.from_stefan`, from
-its closed forms :func:`closed_form_theta` and :func:`closed_form_c`.  There
-x* = tau(eta)/(delta*sqrt(t)*theta(eta)) with eta = y/(2*sqrt(t)), so whether
-x* is monotone on [0, S(t)] does not depend on t: the first inversion decides
+:class:`PsiField` is a view of one such :class:`StefanField`:
+``PsiField(field)`` is its only construction, and C and Theta are its
+closed-form methods.  One core, ``PsiField._parts``, checks (y, t) once and
+evaluates the field's profile once for x*, dx*/dy, Psi and Theta.  On this
+family x* = tau(eta)/(delta*sqrt(t)*theta(eta)) with eta = y/(2*sqrt(t)), and
+the sign of dx*/dy is that of D = T_y*Theta + T^2 = t*d(eta), so whether x*
+is monotone on [0, S(t)] does not depend on t: the first inversion decides
 it once per field and raises NotMonotone when it is not.  The quadratures
-:func:`theta_quadrature` and :func:`c_of_t_general` of a
-:class:`StefanSolutionHandle` are the independent oracle for the closed forms.
+:func:`theta_quadrature` and :func:`c_of_t_general`, which read the field's
+T, S, dS/dt, L and Tm, are the independent oracle for the closed forms.
 
 Every integral of the package goes through :func:`quad_checked`, an adaptive
 Gauss-Kronrod (G7/K15) rule written in numpy: it integrates a batch of
@@ -31,16 +34,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
-from typing import Callable
+from functools import cached_property
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import (
     DegenerateDenominator,
     DomainError,
-    InvalidParameters,
     NotMonotone,
     OutOfRange,
     QuadratureFailure,
@@ -52,7 +52,7 @@ from .similarity import SQRT_PI, GammaRoot, PhysicalParams, StefanField
 #: Theta values below this fraction of C(t) count as a breakdown of the map.
 THETA_RTOL = 1e-13
 
-#: Sample count of the monotonicity check run before the first inversion.
+#: Sample count, at t = 1, of the monotonicity check run before the first inversion.
 MONOTONE_SAMPLES = 64
 
 #: Absolute and relative tolerance of the front recovery and the verify quadratures.
@@ -150,32 +150,10 @@ def quad_checked(func, a, b, quad_tol: float, limit: int = 200):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class StefanSolutionHandle:
-    """Solution bundle (T, T_y, S, dS/dt, L, Tm) whose callables accept arrays."""
-
-    T: Callable[[float, float], float]
-    T_y: Callable[[float, float], float]
-    S: Callable[[float], float]
-    S_dot: Callable[[float], float]
-    L: Callable[[float], float]
-    Tm: Callable[[float], float]
-
-    @classmethod
-    def from_field(cls, field: StefanField) -> "StefanSolutionHandle":
-        return cls(
-            T=field.temperature,
-            T_y=field.temperature_gradient,
-            S=field.free_boundary,
-            S_dot=field.front_speed,
-            L=field.latent_heat,
-            Tm=field.melt_temperature,
-        )
-
-
-def c_of_t_general(handle: StefanSolutionHandle, t: float, quad_tol: float = 1e-10) -> float:
+def c_of_t_general(field: StefanField, t: float, quad_tol: float = 1e-10) -> float:
     """C(t) = integral_0^t [L(tau) - Tm(tau)] * dS/dtau dtau by adaptive quadrature.
 
+    Reads the field's latent_heat, melt_temperature and front_speed.
     Integrated in u = sqrt(tau/t), where dtau = 2*t*u du: a front speed that
     blows up like tau^(-1/2), as for sqrt(t) fronts, becomes smooth in u.
     """
@@ -186,55 +164,25 @@ def c_of_t_general(handle: StefanSolutionHandle, t: float, quad_tol: float = 1e-
 
     def integrand(u):
         tau = t * u * u
-        return (handle.L(tau) - handle.Tm(tau)) * handle.S_dot(tau) * (2.0 * t * u)
+        rate = field.latent_heat(tau) - field.melt_temperature(tau)
+        return rate * field.front_speed(tau) * (2.0 * t * u)
 
     return quad_checked(integrand, 0.0, 1.0, quad_tol)
 
 
-def theta_quadrature(y, t: float, handle: StefanSolutionHandle, quad_tol: float = 1e-10):
+def theta_quadrature(y, t: float, field: StefanField, quad_tol: float = 1e-10):
     """Theta(y,t) = C(t) - integral_{S(t)}^{y} T(u,t) du, both by quadrature.
 
     ``y`` may be an array: C(t) is integrated once per call and the integrals
-    of T over every [S(t), y] form one batch.  Serves as the independent
-    oracle for the closed-form Theta.
+    of the field's temperature over every [S(t), y] form one batch.  Serves
+    as the independent oracle for :meth:`PsiField.theta`.
     """
     if t <= 0:
         raise DomainError("t must be > 0")
-    c_val = c_of_t_general(handle, t, quad_tol)
-    return c_val - quad_checked(lambda u: handle.T(u, t), handle.S(t), y, quad_tol)
-
-
-def closed_form_c(field: StefanField, t):
-    """C(t) = gamma*(l0 - tm0)*t, linear in t for the sqrt(t) family."""
-    p = field.params
-    g = field.gamma.gamma
-    t_arr = np.asarray(t, dtype=float)
-    out = g * (p.l0 - p.tm0) * t_arr
-    return float(out) if out.ndim == 0 else out
-
-
-def closed_form_theta(field: StefanField, y, t):
-    """Explicit erf/exp form of Theta(y,t) for the sqrt(t) family on 0 <= y <= S(t)."""
-    field._check_domain(y, t)
-    p = field.params
-    g = field.gamma.gamma
-    amp = field.amplitude
-    y = np.asarray(y, dtype=float)
-    t = np.asarray(t, dtype=float)
-    xi = y / (2.0 * np.sqrt(t))
-    erf_xi, erf_g = erf(xi), math.erf(g)
-    bracket = (
-        SQRT_PI / 2.0 * (erf_xi - erf_g)
-        + SQRT_PI * (xi * xi * erf_xi - g * g * erf_g)
-        + xi * np.exp(-xi * xi)
-        - g * math.exp(-g * g)
+    c_val = c_of_t_general(field, t, quad_tol)
+    return c_val - quad_checked(
+        lambda u: field.temperature(u, t), field.free_boundary(t), y, quad_tol
     )
-    out = (
-        g * (p.l0 - p.tm0)
-        + 2.0 * p.q * (xi * xi - g * g)
-        - 2.0 * amp * bracket
-    ) * t
-    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -270,83 +218,91 @@ def compute_boundary_coefficients(params: PhysicalParams, gamma) -> BoundaryCoef
 
 
 class PsiField:
-    """Evaluator bundle for the transformed problem.
+    """The transformed problem as a view of one sqrt(t)-family StefanField.
 
-    Exposes Theta, the parametric map (y,t) -> (x*, Psi), its inversion, the
-    free boundaries, H(t) and the inverse-direction front recovery.  Build it
-    with :meth:`from_stefan`.  The initialiser is the seam through which
-    tests pass other ingredients: ``theta`` (y, t) -> Theta and ``c``
-    t -> C must accept arrays, as must the handle's callables, and the field
-    must be self-similar, because whether x* is monotone in y is decided
-    once, at t = 1 (:attr:`monotone_sign`), and then holds for every t.
+    ``PsiField(field)`` exposes C and Theta in closed form, the map
+    (y,t) -> (x*, Psi), its inversion, the free boundaries, H(t) and the
+    inverse-direction front recovery.  x*, dx*/dy, Psi and Theta read
+    :meth:`_parts`, which raises DomainError for t <= 0 or y outside
+    [0, S(t)].  x* and the inversion raise SingularTheta where Theta breaks
+    down, psi_parametric raises SingularDenominator where T_y*Theta + T^2
+    vanishes, theta is unguarded, and the first inversion raises NotMonotone
+    (:attr:`monotone_sign`).  A test fake subclasses PsiField, overrides
+    ``_parts`` and ``c``, and passes an object with the field's method names.
     """
 
-    def __init__(
-        self,
-        handle: StefanSolutionHandle,
-        delta: float,
-        theta: Callable,
-        c: Callable,
-    ):
-        if not delta > 0:
-            raise InvalidParameters(f"delta must be > 0, got {delta}")
-        self.handle = handle
-        self.delta = float(delta)
-        self._theta = theta
-        self._c = c
+    def __init__(self, field: StefanField):
+        self.stefan = field
+        self.delta = float(field.params.delta)
 
-    @classmethod
-    def from_stefan(cls, field: StefanField) -> "PsiField":
-        """Closed-form Theta and C of the sqrt(t) family."""
-        return cls(
-            StefanSolutionHandle.from_field(field),
-            field.params.delta,
-            partial(closed_form_theta, field),
-            partial(closed_form_c, field),
+    # -- evaluation core ----------------------------------------------------
+
+    def _parts(self, y, t):
+        """(T, T_y, Theta) as float arrays: one domain check, one profile evaluation.
+
+        Theta is the explicit erf/exp form of the sqrt(t) family, assembled
+        from the profile's eta terms.
+        """
+        f = self.stefan
+        f._check_domain(y, t)
+        temp, grad, eta, erf_eta, gauss = f.profile(y, t)
+        p, g = f.params, f.gamma.gamma
+        erf_g = math.erf(g)
+        bracket = (
+            SQRT_PI / 2.0 * (erf_eta - erf_g)
+            + SQRT_PI * (eta * eta * erf_eta - g * g * erf_g)
+            + eta * gauss
+            - g * math.exp(-g * g)
         )
+        theta = (
+            g * (p.l0 - p.tm0)
+            + 2.0 * p.q * (eta * eta - g * g)
+            - 2.0 * f.amplitude * bracket
+        ) * np.asarray(t, dtype=float)
+        return temp, grad, theta
 
-    # -- scalar building blocks --------------------------------------------
-
-    def c(self, t):
-        """C(t) = integral_0^t [L - Tm] * dS/dtau dtau."""
-        return self._c(t)
-
-    def theta(self, y, t):
-        """Theta(y,t) = C(t) - integral_{S(t)}^{y} T(u,t) du on 0 <= y <= S(t)."""
-        return self._theta(y, t)
-
-    def _checked_theta(self, y, t):
-        """Theta as a float array; raises SingularTheta where it breaks down."""
-        th = self.theta(y, t)
-        if np.any(np.abs(th) < THETA_RTOL * np.abs(self.c(t))):
+    def _checked_parts(self, y, t):
+        """:meth:`_parts`; raises SingularTheta where Theta is below THETA_RTOL*|C(t)|."""
+        parts = self._parts(y, t)
+        if np.any(np.abs(parts[2]) < THETA_RTOL * np.abs(self.c(t))):
             raise SingularTheta(
                 "Theta below breakdown threshold; the transformation is singular"
             )
-        return np.asarray(th, dtype=float)
+        return parts
+
+    def c(self, t):
+        """C(t) = gamma*(l0 - tm0)*t, linear in t for the sqrt(t) family."""
+        p = self.stefan.params
+        out = self.stefan.gamma.gamma * (p.l0 - p.tm0) * np.asarray(t, dtype=float)
+        return float(out) if out.ndim == 0 else out
+
+    def theta(self, y, t):
+        """Theta(y,t) = C(t) - integral_{S(t)}^{y} T(u,t) du on 0 <= y <= S(t)."""
+        out = self._parts(y, t)[2]
+        return float(out) if out.ndim == 0 else out
 
     def x_star(self, y, t):
         """Parametric coordinate x* = T / (delta * Theta)."""
-        th = self._checked_theta(y, t)
-        out = np.asarray(self.handle.T(y, t), dtype=float) / (self.delta * th)
+        temp, _, theta = self._checked_parts(y, t)
+        out = temp / (self.delta * theta)
         return float(out) if out.ndim == 0 else out
 
     def _x_and_slope(self, y, t):
         """x* and its slope dx*/dy = 1/Psi = (T_y*Theta + T^2)/(delta*Theta^2)."""
-        th = self._checked_theta(y, t)
-        tval = np.asarray(self.handle.T(y, t), dtype=float)
-        ty = np.asarray(self.handle.T_y(y, t), dtype=float)
-        return tval / (self.delta * th), (ty * th + tval * tval) / (self.delta * th * th)
+        temp, grad, theta = self._checked_parts(y, t)
+        return (
+            temp / (self.delta * theta),
+            (grad * theta + temp * temp) / (self.delta * theta * theta),
+        )
 
     def psi_parametric(self, y, t):
         """Psi = delta*Theta^2 / (T_y*Theta + T^2), parametrized by (y, t)."""
-        th = np.asarray(self.theta(y, t), dtype=float)
-        tval = np.asarray(self.handle.T(y, t), dtype=float)
-        tyval = np.asarray(self.handle.T_y(y, t), dtype=float)
-        den = tyval * th + tval * tval
-        scale = np.maximum(1.0, np.maximum(np.abs(tyval * th), tval * tval))
+        temp, grad, theta = self._parts(y, t)
+        den = grad * theta + temp * temp
+        scale = np.maximum(1.0, np.maximum(np.abs(grad * theta), temp * temp))
         if np.any(np.abs(den) < 1e-14 * scale):
             raise SingularDenominator("T_y*Theta + T^2 vanished; Psi is singular")
-        out = self.delta * th * th / den
+        out = self.delta * theta * theta / den
         return float(out) if out.ndim == 0 else out
 
     def x0(self, t):
@@ -355,7 +311,7 @@ class PsiField:
 
     def x1(self, t):
         """Moving-front image X1*(t) = Tm(t) / (delta * C(t))."""
-        return self.handle.Tm(t) / (self.delta * self.c(t))
+        return self.stefan.melt_temperature(t) / (self.delta * self.c(t))
 
     # -- inversion ----------------------------------------------------------
 
@@ -363,21 +319,25 @@ class PsiField:
     def monotone_sign(self) -> float:
         """+1.0 if x* increases in y on [0, S(t)] for every t, -1.0 if it decreases.
 
-        Decided from MONOTONE_SAMPLES samples at t = 1, which holds for every
-        t on a self-similar field; raises NotMonotone if neither holds there.
+        dx*/dy = D/(delta*Theta^2) with D = T_y*Theta + T^2, so x* is monotone
+        exactly where D keeps one sign.  On the sqrt(t) family D is t times a
+        function of eta = y/(2*sqrt(t)), so the sign of D at MONOTONE_SAMPLES
+        points at t = 1 decides it for every t; raises NotMonotone if D does
+        not keep one sign there, and SingularTheta where Theta breaks down.
         """
-        y = np.linspace(0.0, self.handle.S(1.0), MONOTONE_SAMPLES)
-        diffs = np.diff(self.x_star(y, 1.0))
-        if np.all(diffs > 0):
+        y = np.linspace(0.0, self.stefan.free_boundary(1.0), MONOTONE_SAMPLES)
+        temp, grad, theta = self._checked_parts(y, 1.0)
+        d = grad * theta + temp * temp
+        if np.all(d > 0):
             return 1.0
-        if np.all(diffs < 0):
+        if np.all(d < 0):
             return -1.0
         raise NotMonotone("x*(., t) is not monotone on [0, S(t)], for every t")
 
     def _orientation(self, t):
         """(monotone_sign, x*(0, t), x*(S(t), t), S(t)); the last three shaped like t."""
         sign = self.monotone_sign
-        s = self.handle.S(t)
+        s = self.stefan.free_boundary(t)
         xv = self.x_star(np.linspace(0.0, s, 2), t)
         return sign, xv[0], xv[1], s
 
@@ -451,10 +411,10 @@ class PsiField:
         """
         if np.any(np.asarray(t) <= 0):
             raise DomainError("t must be > 0")
-        tm = self.handle.Tm(t)
-        lat = self.handle.L(t)
+        tm = self.stefan.melt_temperature(t)
+        lat = self.stefan.latent_heat(t)
         c_val = self.c(t)
-        s = self.handle.S(t)
+        s = self.stefan.free_boundary(t)
         psi1 = self.psi_parametric(s, t)
         psi0 = self.psi_parametric(0.0, t)
         x0v = self.x0(t)

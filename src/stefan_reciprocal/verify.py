@@ -235,7 +235,7 @@ def burgers_residual(field: PsiField, grid: GridSpec = GridSpec()):
     """max |x*_t - x*_yy + 2*delta*x* x*_y| on the interior grid."""
     d = field.delta
     return _ale_residual(
-        "burgers-equation", field.x_star, field.handle.S, grid, 1e-4,
+        "burgers-equation", field.x_star, field.stefan.free_boundary, grid, 1e-4,
         lambda u_c, u_y, u_yy: u_yy - 2.0 * d * u_c * u_y,
     )
 
@@ -296,20 +296,20 @@ def stefan_bc_residuals(field: StefanField):
 def burgers_bc_values(field: PsiField, t: float) -> dict:
     """Normalized residuals of the transformed boundary conditions at one time."""
     d = field.delta
-    s_t = field.handle.S(t)
+    s_t = field.stefan.free_boundary(t)
     c_t = field.c(t)
-    lat = field.handle.L(t)
-    tm = field.handle.Tm(t)
+    lat = field.stefan.latent_heat(t)
+    tm = field.stefan.melt_temperature(t)
     x0v = field.x0(t)
     x1v = field.x_star(s_t, t)
-    s_dot = _d_dt(field.handle.S, t)
+    s_dot = _d_dt(field.stefan.free_boundary, t)
     c_dot = _d_dt(field.c, t)
 
     h = 1e-5 * s_t
     xy_front = one_sided_derivative(lambda yy: field.x_star(yy, t), s_t, h, -1.0)
     xy_face = one_sided_derivative(lambda yy: field.x_star(yy, t), 0.0, h, +1.0)
     exponent = d * quad_checked(lambda u: field.x_star(u, t), s_t, 0.0, QUAD_TOL)
-    q = -field.handle.T_y(0.0, 1.0)  # flux magnitude at the fixed face
+    q = -field.stefan.temperature_gradient(0.0, 1.0)  # flux magnitude at the fixed face
     return {
         "b6": _rel(c_dot, (lat - tm) * s_dot),
         "b7": _rel(xy_front - d * x1v * x1v, -lat * s_dot / (d * c_t)),
@@ -347,16 +347,16 @@ def psi_bc_values(field: PsiField, t: float) -> dict:
     :func:`h_ratio_value`.
     """
     d = field.delta
-    s_t = field.handle.S(t)
+    s_t = field.stefan.free_boundary(t)
     c_t = field.c(t)
-    lat = field.handle.L(t)
-    tm = field.handle.Tm(t)
+    lat = field.stefan.latent_heat(t)
+    tm = field.stefan.melt_temperature(t)
     x0v = field.x0(t)
     x1v = field.x1(t)
     psi1 = field.psi_parametric(s_t, t)
     psi_x1 = _psi_slope(field, t, x1v, x0v)
     x1_dot = _d_dt(field.x1, t)
-    s_dot_fd = _d_dt(field.handle.S, t)
+    s_dot_fd = _d_dt(field.stefan.free_boundary, t)
     c_dot_fd = _d_dt(field.c, t)
     s_dot_rec = psi1 * x1_dot + psi_x1 / (psi1 * psi1) + 2.0 * d * x1v
 
@@ -388,7 +388,7 @@ def h_ratio_value(field: PsiField, t: float) -> float:
 
     def log_p(tau):
         return -d * quad_checked(
-            lambda u: field.x_star(u, tau), 0.0, field.handle.S(tau), QUAD_TOL
+            lambda u: field.x_star(u, tau), 0.0, field.stefan.free_boundary(tau), QUAD_TOL
         )
 
     h_integral = _from_t0(field.h_of_t, t, 1e-9)
@@ -423,7 +423,7 @@ def reciprocal_identity_residual(field: PsiField, grid: GridSpec = GridSpec()):
     fracs = grid.fractions()
     rows = []
     for t in grid.times():
-        s_t = field.handle.S(t)
+        s_t = field.stefan.free_boundary(t)
         h = 1e-6 * s_t
         y = fracs * s_t
         dx = (field.x_star(y + h, t) - field.x_star(y - h, t)) / (2.0 * h)
@@ -438,9 +438,9 @@ def theta_consistency_residual(
     fracs = grid.fractions()
     rows = []
     for t in grid.times():
-        s_t = field.handle.S(t)
+        s_t = field.stefan.free_boundary(t)
         closed = field.theta(fracs * s_t, t)
-        rows.append(closed - theta_quadrature(fracs * s_t, t, field.handle, quad_tol))
+        rows.append(closed - theta_quadrature(fracs * s_t, t, field.stefan, quad_tol))
     return _reduce("theta-consistency", np.array(rows), 1e-9, grid=grid)
 
 
@@ -448,14 +448,14 @@ def c_consistency_residual(field: PsiField):
     """Quadrature C(t) against the closed linear form."""
     return _reduce_rows(
         "c-consistency",
-        lambda t: c_of_t_general(field.handle, t, 1e-12) - field.c(t),
+        lambda t: c_of_t_general(field.stefan, t, 1e-12) - field.c(t),
         1e-10,
     )
 
 
 def boundary_consistency_residual(field: StefanField):
     """Parametric boundaries against the coefficient forms C0,C1/(delta*sqrt(t))."""
-    pf = PsiField.from_stefan(field)
+    pf = PsiField(field)
     coeffs = compute_boundary_coefficients(field.params, field.gamma.gamma)
 
     def row(t):
@@ -474,7 +474,7 @@ def s_recovery_residual(field: PsiField):
     """|s_from_psi(t) - S(t)| / sqrt(t): the inverse-direction front recovery."""
     return _reduce_rows(
         "front-recovery",
-        lambda t: (field.s_from_psi(t) - field.handle.S(t)) / math.sqrt(t),
+        lambda t: (field.s_from_psi(t) - field.stefan.free_boundary(t)) / math.sqrt(t),
         1e-7,
     )
 
@@ -483,7 +483,7 @@ def roundtrip_residual(field: PsiField):
     """|invert_x_star(x*(y,t), t) - y| / S(t) at the fractions 0.1, 0.5, 0.9."""
 
     def row(t):
-        s_t = field.handle.S(t)
+        s_t = field.stefan.free_boundary(t)
         ys = [frac * s_t for frac in (0.1, 0.5, 0.9)]
         back = [field.invert_x_star(field.x_star(y, t), t, tol=1e-12) for y in ys]
         return [(yb - y) / s_t for yb, y in zip(back, ys)]
@@ -493,7 +493,7 @@ def roundtrip_residual(field: PsiField):
 
 def run_verification_suite(field: StefanField, grid: GridSpec = GridSpec()) -> list:
     """Run every identity check and return the reports in a fixed order."""
-    pf = PsiField.from_stefan(field)
+    pf = PsiField(field)
     pf.monotone_sign  # refuses a non-monotone x* before any identity runs
     return [
         heat_residual(field, grid),

@@ -15,7 +15,7 @@ def baseline_field(baseline_params):
 
 @pytest.fixture(scope="session")
 def baseline_psi(baseline_field):
-    return sr.PsiField.from_stefan(baseline_field)
+    return sr.PsiField(baseline_field)
 
 
 @pytest.fixture(scope="session")
@@ -25,4 +25,4 @@ def zero_tm0_field():
 
 @pytest.fixture(scope="session")
 def zero_tm0_psi(zero_tm0_field):
-    return sr.PsiField.from_stefan(zero_tm0_field)
+    return sr.PsiField(zero_tm0_field)

@@ -233,7 +233,7 @@ def test_criterion_7_independent_oracle(baseline_params, baseline_field):
 def test_criterion_8_theta_cross_check(baseline_psi):
     theta = theta_consistency_residual(baseline_psi, FULL_GRID, quad_tol=1e-12)
     worst_c = max(
-        abs(sr.c_of_t_general(baseline_psi.handle, t, 1e-12) - baseline_psi.c(t))
+        abs(sr.c_of_t_general(baseline_psi.stefan, t, 1e-12) - baseline_psi.c(t))
         for t in T_SAMPLES
     )
     ok = theta.max_abs <= 1e-9 and worst_c <= 1e-10

@@ -133,6 +133,27 @@ class TestVerify:
             code, out, _ = run(capsys, "eval", "--field", field, *point)
             assert code == 0 and len(out.splitlines()) > 1
 
+    @pytest.mark.parametrize("q, tm0", [("1.0", "0.22"), ("3.6", "0.56")])
+    def test_refused_where_d_changes_sign_between_samples(self, capsys, q, tm0):
+        """x* turns between the 64 samples here; the sign of T_y*Theta + T^2 shows it."""
+        code, out, err = run(capsys, "verify", "--grid", "31,4", "--q", q, "--tm0", tm0)
+        assert code == 1 and out == ""
+        assert "not monotone" in err
+
+    def test_defaults_are_the_dataclass_defaults(self):
+        from stefan_reciprocal.cli import build_parser
+        from stefan_reciprocal.oracle import OracleConfig
+        from stefan_reciprocal.verify import GridSpec
+
+        args = build_parser().parse_args(["verify"])
+        grid, config = GridSpec(), OracleConfig()
+        assert args.grid == f"{grid.n_space},{grid.n_time}"
+        assert (args.margin, args.fd_step) == (grid.margin, grid.fd_step)
+        args = build_parser().parse_args(["oracle"])
+        assert (args.n_xi, args.t0, args.t_end, args.dt, args.s0) == (
+            config.n_xi, config.t0, config.t_end, config.dt, config.s0
+        )
+
 
 class TestOracle:
     def test_summary_json(self, capsys):

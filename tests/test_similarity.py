@@ -170,8 +170,19 @@ class TestTemperature:
             baseline_field.temperature(-0.1 * s, 1.0)
         with pytest.raises(sr.DomainError):
             baseline_field.temperature(0.1, 0.0)
-        # unchecked evaluation extends the closed form smoothly
-        assert np.isfinite(baseline_field.temperature(1.01 * s, 1.0, check_domain=False))
+        # the unchecked profile extends the closed form smoothly
+        assert np.isfinite(baseline_field.profile(1.01 * s, 1.0)[0])
+
+    def test_profile_is_the_checked_evaluators(self, baseline_field):
+        """Inside the domain the profile's T and T_y are temperature and its gradient."""
+        for t in (0.25, 1.0, 4.0):
+            y = np.linspace(0.0, baseline_field.free_boundary(t), 9)
+            temp, grad, eta, erf_eta, gauss = baseline_field.profile(y, t)
+            assert np.array_equal(temp, baseline_field.temperature(y, t))
+            assert np.array_equal(grad, baseline_field.temperature_gradient(y, t))
+            assert np.array_equal(eta, y / (2.0 * math.sqrt(t)))
+            assert np.allclose(erf_eta, [math.erf(v) for v in eta], rtol=1e-15, atol=0)
+            assert np.allclose(gauss, np.exp(-eta * eta), rtol=1e-15, atol=0)
 
     def test_self_similarity(self, baseline_field):
         fracs = np.array([0.0, 0.25, 0.5, 0.75, 1.0])

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,13 +22,12 @@ class TestCFunction:
             assert baseline_psi.c(t) == pytest.approx(g * 0.5 * t, rel=1e-15)
 
     def test_quadrature_matches_closed(self, baseline_psi):
-        handle = baseline_psi.handle
         for t in (0.5, 2.0):
-            quad_val = sr.c_of_t_general(handle, t, quad_tol=1e-12)
+            quad_val = sr.c_of_t_general(baseline_psi.stefan, t, quad_tol=1e-12)
             assert abs(quad_val - baseline_psi.c(t)) <= 1e-10
 
     def test_zero_time(self, baseline_psi):
-        assert sr.c_of_t_general(baseline_psi.handle, 0.0) == 0.0
+        assert sr.c_of_t_general(baseline_psi.stefan, 0.0) == 0.0
 
 
 class TestTheta:
@@ -47,7 +47,7 @@ class TestTheta:
     def test_quadrature_oracle_interior(self, baseline_psi, baseline_field):
         t = 1.0
         y = baseline_field.gamma.gamma * math.sqrt(t)
-        oracle = sr.theta_quadrature(y, t, baseline_psi.handle, quad_tol=1e-12)
+        oracle = sr.theta_quadrature(y, t, baseline_psi.stefan, quad_tol=1e-12)
         assert abs(baseline_psi.theta(y, t) - oracle) <= 1e-9
 
     def test_linear_in_time(self, baseline_psi, baseline_field):
@@ -66,7 +66,7 @@ class TestTheta:
     @pytest.mark.parametrize("t", [0.25, 1.0, 4.0])
     def test_positive_on_phase_region(self, baseline_psi, zero_tm0_psi, t):
         for pf in (baseline_psi, zero_tm0_psi):
-            s = pf.handle.S(t)
+            s = pf.stefan.free_boundary(t)
             y = np.linspace(0.0, s, 501)
             assert np.all(np.asarray(pf.theta(y, t)) > 0)
 
@@ -111,10 +111,10 @@ class TestXStar:
             want = [getattr(baseline_psi, bound)(t) for t in ts]
             assert got.shape == ts.shape
             assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
-        y = np.array([0.2, 0.5, 0.8]) * baseline_psi.handle.S(ts)
+        y = np.array([0.2, 0.5, 0.8]) * baseline_psi.stefan.free_boundary(ts)
         back = baseline_psi.invert_x_star(baseline_psi.x_star(y, ts), ts)
         assert back.shape == ts.shape
-        assert np.max(np.abs(back - y) / baseline_psi.handle.S(ts)) <= 1e-9
+        assert np.max(np.abs(back - y) / baseline_psi.stefan.free_boundary(ts)) <= 1e-9
 
     def test_similarity_scaling(self, baseline_psi, baseline_field):
         fracs = np.linspace(0.0, 1.0, 9)
@@ -265,7 +265,7 @@ class TestInversion:
     def test_residual_within_tol(self, request, name, t, tol):
         """Targets across [X0*, X1*]: y stays in [0, S(t)] and the residual <= tol."""
         pf = request.getfixturevalue(name)
-        s = pf.handle.S(t)
+        s = pf.stefan.free_boundary(t)
         xs = np.linspace(pf.x0(t), pf.x1(t), 65)
         scalar = [pf.invert_x_star(x, t, tol) for x in xs]
         for y in (pf.invert_x_star(xs, t, tol), np.array(scalar)):
@@ -275,7 +275,7 @@ class TestInversion:
     @staticmethod
     def _counted(field):
         """A fresh PsiField whose fused x*/slope evaluations are counted."""
-        pf = sr.PsiField.from_stefan(field)
+        pf = sr.PsiField(field)
         inner, calls = pf._x_and_slope, []
 
         def counting(y, t):
@@ -306,7 +306,7 @@ class TestInversion:
         for field in (baseline_field, zero_tm0_field):
             pf, calls = self._counted(field)
             x0, x1 = pf.x0(t), pf.x1(t)
-            ends = np.sort(pf.x_star(np.array([0.0, pf.handle.S(t)]), t))
+            ends = np.sort(pf.x_star(np.array([0.0, pf.stefan.free_boundary(t)]), t))
             ulp = np.spacing(max(abs(x0), abs(x1)))
             for xs in [x0, x1] + [x0 + frac * (x1 - x0) for frac in (0.1, 0.37, 0.5, 0.9)]:
                 calls.clear()
@@ -317,34 +317,35 @@ class TestInversion:
 
 class TestOrientation:
     def test_sampled_once_per_field(self, baseline_field):
-        pf = sr.PsiField.from_stefan(baseline_field)
-        inner, sampled_at = pf.x_star, []
+        pf = sr.PsiField(baseline_field)
+        inner, sampled_at = pf._parts, []
 
         def counting(y, t):
             if np.shape(y)[:1] == (transform.MONOTONE_SAMPLES,):
                 sampled_at.append(t)
             return inner(y, t)
 
-        pf.x_star = counting
+        pf._parts = counting
         for t in (0.25, 1.0, 4.0):
             pf.invert_x_star(0.5 * (pf.x0(t) + pf.x1(t)), t)
             pf.s_from_psi(t)
         ts = np.array([0.5, 2.0])
-        pf.invert_x_star(pf.x_star(0.3 * pf.handle.S(ts), ts), ts)
+        pf.invert_x_star(pf.x_star(0.3 * pf.stefan.free_boundary(ts), ts), ts)
         assert sampled_at == [1.0]
+
+    @staticmethod
+    def _d_sign(pf, t, n=transform.MONOTONE_SAMPLES):
+        """Sign of D = T_y*Theta + T^2 (dx*/dy = D/(delta*Theta^2)) at n samples, or None."""
+        y = np.linspace(0.0, pf.stefan.free_boundary(t), n)
+        temp, grad, theta = pf._parts(y, t)
+        d = grad * theta + temp * temp
+        return 1.0 if np.all(d > 0) else -1.0 if np.all(d < 0) else None
 
     @pytest.mark.parametrize("q, tm0", [(1.0, 0.5), (1.0, 0.0), (1.7, 0.3), (10.0, 0.0)])
     def test_sign_does_not_depend_on_t(self, q, tm0):
-        """The sign decided at t = 1 is the sampled x* test at every t."""
-        field = sr.StefanField.from_params(sr.PhysicalParams(q=q, l0=1.0, tm0=tm0))
-        pf = sr.PsiField.from_stefan(field)
-
-        def sampled_sign(t):
-            y = np.linspace(0.0, field.free_boundary(t), transform.MONOTONE_SAMPLES)
-            diffs = np.diff(pf.x_star(y, t))
-            return 1.0 if np.all(diffs > 0) else -1.0 if np.all(diffs < 0) else None
-
-        signs = {sampled_sign(t) for t in (1e-3, 1.0, 100.0)}
+        """The sign decided at t = 1 is the sign of D at every t."""
+        pf = sr.PsiField(sr.StefanField.from_params(sr.PhysicalParams(q=q, l0=1.0, tm0=tm0)))
+        signs = {self._d_sign(pf, t) for t in (1e-3, 1.0, 100.0)}
         assert len(signs) == 1
         sign = signs.pop()
         if sign is None:
@@ -352,6 +353,46 @@ class TestOrientation:
                 pf.monotone_sign
         else:
             assert pf.monotone_sign == sign
+
+    @pytest.mark.parametrize(
+        "q, tm0",
+        [(1.0, 0.22), (1.3, 0.18), (1.9, 0.48), (2.0, 0.04), (2.1, 0.02), (2.2, 0.0), (3.6, 0.56)],
+    )
+    def test_refused_where_x_star_samples_miss_the_turn(self, q, tm0):
+        """D changes sign between samples where every sampled x* difference has one sign."""
+        pf = sr.PsiField(sr.StefanField.from_params(sr.PhysicalParams(q=q, l0=1.0, tm0=tm0)))
+        y = np.linspace(0.0, pf.stefan.free_boundary(1.0), transform.MONOTONE_SAMPLES)
+        diffs = np.diff(pf.x_star(y, 1.0))
+        assert np.all(diffs > 0) or np.all(diffs < 0)
+        assert self._d_sign(pf, 1.0, 20_001) is None
+        with pytest.raises(sr.NotMonotone):
+            pf.monotone_sign
+
+
+class TestCore:
+    """x*, its slope, Psi and Theta read one domain check and one profile evaluation."""
+
+    @pytest.mark.parametrize("method", ["x_star", "_x_and_slope", "psi_parametric", "theta"])
+    def test_one_domain_check_per_evaluation(self, baseline_field, monkeypatch, method):
+        inner, calls = sr.StefanField._check_domain, []
+
+        def counting(self, y, t):
+            calls.append(t)
+            return inner(self, y, t)
+
+        monkeypatch.setattr(sr.StefanField, "_check_domain", counting)
+        pf = sr.PsiField(baseline_field)
+        for t in (0.25, 1.0):
+            calls.clear()
+            getattr(pf, method)(np.linspace(0.0, baseline_field.free_boundary(t), 5), t)
+            assert calls == [t]
+
+    @pytest.mark.parametrize("method", ["x_star", "psi_parametric"])
+    def test_domain_error(self, baseline_psi, method):
+        s = baseline_psi.stefan.free_boundary(1.0)
+        for y, t in [(1.5 * s, 1.0), (-0.1 * s, 1.0), (np.array([0.5, 1.5]) * s, 1.0), (0.1, 0.0), (0.1, -1.0)]:
+            with pytest.raises(sr.DomainError):
+                getattr(baseline_psi, method)(y, t)
 
 
 class TestPsiAt:
@@ -415,15 +456,31 @@ class TestFrontRecovery:
                 assert pf.x0(t) != pf.x1(t)
 
 
+class _FakeField:
+    """Hand-made T, T_y, S, dS/dt, L and Tm under the method names of StefanField."""
+
+    params = SimpleNamespace(delta=1.0)
+
+    def __init__(self, T, T_y, S, S_dot, L, Tm):
+        self.temperature, self.temperature_gradient = T, T_y
+        self.free_boundary, self.front_speed = S, S_dot
+        self.latent_heat, self.melt_temperature = L, Tm
+
+
+class _FakePsi(sr.PsiField):
+    """A PsiField on a fake field, with Theta and C taken by quadrature."""
+
+    def _parts(self, y, t):
+        f = self.stefan
+        parts = (f.temperature(y, t), f.temperature_gradient(y, t), sr.theta_quadrature(y, t, f))
+        return tuple(np.asarray(v, dtype=float) for v in parts)
+
+    def c(self, t):
+        return sr.c_of_t_general(self.stefan, t)
+
+
 def _fake_psi(**callables):
-    """A PsiField on a hand-made handle, with Theta and C taken by quadrature."""
-    handle = sr.StefanSolutionHandle(**callables)
-    return sr.PsiField(
-        handle,
-        1.0,
-        lambda y, t: sr.theta_quadrature(y, t, handle),
-        lambda t: sr.c_of_t_general(handle, t),
-    )
+    return _FakePsi(_FakeField(**callables))
 
 
 def _singular_theta_callables():
@@ -445,7 +502,7 @@ def _singular_theta_callables():
 class TestSingularities:
     def test_singular_theta(self):
         pf = _fake_psi(**_singular_theta_callables())
-        crossing = pf.handle.S(1.0) - 0.1  # Theta(y,1) = 1 + 10*(y - S)
+        crossing = pf.stefan.free_boundary(1.0) - 0.1  # Theta(y,1) = 1 + 10*(y - S)
         with pytest.raises(sr.SingularTheta):
             pf.x_star(crossing, 1.0)
 
@@ -508,9 +565,9 @@ class TestQuadrature:
         assert abs(value - 2.0) <= 1e-12 * 2.0
 
     def test_singular_theta_handle_c_is_exact(self):
-        # C(1) = 1 for the handle of TestSingularities.test_singular_theta
-        handle = sr.StefanSolutionHandle(**_singular_theta_callables())
-        assert abs(sr.c_of_t_general(handle, 1.0) - 1.0) <= 1e-13
+        # C(1) = 1 for the fake field of TestSingularities.test_singular_theta
+        pf = _fake_psi(**_singular_theta_callables())
+        assert abs(pf.c(1.0) - 1.0) <= 1e-13
 
     def test_failure_when_limit_binds(self):
         def f(x):

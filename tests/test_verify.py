@@ -72,8 +72,8 @@ class TestHeatResidual:
         eps = 1e-3
 
         class Corrupted(sr.StefanField):
-            def temperature(self, y, t, check_domain=True):
-                base = sr.StefanField.temperature(self, y, t, check_domain)
+            def temperature(self, y, t):
+                base = sr.StefanField.temperature(self, y, t)
                 return base + eps * np.asarray(y) ** 3
 
         bad = Corrupted(
@@ -89,8 +89,8 @@ class TestHeatResidual:
         eps = 1e-3
 
         class Bumped(sr.StefanField):
-            def temperature(self, y, t, check_domain=True):
-                base = sr.StefanField.temperature(self, y, t, check_domain)
+            def temperature(self, y, t):
+                base = sr.StefanField.temperature(self, y, t)
                 s = 2.0 * self.gamma.gamma * np.sqrt(np.asarray(t, dtype=float))
                 u = (np.asarray(y) - 0.5 * s) / (0.1 * s)
                 return base + eps * np.exp(-(u * u))
@@ -150,7 +150,7 @@ class TestBurgersResidual:
                 u = (np.asarray(y) - 0.5 * s) / (0.1 * s)
                 return base + eps * np.exp(-(u * u))
 
-        bad = Bumped.from_stefan(field)
+        bad = Bumped(field)
         report = burgers_residual(bad, GridSpec(n_space=49, n_time=3))
         assert report.max_abs >= eps / 2
 
@@ -269,6 +269,19 @@ class TestSuite:
         with pytest.raises(sr.NotMonotone):
             run_verification_suite(sr.StefanField.from_params(params), SMALL)
         assert ran == []
+
+    def test_one_domain_check_per_field_evaluation(self, baseline_field, monkeypatch):
+        """The default suite at the baseline checks (y, t) 459 times (1,143 with a
+        check per T, T_y and Theta)."""
+        inner, calls = sr.StefanField._check_domain, []
+
+        def counting(self, y, t):
+            calls.append(t)
+            return inner(self, y, t)
+
+        monkeypatch.setattr(sr.StefanField, "_check_domain", counting)
+        run_verification_suite(baseline_field)
+        assert len(calls) <= 460
 
     def test_json_roundtrip(self, baseline_field):
         import json
