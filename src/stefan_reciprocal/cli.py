@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -32,7 +33,16 @@ def fmt(value) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems with exit code 1."""
+    """argparse that reports usage problems with exit code 1.
+
+    A value that starts with '-' and a digit or '.' is a value, not a flag:
+    argparse alone reads only -1 and -.5 as negative numbers, so
+    `--tm0 -1e-3` and `--tm0-range -1e-3:0.5:3` would fail.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
@@ -43,7 +53,12 @@ def _parse_range(text: str):
     parts = text.split(":")
     if len(parts) != 3:
         raise InvalidParameters(f"expected lo:hi:n, got {text!r}")
-    lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise InvalidParameters(
+            f"expected numbers lo:hi and an integer n, got {text!r}"
+        ) from None
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise InvalidParameters(f"range bounds must be finite, got {text!r}")
     if n < 1:

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import DomainError, InvalidParameters, NoSignChange
 
@@ -29,6 +28,89 @@ SQRT_PI = math.sqrt(math.pi)
 
 #: Relative slack allowed before a coordinate counts as outside [0, S(t)].
 DOMAIN_RTOL = 1e-9
+
+# Cephes ndtr.c erf/erfc (S. Moshier), the algorithm behind scipy.special.erf.
+# Polynomials are evaluated by Horner's rule from the leading coefficient;
+# _U, _Q and _S are Cephes' monic p1evl tables with the leading 1.0 written
+# out, which gives the same bits since 1.0*x + c == x + c.
+_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+      7.00332514112805075473e3, 5.55923013010394962768e4)
+_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+      2.26290000613890934246e4, 4.92673942608635921086e4)
+_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+      4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+      9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+      9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+      1.65666309194161350182e3, 5.57535340817727675546e2)
+_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+      6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+      1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_MAXLOG = 7.09782712893383996843e2
+
+
+def _horner(x, coeffs):
+    """Cephes polevl, a = c[0]; a = a*x + c[i], on a float or (in place) an array."""
+    a = x * coeffs[0]
+    a += coeffs[1]
+    for c in coeffs[2:]:
+        a *= x
+        a += c
+    return a
+
+
+def _erf_float(x: float) -> float:
+    """erf of one float, operation for operation as Cephes computes it.
+
+    Cephes takes erf(x) = -erf(-x) for x < 0; rounding to nearest is odd
+    symmetric, so the sign is carried through instead (which also keeps -0).
+    NaN fails every comparison and comes out of the last branch as NaN.
+    """
+    ax = abs(x)
+    if ax <= 1.0:
+        z = x * x
+        return x * _horner(z, _T) / _horner(z, _U)
+    z = -ax * ax
+    if z < -_MAXLOG:
+        return math.copysign(1.0, x)
+    if ax < 8.0:
+        p, q = _horner(ax, _P), _horner(ax, _Q)
+    else:
+        p, q = _horner(ax, _R), _horner(ax, _S)
+    # libm's exp: numpy's vectorised exp is an ulp off libm on some arguments
+    return math.copysign(1.0 - math.exp(z) * p / q, x)
+
+
+def _erf(x):
+    """Error function, bit-identical to scipy.special.erf on float64.
+
+    A 0-d input takes the plain-float path (the root solve calls it once per
+    bisection step).  An array evaluates the polynomials in numpy, and only
+    its elements with |x| > 1 need exp(-x^2), taken from libm one by one.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0:
+        return np.float64(_erf_float(float(x)))
+    ax = np.abs(x)
+    if ax.max(initial=0.0) <= 1.0:  # every eta at the baseline
+        z = x * x
+        return x * _horner(z, _T) / _horner(z, _U)
+    out = x.copy()  # NaN stays NaN
+    small = ax <= 1.0
+    out[small] = _erf(x[small])
+    with np.errstate(over="ignore"):
+        z = -ax * ax
+    huge = z < -_MAXLOG
+    out[huge] = np.copysign(1.0, x[huge])
+    for sel, num, den in (
+        ((ax > 1.0) & (ax < 8.0), _P, _Q),
+        ((ax >= 8.0) & ~huge, _R, _S),
+    ):
+        a = ax[sel]
+        gauss = np.fromiter(map(math.exp, z[sel].tolist()), dtype=float, count=a.size)
+        out[sel] = np.copysign(1.0 - gauss * _horner(a, num) / _horner(a, den), x[sel])
+    return out
 
 
 @dataclass(frozen=True)
@@ -88,7 +170,7 @@ def eval_F(x, params: PhysicalParams):
     """
     x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore"):
-        out = (params.tm0 / 2.0 + params.l0 * x * x) * np.exp(x * x) * SQRT_PI * erf(x)
+        out = (params.tm0 / 2.0 + params.l0 * x * x) * np.exp(x * x) * SQRT_PI * _erf(x)
     return float(out) if out.ndim == 0 else out
 
 
@@ -226,7 +308,7 @@ class StefanField:
         y = np.asarray(y, dtype=float)
         sqrt_t = np.sqrt(np.asarray(t, dtype=float))
         eta = y / (2.0 * sqrt_t)
-        erf_eta, gauss = erf(eta), np.exp(-eta * eta)
+        erf_eta, gauss = _erf(eta), np.exp(-eta * eta)
         temp = (
             self.amplitude * (2.0 * sqrt_t * gauss + SQRT_PI * y * erf_eta)
             - self.params.q * y

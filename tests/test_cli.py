@@ -349,6 +349,67 @@ def test_scipy_submodules_load_only_on_demand():
     assert json.loads(res.stdout) == [0, [], [], 0, []]
 
 
+def test_scipy_loads_only_for_oracle():
+    """No command but oracle imports any part of scipy: erf is the package's
+    own.  oracle imports scipy.linalg for dgtsv, and still not scipy.special."""
+    fields = ["T", "Ty", "S", "xstar", "psi", "theta", "H", "boundaries"]
+    script = (
+        "import json, sys\n"
+        "import stefan_reciprocal.cli as cli\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "seen = {'import': scipy_modules()}\n"
+        "runs = [['gamma']]\n"
+        f"runs += [['eval', '--field', f, '--n', '5', '--t-range', '1:2:2'] for f in {fields!r}]\n"
+        "runs += [['sweep', '--q-range', '0.5:2:3'], ['verify', '--grid', '8,1']]\n"
+        "codes = [cli.main([*argv, '--out', sys.argv[1]]) for argv in runs]\n"
+        "seen['commands'] = scipy_modules()\n"
+        "codes.append(cli.main(['oracle', '--n-xi', '32', '--dt', '1e-3', '--t-end', '0.3', '--json']))\n"
+        "after = scipy_modules()\n"
+        "seen['oracle'] = ['scipy.linalg' in after, 'scipy.special' in after]\n"
+        "print(json.dumps([codes, seen]))\n"
+    )
+    src = str(Path(stefan_reciprocal.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    res = subprocess.run(
+        [sys.executable, "-c", script, os.devnull],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    codes, seen = json.loads(res.stdout.splitlines()[-1])
+    assert codes == [0] * (len(fields) + 4)
+    assert seen == {"import": [], "commands": [], "oracle": [True, False]}
+
+
+def test_negative_values_in_exponent_notation(capsys):
+    """`--flag -1e-3` reads -1e-3 as the flag's value, as `--flag=-1e-3` does."""
+    for command, flag, value in (
+        ("gamma", "--tm0", "-1e-3"),
+        ("sweep", "--tm0-range", "-1e-3:0.5:3"),
+    ):
+        spaced = run(capsys, command, flag, value)
+        joined = run(capsys, command, f"{flag}={value}")
+        assert spaced == joined
+        assert spaced[0] == 0 and spaced[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--q-range", "1:2:2.5"],
+        ["eval", "--field", "S", "--t-range", "1:2:x"],
+        ["eval", "--field", "S", "--t-range", "a:2:3"],
+    ],
+)
+def test_malformed_range_is_invalid_input(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert argv[-1] in lines[0]
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["gamma", "--bogus"]) == 1
     assert main([]) == 1

@@ -1,12 +1,15 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stefan_reciprocal as sr
+from stefan_reciprocal.similarity import _MAXLOG, _erf
 
 mp.mp.dps = 40
 
@@ -66,6 +69,92 @@ def test_eval_vectorized(baseline_params):
     assert f_vals.shape == g_vals.shape == (3,)
     assert f_vals[0] == 0.0 and g_vals[0] == 1.0
 
+
+def _erf_inputs():
+    """Grid, random, logspace, special and branch-edge inputs for erf."""
+    rng = np.random.default_rng(20260101)
+    tiny_to_big = np.logspace(-300, math.log10(40.0), 20_001)
+    edges = [  # each branch edge and its two neighbours
+        np.nextafter(v, toward)
+        for c in (1.0, 8.0, math.sqrt(_MAXLOG))
+        for v in (c, -c)
+        for toward in (-np.inf, v, np.inf)
+    ]
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e300, -1e300]
+    return np.concatenate(
+        [
+            np.linspace(-30.0, 30.0, 600_001),
+            rng.uniform(-30.0, 30.0, 200_000),
+            3.0 * rng.standard_normal(200_000),
+            tiny_to_big,
+            -tiny_to_big,
+            specials,
+            edges,
+        ]
+    )
+
+
+def assert_same_bits(got, want):
+    """Equal float64 bit patterns (so +0 != -0), any NaN matching any NaN."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+class TestErf:
+    """The in-package erf against scipy.special.erf, the Cephes code it copies."""
+
+    def test_bit_identical_to_scipy(self):
+        x = _erf_inputs()
+        assert_same_bits(_erf(x), scipy.special.erf(x))
+
+    def test_signed_zero_and_limits(self):
+        assert math.copysign(1.0, _erf(-0.0)) == -1.0
+        assert math.copysign(1.0, _erf(0.0)) == 1.0
+        assert _erf(np.inf) == 1.0 and _erf(-np.inf) == -1.0
+        assert math.isnan(_erf(np.nan))
+
+    def test_scalar_path_equals_array_path(self):
+        x = _erf_inputs()[::97]
+        assert_same_bits([_erf(float(v)) for v in x], _erf(x))
+        assert_same_bits([_erf(np.asarray(v)) for v in x], _erf(x))
+
+    @pytest.mark.parametrize("x", [0.3, -1.0, 2.5, 9.0])
+    def test_float_and_zero_d_inputs(self, x):
+        for arg in (x, np.asarray(x)):
+            got = _erf(arg)
+            assert np.ndim(got) == 0
+            assert_same_bits(got, scipy.special.erf(arg))
+
+    def test_shape_kept(self):
+        x = np.linspace(-5.0, 5.0, 24).reshape(4, 6)
+        got = _erf(x)
+        assert got.shape == (4, 6)
+        assert_same_bits(got, scipy.special.erf(x))
+        small = np.linspace(-0.9, 0.9, 6).reshape(2, 3)  # the |x| <= 1 path
+        assert_same_bits(_erf(small), scipy.special.erf(small))
+
+    def test_within_two_ulp_of_30_digits(self):
+        x = np.concatenate([np.linspace(0.0, 6.0, 1201), [1.0, 8.0 / 3.0, 6.0]])
+        got = _erf(x)
+        with mp.workdps(30):
+            err = [
+                float(abs(mp.mpf(float(g)) - mp.erf(mp.mpf(float(v)))))
+                for v, g in zip(x, got)
+            ]
+        ulp = np.spacing(np.abs(got))
+        assert np.all(np.asarray(err) <= 2.0 * ulp)
+
+    def test_finite_inputs_raise_no_warning(self):
+        x = _erf_inputs()
+        x = np.concatenate([x[np.isfinite(x)], [np.finfo(float).max, -np.finfo(float).max]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _erf(x)
+            for v in x[::997]:
+                _erf(float(v))
 
 class TestSolveGamma:
     def test_regression_tm0_zero(self):
