@@ -35,9 +35,13 @@ def fmt(value) -> str:
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems with exit code 1.
 
-    A value that starts with '-' and a digit or '.' is a value, not a flag:
-    argparse alone reads only -1 and -.5 as negative numbers, so
-    `--tm0 -1e-3` and `--tm0-range -1e-3:0.5:3` would fail.
+    A value that starts with '-' and a digit or '.' is a value, not a flag.
+    This replaces argparse's private `_negative_number_matcher`, because the
+    default pattern of some Python releases (3.11's is
+    `^-\\d+$|^-\\d*\\.\\d+$`) rejects exponent notation, so `--tm0 -1e-3` and
+    `--tm0-range -1e-3:0.5:3` would fail there.  The override can go once
+    every supported Python's argparse accepts exponent notation;
+    test_negative_values_in_exponent_notation catches a rename.
     """
 
     def __init__(self, *args, **kwargs):

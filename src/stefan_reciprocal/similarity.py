@@ -86,30 +86,21 @@ def _erf(x):
     """Error function, bit-identical to scipy.special.erf on float64.
 
     A 0-d input takes the plain-float path (the root solve calls it once per
-    bisection step).  An array evaluates the polynomials in numpy, and only
-    its elements with |x| > 1 need exp(-x^2), taken from libm one by one.
+    bisection step).  An array evaluates the |x| <= 1 polynomial in numpy;
+    its elements with |x| > 1 (or NaN) take the plain-float path one by one.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
         return np.float64(_erf_float(float(x)))
     ax = np.abs(x)
-    if ax.max(initial=0.0) <= 1.0:  # every eta at the baseline
+    if ax.max(initial=0.0) <= 1.0:
         z = x * x
         return x * _horner(z, _T) / _horner(z, _U)
-    out = x.copy()  # NaN stays NaN
+    out = x.copy()
     small = ax <= 1.0
     out[small] = _erf(x[small])
-    with np.errstate(over="ignore"):
-        z = -ax * ax
-    huge = z < -_MAXLOG
-    out[huge] = np.copysign(1.0, x[huge])
-    for sel, num, den in (
-        ((ax > 1.0) & (ax < 8.0), _P, _Q),
-        ((ax >= 8.0) & ~huge, _R, _S),
-    ):
-        a = ax[sel]
-        gauss = np.fromiter(map(math.exp, z[sel].tolist()), dtype=float, count=a.size)
-        out[sel] = np.copysign(1.0 - gauss * _horner(a, num) / _horner(a, den), x[sel])
+    big = ~small
+    out[big] = np.fromiter(map(_erf_float, x[big].tolist()), dtype=float, count=int(big.sum()))
     return out
 
 
