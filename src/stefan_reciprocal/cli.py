@@ -35,18 +35,21 @@ def fmt(value) -> str:
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems with exit code 1.
 
-    A value that starts with '-' and a digit or '.' is a value, not a flag.
-    This replaces argparse's private `_negative_number_matcher`, because the
-    default pattern of some Python releases (3.11's is
-    `^-\\d+$|^-\\d*\\.\\d+$`) rejects exponent notation, so `--tm0 -1e-3` and
-    `--tm0-range -1e-3:0.5:3` would fail there.  The override can go once
-    every supported Python's argparse accepts exponent notation;
-    test_negative_values_in_exponent_notation catches a rename.
+    A value that starts with '-' and a digit or '.', or is -inf, -infinity
+    or -nan in any case, is a value, not a flag.  This replaces argparse's
+    private `_negative_number_matcher`, because the default pattern of some
+    Python releases (3.11's is `^-\\d+$|^-\\d*\\.\\d+$`) rejects exponent
+    notation and -inf, so `--tm0 -1e-3`, `--tm0-range -1e-3:0.5:3` and
+    `--tm0 -inf` would fail there.  The override can go once every supported
+    Python's argparse reads these as values; a rename is caught by
+    test_negative_values_in_exponent_notation and test_negative_non_finite_values.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        self._negative_number_matcher = re.compile(
+            r"-\.?\d|-(?:inf(?:inity)?|nan)$", re.IGNORECASE
+        )
 
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
@@ -249,6 +252,8 @@ def cmd_eval(args) -> int:
             rows = np.column_stack((t_values, field.free_boundary(t_values)))
         elif args.field == "H":
             header = ["t", "H"]
+            # per t: tm**3 on an array is numpy's power, not libm's pow, and
+            # changes the noise digits of H, a cancellation to rounding
             rows = np.column_stack(
                 (t_values, [psi_field.h_of_t(ti) for ti in t_values])
             )
@@ -258,8 +263,8 @@ def cmd_eval(args) -> int:
                 (
                     t_values,
                     field.free_boundary(t_values),
-                    [psi_field.x0(ti) for ti in t_values],
-                    [psi_field.x1(ti) for ti in t_values],
+                    psi_field.x0(t_values),
+                    psi_field.x1(t_values),
                 )
             )
     _emit_rows(sink, header, rows, args.json)
@@ -307,10 +312,9 @@ def cmd_oracle(args) -> int:
     )
     result = oracle_mod.solve(config, params)
     report = oracle_mod.compare_to_closed_form(result, field)
-    sink = _Sink(args.out)
     if args.out:
         result.to_csv(args.out)
-        sink = _Sink(None)
+    sink = _Sink(None)
     summary = {
         "gamma_estimate": result.gamma_estimate,
         "gamma_exact": field.gamma.gamma,

@@ -346,7 +346,9 @@ class PsiField:
 
         Starts from the chord between (0, X0*) and (S, X1*); a step that is
         not finite or leaves the bisection bracket [lo, hi] becomes its
-        midpoint.  Assumes monotonicity has been established; ``sign`` is +1
+        midpoint.  Each point is frozen at the first y that meets its own
+        stopping rule, so its result does not depend on the rest of the
+        batch.  Assumes monotonicity has been established; ``sign`` is +1
         when x* is increasing in y.  ``t``, ``tol`` and the orientation
         values broadcast against ``xs``.
         """
@@ -369,13 +371,13 @@ class PsiField:
         for _ in range(110):
             fx, slope = self._x_and_slope(y, t)
             fm = sign * fx
-            hit = ~frozen & (np.abs(fm - target) <= tol)
-            result = np.where(hit, y, result)
-            frozen = frozen | hit
             below = fm < target
             lo = np.where(below, y, lo)
             hi = np.where(below, hi, y)
-            if np.all(frozen | (hi - lo <= floor)):
+            hit = ~frozen & ((np.abs(fm - target) <= tol) | (hi - lo <= floor))
+            result = np.where(hit, y, result)
+            frozen = frozen | hit
+            if np.all(frozen):
                 break
             with np.errstate(all="ignore"):
                 step = y - (fm - target) / (sign * slope)

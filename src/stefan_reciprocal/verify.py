@@ -10,7 +10,7 @@ boundary points.
 Time derivatives of T and x* are taken at fixed fractional position
 s = y/S(t) and corrected by the advective term s*dS/dt*(d/dy); the Psi
 equation is checked at fixed x*, which requires re-inverting the parametric
-map on every time slice.
+map per call.  A grid identity evaluates all its times in one call per row.
 
 The protocol is fixed.  Boundary and consistency identities are sampled at
 :data:`T_SAMPLES`, the grid spans the first to the last of them, quadratures
@@ -207,20 +207,19 @@ def _ale_residual(identity, u, s_of, grid, tolerance, rhs):
     fraction*dS/dt*u_y (the ALE stencil shared by the heat and Burgers checks).
     """
     fracs = grid.fractions()
-    rows = []
-    for t in grid.times():
-        s_t = s_of(t)
-        ht = grid.step_t * t
-        hy = grid.fd_step * s_t
-        y = fracs * s_t
-        s_plus, s_minus = s_of(t + ht), s_of(t - ht)
-        d_ale = (u(fracs * s_plus, t + ht) - u(fracs * s_minus, t - ht)) / (2.0 * ht)
-        s_dot = (s_plus - s_minus) / (2.0 * ht)
-        u_p, u_m, u_c = u(y + hy, t), u(y - hy, t), u(y, t)
-        u_y = (u_p - u_m) / (2.0 * hy)
-        u_yy = (u_p - 2.0 * u_c + u_m) / (hy * hy)
-        rows.append(d_ale - fracs * s_dot * u_y - rhs(u_c, u_y, u_yy))
-    return _reduce(identity, np.array(rows), tolerance, grid=grid)
+    t = grid.times()[:, None]
+    s_t = s_of(t)
+    ht = grid.step_t * t
+    hy = grid.fd_step * s_t
+    y = fracs * s_t
+    s_plus, s_minus = s_of(t + ht), s_of(t - ht)
+    d_ale = (u(fracs * s_plus, t + ht) - u(fracs * s_minus, t - ht)) / (2.0 * ht)
+    s_dot = (s_plus - s_minus) / (2.0 * ht)
+    u_p, u_m, u_c = u(y + hy, t), u(y - hy, t), u(y, t)
+    u_y = (u_p - u_m) / (2.0 * hy)
+    u_yy = (u_p - 2.0 * u_c + u_m) / (hy * hy)
+    residual = d_ale - fracs * s_dot * u_y - rhs(u_c, u_y, u_yy)
+    return _reduce(identity, residual, tolerance, grid=grid)
 
 
 def heat_residual(field: StefanField, grid: GridSpec = GridSpec()):
@@ -243,32 +242,28 @@ def burgers_residual(field: PsiField, grid: GridSpec = GridSpec()):
 def evolution_residual(field: PsiField, grid: GridSpec = GridSpec()):
     """max |Psi_t - d/dx*(Psi_x*/Psi^2) - 2*delta| at fixed x*.
 
-    Psi(x*, t +/- ht) is obtained by re-inverting the parametric map on each
-    time slice, which is what the fixed-x* time derivative requires.
+    Psi(x*, t +/- ht) is obtained by re-inverting the parametric map at the
+    shifted times, which is what the fixed-x* time derivative requires.
     """
     fracs = grid.fractions()
-    rows = []
-    for t in grid.times():
-        x0v = field.x0(t)
-        x1v = field.x1(t)
-        width = x1v - x0v
-        hx = grid.fd_step * abs(width)
-        ht = grid.step_t * t
-        inv_tol = 1e-13 * abs(width)
-        xs = x0v + width * fracs
-        stencil = np.concatenate(
-            [xs - 2.0 * hx, xs - hx, xs, xs + hx, xs + 2.0 * hx]
-        )
-        p = field.psi_at(stencil, t, inv_tol).reshape(5, -1)
-        psi_m2, psi_m1, psi_c, psi_p1, psi_p2 = p
-        psi_plus = field.psi_at(xs, t + ht, inv_tol)
-        psi_minus = field.psi_at(xs, t - ht, inv_tol)
-        psi_t = (psi_plus - psi_minus) / (2.0 * ht)
-        flux_p = (psi_p2 - psi_c) / (2.0 * hx) / (psi_p1 * psi_p1)
-        flux_m = (psi_c - psi_m2) / (2.0 * hx) / (psi_m1 * psi_m1)
-        flux_div = (flux_p - flux_m) / (2.0 * hx)
-        rows.append(psi_t - flux_div - 2.0 * field.delta)
-    return _reduce("source-equation", np.array(rows), 1e-3, grid=grid)
+    t = grid.times()[:, None]
+    x0v = field.x0(t)
+    x1v = field.x1(t)
+    width = x1v - x0v
+    hx = grid.fd_step * np.abs(width)
+    ht = grid.step_t * t
+    inv_tol = 1e-13 * np.abs(width)
+    xs = x0v + width * fracs
+    stencil = np.stack([xs - 2.0 * hx, xs - hx, xs, xs + hx, xs + 2.0 * hx])
+    psi_m2, psi_m1, psi_c, psi_p1, psi_p2 = field.psi_at(stencil, t, inv_tol)
+    psi_plus = field.psi_at(xs, t + ht, inv_tol)
+    psi_minus = field.psi_at(xs, t - ht, inv_tol)
+    psi_t = (psi_plus - psi_minus) / (2.0 * ht)
+    flux_p = (psi_p2 - psi_c) / (2.0 * hx) / (psi_p1 * psi_p1)
+    flux_m = (psi_c - psi_m2) / (2.0 * hx) / (psi_m1 * psi_m1)
+    flux_div = (flux_p - flux_m) / (2.0 * hx)
+    residual = psi_t - flux_div - 2.0 * field.delta
+    return _reduce("source-equation", residual, 1e-3, grid=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -420,15 +415,13 @@ def h_ratio_residual(field: PsiField):
 
 def reciprocal_identity_residual(field: PsiField, grid: GridSpec = GridSpec()):
     """max |Psi * dx*/dy - 1| with a centered h = 1e-6*S(t) difference."""
-    fracs = grid.fractions()
-    rows = []
-    for t in grid.times():
-        s_t = field.stefan.free_boundary(t)
-        h = 1e-6 * s_t
-        y = fracs * s_t
-        dx = (field.x_star(y + h, t) - field.x_star(y - h, t)) / (2.0 * h)
-        rows.append(field.psi_parametric(y, t) * dx - 1.0)
-    return _reduce("reciprocal-identity", np.array(rows), 1e-6, grid=grid)
+    t = grid.times()[:, None]
+    s_t = field.stefan.free_boundary(t)
+    h = 1e-6 * s_t
+    y = grid.fractions() * s_t
+    dx = (field.x_star(y + h, t) - field.x_star(y - h, t)) / (2.0 * h)
+    residual = field.psi_parametric(y, t) * dx - 1.0
+    return _reduce("reciprocal-identity", residual, 1e-6, grid=grid)
 
 
 def theta_consistency_residual(
@@ -481,14 +474,12 @@ def s_recovery_residual(field: PsiField):
 
 def roundtrip_residual(field: PsiField):
     """|invert_x_star(x*(y,t), t) - y| / S(t) at the fractions 0.1, 0.5, 0.9."""
-
-    def row(t):
-        s_t = field.stefan.free_boundary(t)
-        ys = [frac * s_t for frac in (0.1, 0.5, 0.9)]
-        back = [field.invert_x_star(field.x_star(y, t), t, tol=1e-12) for y in ys]
-        return [(yb - y) / s_t for yb, y in zip(back, ys)]
-
-    return _reduce_rows("inversion-roundtrip", row, 1e-9)
+    t = np.array(T_SAMPLES)[:, None]
+    s_t = field.stefan.free_boundary(t)
+    ys = np.array([0.1, 0.5, 0.9]) * s_t
+    back = field.invert_x_star(field.x_star(ys, t), t, tol=1e-12)
+    rows = dict(zip(T_SAMPLES, (back - ys) / s_t))
+    return _reduce_rows("inversion-roundtrip", rows.get, 1e-9)
 
 
 def run_verification_suite(field: StefanField, grid: GridSpec = GridSpec()) -> list:

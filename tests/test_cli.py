@@ -316,6 +316,9 @@ class TestBitIdentity:
              "7f1285251c07b07ea2c2f73d8ee1288b15e3d2a6868e5a29bf905caa2de7a87a"),
             (["verify", "--grid", "12,3", "--json", "--tm0", "0"], 2,
              "fd3658f3e845bf616fc29a3544420b904afa59769d4510011ed0a72fb565c762"),
+            # an inversion bracket reaches 16*eps*S(t) before tol here
+            (["verify", "--grid", "12,3", "--json", "--q", "100", "--tm0", "0.99"], 2,
+             "e2dfdd84f91986397947d2dbcfbb85beb3e75a37c2c12bff6d2f13f27caf95cb"),
         ],
     )
     def test_pinned_stdout(self, capsys, argv, code, digest):
@@ -391,6 +394,15 @@ def test_negative_values_in_exponent_notation(capsys):
         joined = run(capsys, command, f"{flag}={value}")
         assert spaced == joined
         assert spaced[0] == 0 and spaced[1]
+
+
+@pytest.mark.parametrize("value", ["-inf", "-INF", "-Infinity", "-nan", "-NaN"])
+def test_negative_non_finite_values(capsys, value):
+    """`--tm0 -inf` is read as a value and refused as `--tm0=-inf` is."""
+    spaced = run(capsys, "gamma", "--tm0", value)
+    joined = run(capsys, "gamma", f"--tm0={value}")
+    assert spaced == joined
+    assert spaced[0] == 1 and "tm0 must be finite" in spaced[2]
 
 
 @pytest.mark.parametrize(

@@ -272,6 +272,26 @@ class TestInversion:
             assert np.all((y >= 0.0) & (y <= s))
             assert np.max(np.abs(pf.x_star(y, t) - xs)) <= tol
 
+    def test_batch_invariant_at_the_floor(self):
+        """A point's y does not depend on the other points of its call.
+
+        At (q, tm0) = (100, 0.99) some brackets of the source-equation
+        stencil reach 16*eps*S(t) before tol; each point is accepted there,
+        as it is when inverted alone.
+        """
+        params = sr.PhysicalParams(q=100.0, l0=1.0, tm0=0.99)
+        pf = sr.PsiField(sr.StefanField.from_params(params))
+        grid = sr.GridSpec(n_space=12, n_time=3)
+        t = grid.times()[:, None]
+        x0, width = pf.x0(t), pf.x1(t) - pf.x0(t)
+        xs = x0 + width * grid.fractions()
+        stencil = xs + grid.fd_step * np.abs(width) * np.arange(-2.0, 3.0)[:, None, None]
+        tol = 1e-13 * np.abs(width)
+        batched = pf.invert_x_star(stencil, t, tol)
+        points = zip(*(a.ravel() for a in np.broadcast_arrays(stencil, t, tol)))
+        alone = [pf.invert_x_star(x, ti, tol_i) for x, ti, tol_i in points]
+        np.testing.assert_array_equal(batched.ravel(), alone)
+
     @staticmethod
     def _counted(field):
         """A fresh PsiField whose fused x*/slope evaluations are counted."""

@@ -271,8 +271,8 @@ class TestSuite:
         assert ran == []
 
     def test_one_domain_check_per_field_evaluation(self, baseline_field, monkeypatch):
-        """The default suite at the baseline checks (y, t) 459 times (1,143 with a
-        check per T, T_y and Theta)."""
+        """The default suite at the baseline checks (y, t) 254 times (459 with a
+        call per time slice, 1,143 with a check per T, T_y and Theta)."""
         inner, calls = sr.StefanField._check_domain, []
 
         def counting(self, y, t):
@@ -281,7 +281,7 @@ class TestSuite:
 
         monkeypatch.setattr(sr.StefanField, "_check_domain", counting)
         run_verification_suite(baseline_field)
-        assert len(calls) <= 460
+        assert len(calls) <= 254
 
     def test_json_roundtrip(self, baseline_field):
         import json
@@ -290,6 +290,27 @@ class TestSuite:
         parsed = json.loads(report.to_json())
         assert parsed["identity"] == "heat-equation"
         assert parsed["pass"] is True
+
+
+@pytest.mark.parametrize("q, tm0", [(1.0, 0.5), (100.0, 0.99)])
+def test_grid_rows_do_not_depend_on_other_times(q, tm0):
+    """Row 0 of each grid identity at n_time = 3 is the one row at n_time = 1.
+
+    Both grids start at t = 0.25; the grid identities evaluate every t in
+    one call, so this checks that a row sees only its own time.
+    """
+    field = sr.StefanField.from_params(sr.PhysicalParams(q=q, l0=1.0, tm0=tm0))
+    pf = sr.PsiField(field)
+    for check, arg in (
+        (heat_residual, field),
+        (burgers_residual, pf),
+        (reciprocal_identity_residual, pf),
+        (evolution_residual, pf),
+    ):
+        three = check(arg, GridSpec(n_time=3)).per_point
+        one = check(arg, GridSpec(n_time=1)).per_point
+        assert three.shape == (3, 50) and one.shape == (1, 50)
+        np.testing.assert_array_equal(three[0], one[0])
 
 
 #: The 60-point scan of the ROADMAP: l0 = 1, default identities at 12x3.
