@@ -300,8 +300,7 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     cfg = _merge_config(args)
-    params = _params(cfg)
-    field = StefanField.from_params(params, cfg["tol"])
+    field = StefanField.from_params(_params(cfg), cfg["tol"])
     config = oracle_mod.OracleConfig(
         n_xi=args.n_xi,
         t0=args.t0,
@@ -310,7 +309,7 @@ def cmd_oracle(args) -> int:
         seed_mode="closed_form" if args.seed == "closed" else "linear_profile",
         s0=args.s0,
     )
-    result = oracle_mod.solve(config, params)
+    result = oracle_mod.solve(config, field)
     report = oracle_mod.compare_to_closed_form(result, field)
     if args.out:
         result.to_csv(args.out)

@@ -21,14 +21,19 @@ front coefficient S_num(t)/(2*sqrt(t)) is an independent check of gamma.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParameters, NonmonotoneFront, StabilityViolation, StefanError
-from .similarity import PhysicalParams, StefanField
+from .similarity import StefanField
 from .verify import ResidualReport, _reduce
 
 SEED_MODES = ("closed_form", "linear_profile")
@@ -98,25 +103,56 @@ class OracleResult:
                     )
 
 
-def solve(config: OracleConfig, params: PhysicalParams) -> OracleResult:
+@functools.cache
+def _dgtsv():
+    """LAPACK dgtsv, loaded from scipy's f2py extension ``scipy.linalg._flapack``.
+
+    Importing ``scipy.linalg`` takes ~0.3 s, loading this one file ~10 ms.
+    ``find_spec("scipy")`` locates scipy without running its ``__init__``.
+    The module is registered under its own name, so a later
+    ``import scipy.linalg`` reuses it.  Where the file is not found, this
+    falls back to the public import.
+    """
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        spec = importlib.util.find_spec("scipy")
+        paths = [
+            os.path.join(root, "linalg", "_flapack" + suffix)
+            for root in (spec.submodule_search_locations if spec else None) or ()
+            for suffix in importlib.machinery.EXTENSION_SUFFIXES
+        ]
+        path = next(filter(os.path.isfile, paths), None)
+        if path is None:
+            from scipy.linalg.lapack import dgtsv
+
+            return dgtsv
+        loader = importlib.machinery.ExtensionFileLoader(name, path)
+        module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+        loader.exec_module(module)
+        sys.modules[name] = module
+    return sys.modules[name].dgtsv
+
+
+def solve(config: OracleConfig, field: StefanField) -> OracleResult:
     """March the immobilized system from t0 to t_end.
 
-    Each step calls LAPACK gtsv on buffers that it overwrites in place: the
-    three diagonals are refilled every step, and the two temperature
-    buffers swap roles.
+    q, l0 and tm0 come from ``field.params``; the closed_form seed is
+    ``field``'s own temperature, so a field built at another root tolerance
+    seeds from that root.  Each step calls LAPACK gtsv (``_dgtsv``) on
+    buffers that it overwrites in place: the three diagonals are refilled,
+    the advection term goes into preallocated arrays, and the two
+    temperature buffers swap roles, so a step allocates no array.
     """
-    # scipy.linalg takes ~0.3 s to import and only the march needs it.
-    from scipy.linalg.lapack import dgtsv
-
+    dgtsv = _dgtsv()
     n = config.n_xi
     dxi = 1.0 / n
+    two_dxi = 2.0 * dxi
     xi = np.linspace(0.0, 1.0, n + 1)
-    q, l0, tm0 = params.q, params.l0, params.tm0
+    q, l0, tm0 = field.params.q, field.params.l0, field.params.tm0
 
     if config.seed_mode == "closed_form":
-        seed_field = StefanField.from_params(params)
-        front = seed_field.free_boundary(config.t0)
-        u = seed_field.temperature(xi * front, config.t0)
+        front = field.free_boundary(config.t0)
+        u = field.temperature(xi * front, config.t0)
     else:
         front = config.s0
         u = tm0 * math.sqrt(config.t0) + q * config.s0 * (1.0 - xi)
@@ -135,11 +171,21 @@ def solve(config: OracleConfig, params: PhysicalParams) -> OracleResult:
     diag = np.empty(n)
     upper = np.empty(n - 1)
     lower = np.empty(n - 1)
-    u_new = np.empty(n + 1)
-    u_min, u_max = u.min(), u.max()
+    advect = np.empty(n - 1)
+    du = np.empty(n - 1)
+    xi_inner = xi[1:n]
+
+    def views(buf):
+        # whole, gtsv right-hand side, interior, and the centred-difference pair
+        return buf, buf[:n], buf[1:n], buf[2 : n + 1], buf[: n - 1]
+
+    cur, new = views(u), views(np.empty(n + 1))
+    u_min, u_max = float(u.min()), float(u.max())
 
     for k in range(steps):
-        grad_front = (3.0 * u[n] - 4.0 * u[n - 1] + u[n - 2]) / (2.0 * dxi)
+        u, u_head, _, u_up, u_down = cur
+        u_new, rhs, inner, _, _ = new
+        grad_front = (3.0 * u.item(n) - 4.0 * u.item(n - 1) + u.item(n - 2)) / two_dxi
         s_dot = -grad_front / (front * l0 * math.sqrt(t))
         cfl = abs(s_dot) / front * dt / dxi
         max_cfl = max(max_cfl, cfl)
@@ -152,12 +198,16 @@ def solve(config: OracleConfig, params: PhysicalParams) -> OracleResult:
             raise NonmonotoneFront(f"front stalled at t={t:.6g}")
 
         # gtsv overwrites the right-hand side with the solution, so the
-        # interior of u_new starts as the right-hand side.
-        rhs = u_new[:n]
-        rhs[:] = u[:n]
-        rhs[1:] += dt * (xi[1:n] * s_dot / front) * (u[2 : n + 1] - u[: n - 1]) / (
-            2.0 * dxi
-        )
+        # interior of the new buffer starts as the right-hand side.  The
+        # advection term keeps the association order of
+        # dt * (xi*s_dot/front) * (u[2:] - u[:-2]) / (2*dxi).
+        np.copyto(rhs, u_head)
+        np.multiply(xi_inner, s_dot, out=advect)
+        advect /= front
+        np.multiply(dt, advect, out=advect)
+        advect *= np.subtract(u_up, u_down, out=du)
+        advect /= two_dxi
+        inner += advect
 
         t_new = t + dt
         dirichlet = tm0 * math.sqrt(t_new)
@@ -168,34 +218,32 @@ def solve(config: OracleConfig, params: PhysicalParams) -> OracleResult:
         upper[0] = -2.0 * r
         rhs[0] += 2.0 * r * dxi * q * front_new
         rhs[n - 1] += r * dirichlet
-        info = dgtsv(
-            lower, diag, upper, rhs,
-            overwrite_dl=True, overwrite_d=True, overwrite_du=True, overwrite_b=True,
-        )[4]
+        info = dgtsv(lower, diag, upper, rhs, 1, 1, 1, 1)[4]
         if info != 0:
             raise StefanError(
                 f"tridiagonal solve failed (gtsv info={info}) at t={t_new:.6g}"
             )
         u_new[n] = dirichlet
 
-        inner_min, inner_max = u_new[1:n].min(), u_new[1:n].max()
+        inner_min, inner_max = float(inner.min()), float(inner.max())
+        face = u_new.item(0)
         if not (math.isfinite(inner_min) and math.isfinite(inner_max)
-                and math.isfinite(u_new[0])):
+                and math.isfinite(face)):
             raise StefanError(f"non-finite temperature at t={t_new:.6g}")
-        lo = min(u_min, dirichlet, u_new[0])
-        hi = max(u_max, dirichlet, u_new[0])
+        lo = min(u_min, dirichlet, face)
+        hi = max(u_max, dirichlet, face)
         tol = 1e-10 * (1.0 + abs(hi))
         if inner_min < lo - tol or inner_max > hi + tol:
             violations += 1
 
-        u_min = min(inner_min, u_new[0], dirichlet)
-        u_max = max(inner_max, u_new[0], dirichlet)
-        u, u_new = u_new, u
+        u_min = min(inner_min, face, dirichlet)
+        u_max = max(inner_max, face, dirichlet)
+        cur, new = new, cur
         front, t = front_new, t_new
         if k + 1 in snap_at:
             times.append(t)
             fronts.append(front)
-            snaps.append(u.copy())
+            snaps.append(u_new.copy())
 
     if violations:
         warnings.warn(

@@ -197,15 +197,15 @@ def test_criterion_6_transformed_boundary_conditions(baseline_psi):
     )
 
 
-def test_criterion_7_independent_oracle(baseline_params, baseline_field):
+def test_criterion_7_independent_oracle(baseline_field):
     start = time.perf_counter()
     g = baseline_field.gamma.gamma
-    closed = solve(OracleConfig(n_xi=256, t0=0.1, t_end=1.0, dt=2e-4), baseline_params)
+    closed = solve(OracleConfig(n_xi=256, t0=0.1, t_end=1.0, dt=2e-4), baseline_field)
     gamma_err = abs(closed.gamma_estimate - g)
     errs = [
         abs(
             solve(
-                OracleConfig(n_xi=n, t0=0.1, t_end=0.5, dt=1e-5), baseline_params
+                OracleConfig(n_xi=n, t0=0.1, t_end=0.5, dt=1e-5), baseline_field
             ).gamma_estimate
             - g
         )
@@ -216,7 +216,7 @@ def test_criterion_7_independent_oracle(baseline_params, baseline_field):
         OracleConfig(
             n_xi=128, t0=0.02, t_end=4.0, dt=3e-5, seed_mode="linear_profile", s0=0.05
         ),
-        baseline_params,
+        baseline_field,
     )
     linear_dev = abs(linear.gamma_estimate - g) / g
     elapsed = time.perf_counter() - start

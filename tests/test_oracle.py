@@ -1,17 +1,23 @@
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import stefan_reciprocal as sr
+from stefan_reciprocal import oracle
 from stefan_reciprocal.oracle import OracleConfig, compare_to_closed_form, solve
 
 
 @pytest.fixture(scope="module")
-def closed_seed_run(baseline_params):
+def closed_seed_run(baseline_field):
     config = OracleConfig(n_xi=256, t0=0.1, t_end=1.0, dt=2e-4)
-    return config, solve(config, baseline_params)
+    return config, solve(config, baseline_field)
 
 
 class TestClosedFormSeed:
@@ -51,28 +57,28 @@ class TestClosedFormSeed:
 
 
 class TestRefinement:
-    def test_coupled_refinement_quarters_error(self, baseline_params, baseline_field):
+    def test_coupled_refinement_quarters_error(self, baseline_field):
         g = baseline_field.gamma.gamma
         e_coarse = abs(
             solve(
-                OracleConfig(n_xi=64, t0=0.1, t_end=0.5, dt=4e-5), baseline_params
+                OracleConfig(n_xi=64, t0=0.1, t_end=0.5, dt=4e-5), baseline_field
             ).gamma_estimate
             - g
         )
         e_fine = abs(
             solve(
-                OracleConfig(n_xi=128, t0=0.1, t_end=0.5, dt=1e-5), baseline_params
+                OracleConfig(n_xi=128, t0=0.1, t_end=0.5, dt=1e-5), baseline_field
             ).gamma_estimate
             - g
         )
         assert 2.5 <= e_coarse / e_fine <= 7.0
 
-    def test_spatial_order(self, baseline_params, baseline_field):
+    def test_spatial_order(self, baseline_field):
         g = baseline_field.gamma.gamma
         errs = [
             abs(
                 solve(
-                    OracleConfig(n_xi=n, t0=0.1, t_end=0.5, dt=1e-5), baseline_params
+                    OracleConfig(n_xi=n, t0=0.1, t_end=0.5, dt=1e-5), baseline_field
                 ).gamma_estimate
                 - g
             )
@@ -83,26 +89,26 @@ class TestRefinement:
 
 
 class TestLinearProfileSeed:
-    def test_attracted_to_similarity(self, baseline_params, baseline_field):
+    def test_attracted_to_similarity(self, baseline_field):
         g = baseline_field.gamma.gamma
         config = OracleConfig(
             n_xi=96, t0=0.02, t_end=1.0, dt=4e-5, seed_mode="linear_profile", s0=0.05
         )
-        result = solve(config, baseline_params)
+        result = solve(config, baseline_field)
         dev_start = abs(0.05 / (2 * math.sqrt(0.02)) - g) / g
         dev_end = abs(result.gamma_estimate - g) / g
         assert dev_end < 0.2 * dev_start  # transient decays
 
 
 class TestGuards:
-    def test_stability_violation(self, baseline_params):
+    def test_stability_violation(self, baseline_field):
         with pytest.raises(sr.StabilityViolation):
             solve(
                 OracleConfig(
                     n_xi=128, t0=0.02, t_end=1.0, dt=5e-4,
                     seed_mode="linear_profile", s0=0.05,
                 ),
-                baseline_params,
+                baseline_field,
             )
 
     @pytest.mark.parametrize(
@@ -131,51 +137,135 @@ class TestGuards:
         [("info", "tridiagonal solve failed"), ("nan", "non-finite temperature")],
     )
     def test_tridiagonal_failures_raise(
-        self, baseline_params, monkeypatch, fault, message
+        self, baseline_field, monkeypatch, fault, message
     ):
-        import scipy.linalg.lapack as lapack
-
-        def broken_gtsv(dl, d, du, b, **overwrite):
+        def broken_gtsv(dl, d, du, b, *overwrite):
             if fault == "info":
                 return dl, d, du, b, 1
             b[:] = math.nan
             return dl, d, du, b, 0
 
-        monkeypatch.setattr(lapack, "dgtsv", broken_gtsv)
+        monkeypatch.setattr(oracle, "_dgtsv", lambda: broken_gtsv)
         with pytest.raises(sr.StefanError, match=message):
-            solve(OracleConfig(n_xi=32, t0=0.1, t_end=0.3, dt=1e-3), baseline_params)
+            solve(OracleConfig(n_xi=32, t0=0.1, t_end=0.3, dt=1e-3), baseline_field)
+
+
+#: (OracleConfig keywords, gamma_estimate.hex(), max_cfl.hex(), digest of
+#: snapshots and fronts) at the baseline.
+PINS = [
+    (
+        {"n_xi": 32, "t0": 0.1, "t_end": 0.3, "dt": 1e-3},
+        "0x1.e604cf790ce41p-2", "0x1.47a28abd87381p-3", "5f1161f2a00c73e9",
+    ),
+    (
+        {"n_xi": 96, "t0": 0.02, "t_end": 0.2, "dt": 4e-5,
+         "seed_mode": "linear_profile", "s0": 0.05},
+        "0x1.bc272a699b9c3p-2", "0x1.160bb2fff6940p-1", "a1c519ae4e84169c",
+    ),
+    (
+        {"n_xi": 1024, "t0": 0.1, "t_end": 0.12, "dt": 5e-5},
+        "0x1.e60158b8ee067p-2", "0x1.0624dad8a8e04p-2", "d7db010ccf279673",
+    ),
+]
+
+
+def _run_fresh(script):
+    """Run ``script`` in a fresh interpreter that imports this package; its
+    last stdout line is JSON."""
+    src = str(Path(sr.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    res = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    return json.loads(res.stdout.splitlines()[-1])
 
 
 class TestBitIdentity:
     """Pinned results of the march, to the last bit."""
 
-    @pytest.mark.parametrize(
-        "kwargs, gamma_hex, cfl_hex, digest",
-        [
-            (
-                {"n_xi": 32, "t0": 0.1, "t_end": 0.3, "dt": 1e-3},
-                "0x1.e604cf790ce41p-2", "0x1.47a28abd87381p-3", "5f1161f2a00c73e9",
-            ),
-            (
-                {"n_xi": 96, "t0": 0.02, "t_end": 0.2, "dt": 4e-5,
-                 "seed_mode": "linear_profile", "s0": 0.05},
-                "0x1.bc272a699b9c3p-2", "0x1.160bb2fff6940p-1", "a1c519ae4e84169c",
-            ),
-        ],
-    )
-    def test_pinned(self, baseline_params, kwargs, gamma_hex, cfl_hex, digest):
-        result = solve(OracleConfig(**kwargs), baseline_params)
+    @pytest.mark.parametrize("kwargs, gamma_hex, cfl_hex, digest", PINS)
+    def test_pinned(self, baseline_field, kwargs, gamma_hex, cfl_hex, digest):
+        result = solve(OracleConfig(**kwargs), baseline_field)
         assert result.gamma_estimate.hex() == gamma_hex
         assert result.max_cfl.hex() == cfl_hex
         assert result.max_principle_violations == 0
         data = result.snapshots.tobytes() + result.fronts.tobytes()
         assert hashlib.sha256(data).hexdigest()[:16] == digest
 
+    def test_public_import_fallback(self):
+        """Where no _flapack file is found, the march takes dgtsv from the
+        public scipy.linalg.lapack and still gives the pinned bits."""
+        kwargs = [kw for kw, *_ in PINS]
+        script = (
+            "import hashlib, importlib.machinery, json, sys\n"
+            "import stefan_reciprocal as sr\n"
+            "from stefan_reciprocal import oracle\n"
+            "importlib.machinery.EXTENSION_SUFFIXES = []\n"
+            "field = sr.StefanField.from_params(sr.PhysicalParams(1.0, 1.0, 0.5))\n"
+            f"runs = [oracle.solve(oracle.OracleConfig(**kw), field) for kw in {kwargs!r}]\n"
+            "data = [r.snapshots.tobytes() + r.fronts.tobytes() for r in runs]\n"
+            "print(json.dumps(['scipy.linalg.lapack' in sys.modules, [\n"
+            "    [r.gamma_estimate.hex(), r.max_cfl.hex(), r.max_principle_violations,\n"
+            "     hashlib.sha256(b).hexdigest()[:16]] for r, b in zip(runs, data)]]))\n"
+        )
+        public, pins = _run_fresh(script)
+        assert public
+        assert pins == [[gamma, cfl, 0, digest] for _, gamma, cfl, digest in PINS]
+
+
+class TestGtsv:
+    """The dgtsv the march loads against the public scipy.linalg.lapack one."""
+
+    @staticmethod
+    def _march_system(n, r, rng):
+        lower = np.full(n - 1, -r)
+        upper = np.full(n - 1, -r)
+        upper[0] = -2.0 * r
+        return lower, np.full(n, 1.0 + 2.0 * r), upper, rng.uniform(-1.0, 1.0, n)
+
+    @pytest.mark.parametrize("n", [31, 127, 1023])
+    def test_same_bits_as_public(self, n):
+        """Systems of the march's shape, solved in place with positional
+        overwrite flags as the march calls it, against the public function
+        with its defaults (no overwrite)."""
+        from scipy.linalg.lapack import dgtsv
+
+        rng = np.random.default_rng(n)
+        for r in rng.uniform(0.1, 1e3, 20):
+            system = self._march_system(n, r, rng)
+            *_, expect, info = dgtsv(*system)
+            dl, d, du, b = (a.copy() for a in system)
+            got = oracle._dgtsv()(dl, d, du, b, 1, 1, 1, 1)
+            assert info == got[4] == 0
+            assert got[3] is b and b.tobytes() == expect.tobytes()
+
+    def test_singular_system_same_info(self):
+        from scipy.linalg.lapack import dgtsv
+
+        dl, d, du, b = np.ones(4), np.ones(5), np.ones(4), np.ones(5)
+        dl[1] = d[2] = du[2] = 0.0  # the third row is zero
+        info = dgtsv(dl, d, du, b)[4]
+        assert info > 0
+        assert oracle._dgtsv()(dl.copy(), d.copy(), du.copy(), b.copy(), 1, 1, 1, 1)[4] == info
+
+    def test_loaded_alone_and_shared(self):
+        """In a fresh interpreter the march loads only scipy.linalg._flapack,
+        and a later public import reuses that module."""
+        script = (
+            "import json, sys\n"
+            "from stefan_reciprocal import oracle\n"
+            "gtsv = oracle._dgtsv()\n"
+            "mods = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "import scipy.linalg.lapack as lapack\n"
+            "print(json.dumps([mods, lapack.dgtsv is gtsv]))\n"
+        )
+        assert _run_fresh(script) == [["scipy.linalg._flapack"], True]
+
 
 class TestExport:
-    def test_csv_roundtrip(self, baseline_params, tmp_path):
+    def test_csv_roundtrip(self, baseline_field, tmp_path):
         config = OracleConfig(n_xi=32, t0=0.1, t_end=0.3, dt=1e-3, n_snapshots=3)
-        result = solve(config, baseline_params)
+        result = solve(config, baseline_field)
         path = tmp_path / "snap.csv"
         result.to_csv(path)
         lines = path.read_text().splitlines()
@@ -188,9 +278,9 @@ class TestExport:
         result.to_csv(path2)
         assert path.read_bytes() == path2.read_bytes()
 
-    def test_rerun_deterministic(self, baseline_params):
+    def test_rerun_deterministic(self, baseline_field):
         config = OracleConfig(n_xi=32, t0=0.1, t_end=0.3, dt=1e-3)
-        a = solve(config, baseline_params)
-        b = solve(config, baseline_params)
+        a = solve(config, baseline_field)
+        b = solve(config, baseline_field)
         assert a.gamma_estimate == b.gamma_estimate
         assert np.array_equal(a.snapshots, b.snapshots)
