@@ -398,11 +398,6 @@ class PsiField:
         out = self._invert_array(xs, t, tol, sign, x0v, x1v, s)
         return float(out) if np.ndim(xs) == 0 else out
 
-    def psi_at(self, xs, t, tol: float = 1e-12):
-        """Psi as a function of the x* coordinate (inversion + parametric Psi)."""
-        y = self.invert_x_star(xs, t, tol)
-        return self.psi_parametric(y, t)
-
     # -- derived identities ---------------------------------------------------
 
     def h_of_t(self, t):

@@ -7,10 +7,11 @@ avoid the domain edges by a relative margin so centered stencils never leave
 the phase region; boundary conditions are checked separately at the exact
 boundary points.
 
-Time derivatives of T and x* are taken at fixed fractional position
-s = y/S(t) and corrected by the advective term s*dS/dt*(d/dy); the Psi
-equation is checked at fixed x*, which requires re-inverting the parametric
-map per call.  A grid identity evaluates all its times in one call per row.
+Time derivatives of T, x* and Psi are taken at fixed fractional position
+s = y/S(t) and corrected by the advective term s*dS/dt*(d/dy).  The Psi
+equation and the Psi boundary slopes are written on the forward map (y, t)
+through dx*/dy = 1/Psi, so only the front recovery and the inversion round
+trip invert x*.  A grid identity evaluates all its times in one call per row.
 
 The protocol is fixed.  Boundary and consistency identities are sampled at
 :data:`T_SAMPLES`, the grid spans the first to the last of them, quadratures
@@ -44,6 +45,11 @@ T_SAMPLES = (0.25, 1.0, 4.0)
 
 #: Lower end of the improper time integrals, which scale like 1/t near 0.
 T0 = 1e-8
+
+#: Steps of the boundary slopes as fractions of S(t), halving from S/4, where
+#: the 5-point stencil spans [0, S(t)], to 2^-26 ~ sqrt(eps), below which
+#: rounding costs a first difference half its digits.
+SLOPE_STEPS = 2.0 ** -np.arange(2.0, 27.0)
 
 
 @dataclass(frozen=True)
@@ -200,11 +206,12 @@ def one_sided_derivative(f, x0, h, direction):
 # ---------------------------------------------------------------------------
 
 
-def _ale_residual(identity, u, s_of, grid, tolerance, rhs):
-    """max |u_t - rhs(u, u_y, u_yy)| on the interior grid by centered differences.
+def _ale_parts(u, s_of, grid):
+    """(u_t at fixed y, u_y, u_yy, u) on the interior grid by centered differences.
 
     u_t is taken at fixed fraction y/S(t) and corrected by the advective term
-    fraction*dS/dt*u_y (the ALE stencil shared by the heat and Burgers checks).
+    fraction*dS/dt*u_y: the ALE stencil of every grid PDE check.  Each array
+    has the (n_time, n_space) shape of the grid.
     """
     fracs = grid.fractions()
     t = grid.times()[:, None]
@@ -218,51 +225,34 @@ def _ale_residual(identity, u, s_of, grid, tolerance, rhs):
     u_p, u_m, u_c = u(y + hy, t), u(y - hy, t), u(y, t)
     u_y = (u_p - u_m) / (2.0 * hy)
     u_yy = (u_p - 2.0 * u_c + u_m) / (hy * hy)
-    residual = d_ale - fracs * s_dot * u_y - rhs(u_c, u_y, u_yy)
-    return _reduce(identity, residual, tolerance, grid=grid)
+    return d_ale - fracs * s_dot * u_y, u_y, u_yy, u_c
 
 
 def heat_residual(field: StefanField, grid: GridSpec = GridSpec()):
     """max |T_t - T_yy| on the interior grid by centered differences."""
-    return _ale_residual(
-        "heat-equation", field.temperature, field.free_boundary, grid, 1e-5,
-        lambda u_c, u_y, u_yy: u_yy,
-    )
+    u_t, _, u_yy, _ = _ale_parts(field.temperature, field.free_boundary, grid)
+    return _reduce("heat-equation", u_t - u_yy, 1e-5, grid=grid)
 
 
 def burgers_residual(field: PsiField, grid: GridSpec = GridSpec()):
     """max |x*_t - x*_yy + 2*delta*x* x*_y| on the interior grid."""
-    d = field.delta
-    return _ale_residual(
-        "burgers-equation", field.x_star, field.stefan.free_boundary, grid, 1e-4,
-        lambda u_c, u_y, u_yy: u_yy - 2.0 * d * u_c * u_y,
-    )
+    u_t, u_y, u_yy, u = _ale_parts(field.x_star, field.stefan.free_boundary, grid)
+    residual = u_t - (u_yy - 2.0 * field.delta * u * u_y)
+    return _reduce("burgers-equation", residual, 1e-4, grid=grid)
 
 
 def evolution_residual(field: PsiField, grid: GridSpec = GridSpec()):
-    """max |Psi_t - d/dx*(Psi_x*/Psi^2) - 2*delta| at fixed x*.
+    """max |Psi_t - d/dx*(Psi_x*/Psi^2) - 2*delta|, on the forward map (y, t).
 
-    Psi(x*, t +/- ht) is obtained by re-inverting the parametric map at the
-    shifted times, which is what the fixed-x* time derivative requires.
+    With P(y, t) = Psi(x*(y, t), t) and dx*/dy = 1/Psi, Psi_t at fixed x* is
+    P_t - P*P_y*x*_t and d/dx*(Psi_x*/Psi^2) is P_yy - P_y^2/P, every
+    derivative taken by the ALE stencil at fixed y.  The form rests on
+    dx*/dy = 1/Psi, which :func:`reciprocal_identity_residual` checks at 1e-6.
     """
-    fracs = grid.fractions()
-    t = grid.times()[:, None]
-    x0v = field.x0(t)
-    x1v = field.x1(t)
-    width = x1v - x0v
-    hx = grid.fd_step * np.abs(width)
-    ht = grid.step_t * t
-    inv_tol = 1e-13 * np.abs(width)
-    xs = x0v + width * fracs
-    stencil = np.stack([xs - 2.0 * hx, xs - hx, xs, xs + hx, xs + 2.0 * hx])
-    psi_m2, psi_m1, psi_c, psi_p1, psi_p2 = field.psi_at(stencil, t, inv_tol)
-    psi_plus = field.psi_at(xs, t + ht, inv_tol)
-    psi_minus = field.psi_at(xs, t - ht, inv_tol)
-    psi_t = (psi_plus - psi_minus) / (2.0 * ht)
-    flux_p = (psi_p2 - psi_c) / (2.0 * hx) / (psi_p1 * psi_p1)
-    flux_m = (psi_c - psi_m2) / (2.0 * hx) / (psi_m1 * psi_m1)
-    flux_div = (flux_p - flux_m) / (2.0 * hx)
-    residual = psi_t - flux_div - 2.0 * field.delta
+    s_of = field.stefan.free_boundary
+    p_t, p_y, p_yy, p = _ale_parts(field.psi_parametric, s_of, grid)
+    x_t = _ale_parts(field.x_star, s_of, grid)[0]
+    residual = p_t - p * p_y * x_t - p_yy + p_y * p_y / p - 2.0 * field.delta
     return _reduce("source-equation", residual, 1e-3, grid=grid)
 
 
@@ -320,17 +310,30 @@ def burgers_bc_residuals(field: PsiField):
     )
 
 
-def _psi_slope(field: PsiField, t, edge, other):
-    """Psi_x* at the boundary ``edge`` of [X0*, X1*]; ``other`` is the far one.
+def _psi_slope(field: PsiField, t, front: bool):
+    """Psi_x* at X1* (``front``, y = S(t)) or at X0* (y = 0); ``t`` may be an array.
 
-    One-sided stencil of step 1e-3*|X1* - X0*| pointing into the interval,
-    through re-inversion of the parametric map.  ``t``, ``edge`` and
-    ``other`` may be arrays of the same shape.
+    By the chain rule Psi_x* = Psi*Psi_y, which rests on dx*/dy = 1/Psi
+    (checked by :func:`reciprocal_identity_residual` at 1e-6), so no x* is
+    inverted.  Psi_y is the one-sided stencil of :func:`one_sided_derivative`
+    pointing into [0, S(t)], evaluated at every step of :data:`SLOPE_STEPS`
+    in one call.  The call takes the step h whose largest Richardson estimate
+    |D(h) - D(h/2)| plus rounding term eps*|Psi|/h over its times is least.
+    One step for all times keeps the X0* integrand of :func:`psi_bc_values`
+    smooth in t; a step chosen per time jumps between neighbouring steps as
+    rounding moves the estimates, which multiplies the quadrature's panels.
     """
-    width = np.abs(other - edge)
-    return one_sided_derivative(
-        lambda xx: field.psi_at(xx, t, 1e-13 * width), edge, 1e-3 * width, other - edge
+    t = np.asarray(t, dtype=float)
+    s = field.stefan.free_boundary(t)
+    edge = s if front else 0.0 * s
+    h = SLOPE_STEPS.reshape((-1,) + (1,) * t.ndim) * s
+    psi = field.psi_parametric(edge, t)
+    slopes = one_sided_derivative(
+        lambda yy: field.psi_parametric(yy, t), edge, h, -1.0 if front else 1.0
     )
+    error = np.abs(slopes[:-1] - slopes[1:]) + np.finfo(float).eps * np.abs(psi) / h[:-1]
+    best = np.argmin(np.max(error.reshape(len(error), -1), axis=1))
+    return psi * slopes[best]
 
 
 def psi_bc_values(field: PsiField, t: float) -> dict:
@@ -349,7 +352,7 @@ def psi_bc_values(field: PsiField, t: float) -> dict:
     x0v = field.x0(t)
     x1v = field.x1(t)
     psi1 = field.psi_parametric(s_t, t)
-    psi_x1 = _psi_slope(field, t, x1v, x0v)
+    psi_x1 = _psi_slope(field, t, front=True)
     x1_dot = _d_dt(field.x1, t)
     s_dot_fd = _d_dt(field.stefan.free_boundary, t)
     c_dot_fd = _d_dt(field.c, t)
@@ -359,7 +362,7 @@ def psi_bc_values(field: PsiField, t: float) -> dict:
         """Psi_x*/Psi^3 + 2 delta X0*/Psi at X0*, the X0* integrand, on an array of tau."""
         x0_tau = field.x0(tau)
         psi0_tau = field.psi_parametric(0.0, tau)
-        px0 = _psi_slope(field, tau, x0_tau, field.x1(tau))
+        px0 = _psi_slope(field, tau, front=False)
         return px0 / psi0_tau**3 + 2.0 * d * x0_tau / psi0_tau
 
     integral = _from_t0(boundary_rate, t, 1e-11, limit=300)

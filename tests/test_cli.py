@@ -334,12 +334,12 @@ class TestBitIdentity:
             (["eval", "--field", "boundaries"], 0,
              "facc541938db5d897ac6d44c1ca1cc1be65de8a77e50dabc363ff62ac5a83f72"),
             (["verify", "--grid", "12,3", "--json", "--tm0", "0.5"], 0,
-             "7f1285251c07b07ea2c2f73d8ee1288b15e3d2a6868e5a29bf905caa2de7a87a"),
-            (["verify", "--grid", "12,3", "--json", "--tm0", "0"], 2,
-             "fd3658f3e845bf616fc29a3544420b904afa59769d4510011ed0a72fb565c762"),
+             "2344f7916bf6a734ce7268a9b8a73bed4e98a4f4d55e368c97ad3ff6897f4d9f"),
+            (["verify", "--grid", "12,3", "--json", "--tm0", "0"], 0,
+             "6f2ec404a1a4d160350b94308710a80fffe450c806b7ae83eddbe64b724e20c4"),
             # an inversion bracket reaches 16*eps*S(t) before tol here
             (["verify", "--grid", "12,3", "--json", "--q", "100", "--tm0", "0.99"], 2,
-             "e2dfdd84f91986397947d2dbcfbb85beb3e75a37c2c12bff6d2f13f27caf95cb"),
+             "70912164fc5ae97b6cb95177aedeaded79860797e4b1f932d3f43eb47ffbe040"),
             # the oracle-march workload's shapes, shortened
             (["oracle", "--q", "1.1", "--tm0", "0.3", "--n-xi", "256", "--t-end", "0.2",
               "--dt", "2e-4", "--json"], 0,

@@ -246,7 +246,7 @@ class TestInversion:
             baseline_psi.invert_x_star(10.0 * baseline_psi.x1(1.0), 1.0)
 
     @pytest.mark.parametrize("xs", [math.nan, np.array([1.5, math.nan])])
-    @pytest.mark.parametrize("method", ["invert_x_star", "psi_at"])
+    @pytest.mark.parametrize("method", ["invert_x_star"])
     def test_nan_target_refused(self, baseline_psi, method, xs):
         with pytest.raises(sr.OutOfRange):
             getattr(baseline_psi, method)(xs, 1.0)
@@ -413,27 +413,6 @@ class TestCore:
         for y, t in [(1.5 * s, 1.0), (-0.1 * s, 1.0), (np.array([0.5, 1.5]) * s, 1.0), (0.1, 0.0), (0.1, -1.0)]:
             with pytest.raises(sr.DomainError):
                 getattr(baseline_psi, method)(y, t)
-
-
-class TestPsiAt:
-    def test_boundary_values(self, baseline_psi, baseline_field):
-        t = 1.0
-        s = baseline_field.free_boundary(t)
-        assert baseline_psi.psi_at(baseline_psi.x1(t), t) == pytest.approx(
-            baseline_psi.psi_parametric(s, t), rel=1e-10
-        )
-        assert baseline_psi.psi_at(baseline_psi.x0(t), t) == pytest.approx(
-            baseline_psi.psi_parametric(0.0, t), rel=1e-10
-        )
-
-    def test_stable_under_tolerance_refinement(self, baseline_psi):
-        t = 1.0
-        xs = 0.5 * (baseline_psi.x0(t) + baseline_psi.x1(t))
-        coarse = baseline_psi.psi_at(xs, t, tol=1e-6)
-        fine = baseline_psi.psi_at(xs, t, tol=1e-10)
-        finest = baseline_psi.psi_at(xs, t, tol=1e-12)
-        assert abs(coarse - fine) <= 1e-5
-        assert abs(fine - finest) <= 1e-9
 
 
 class TestHFunction:

@@ -3,7 +3,9 @@ import pytest
 
 import stefan_reciprocal as sr
 from stefan_reciprocal.verify import (
+    T_SAMPLES,
     GridSpec,
+    _psi_slope,
     burgers_bc_values,
     burgers_residual,
     c_consistency_residual,
@@ -174,6 +176,20 @@ class TestEvolutionResidual:
         no_source = report.per_point + 2.0 * baseline_psi.delta
         assert np.allclose(no_source, 2.0 * baseline_psi.delta, atol=1e-3)
 
+    def test_detects_smooth_bump(self, baseline_field):
+        eps = 1e-3
+        field = baseline_field
+
+        class Bumped(sr.PsiField):
+            def psi_parametric(self, y, t):
+                base = sr.PsiField.psi_parametric(self, y, t)
+                s = field.free_boundary(t)
+                u = (np.asarray(y) - 0.5 * s) / (0.1 * s)
+                return base + eps * np.exp(-(u * u))
+
+        report = evolution_residual(Bumped(field), GridSpec(n_space=49, n_time=3))
+        assert not report.passed
+
 
 class TestBoundaryConditionResiduals:
     def test_stefan_bcs(self, baseline_field):
@@ -271,8 +287,9 @@ class TestSuite:
         assert ran == []
 
     def test_one_domain_check_per_field_evaluation(self, baseline_field, monkeypatch):
-        """The default suite at the baseline checks (y, t) 254 times (459 with a
-        call per time slice, 1,143 with a check per T, T_y and Theta)."""
+        """The default suite at the baseline checks (y, t) 191 times (254 with
+        the Psi checks re-inverting x*, 459 with a call per time slice, 1,143
+        with a check per T, T_y and Theta)."""
         inner, calls = sr.StefanField._check_domain, []
 
         def counting(self, y, t):
@@ -281,7 +298,35 @@ class TestSuite:
 
         monkeypatch.setattr(sr.StefanField, "_check_domain", counting)
         run_verification_suite(baseline_field)
-        assert len(calls) <= 254
+        assert len(calls) <= 191
+
+    def test_only_front_recovery_and_roundtrip_invert(self, baseline_field, monkeypatch):
+        """Every other identity reads x* and Psi on the forward map (y, t)."""
+        from stefan_reciprocal import verify
+
+        inner, calls, counts = sr.PsiField._invert_array, [], {}
+
+        def counting(self, *args):
+            calls.append(args[1])
+            return inner(self, *args)
+
+        def attributed(check):
+            def run(*args):
+                before = len(calls)
+                report = check(*args)
+                counts[report.identity] = len(calls) - before
+                return report
+
+            return run
+
+        monkeypatch.setattr(sr.PsiField, "_invert_array", counting)
+        for name in dir(verify):
+            if name.endswith(("_residual", "_residuals")):
+                monkeypatch.setattr(verify, name, attributed(getattr(verify, name)))
+        run_verification_suite(baseline_field)
+        assert len(counts) == 13
+        inverting = {identity for identity, n in counts.items() if n}
+        assert inverting == {"front-recovery", "inversion-roundtrip"}
 
     def test_json_roundtrip(self, baseline_field):
         import json
@@ -318,11 +363,11 @@ SCAN_Q = (1e-3, 0.1, 1.0, 10.0, 100.0)
 SCAN_TM0 = (-0.5, 0.0, 0.5, 0.99)
 SCAN_DELTA = (0.1, 1.0, 10.0)
 #: (q, tm0) where every identity passes at every delta of the scan.
-SCAN_PASSING = {(0.1, 0.0), (1.0, 0.5)}
+SCAN_PASSING = {(0.1, 0.0), (1.0, -0.5), (1.0, 0.0), (1.0, 0.5)}
 
 
 def test_scan_regression_floor():
-    """Every scan point ends in reports or a StefanError; six pass everything.
+    """Every scan point ends in reports or a StefanError; the pinned twelve pass everything.
 
     Only the passing points are pinned, so checker fixes can add to them.
     """
@@ -339,3 +384,34 @@ def test_scan_regression_floor():
                 assert len(reports) == 13
                 if (q, tm0) in SCAN_PASSING:
                     assert [r.identity for r in reports if not r.passed] == [], params
+
+
+@pytest.mark.parametrize("q", SCAN_Q[1:])
+def test_psi_slope_is_the_chain_rule(q):
+    """The boundary slope equals an analytic Psi*Psi_y at y = 0 and y = S(t).
+
+    Psi = delta*Theta^2/D with D = T_y*Theta + T^2, Theta_y = -T and
+    T_yy = A*exp(-eta^2)/sqrt(t), so D_y = T_yy*Theta + T*T_y.  Scan points
+    whose field is refused are skipped.
+    """
+    checked = 0
+    for tm0 in SCAN_TM0:
+        try:
+            pf = sr.PsiField(sr.StefanField.from_params(sr.PhysicalParams(q=q, l0=1.0, tm0=tm0)))
+            pf.monotone_sign
+        except (sr.NoSignChange, sr.NotMonotone):
+            continue
+        field = pf.stefan
+        for t in T_SAMPLES:
+            for front in (False, True):
+                y = field.free_boundary(t) if front else 0.0
+                temp, grad, _, _, gauss = field.profile(y, t)
+                theta = pf.theta(y, t)
+                d = grad * theta + temp * temp
+                d_y = field.amplitude * gauss / np.sqrt(t) * theta + temp * grad
+                psi = pf.delta * theta * theta / d
+                psi_y = pf.delta * theta * (-2.0 * temp * d - theta * d_y) / (d * d)
+                got = _psi_slope(pf, t, front)
+                assert abs(got - psi * psi_y) <= 1e-8 * abs(psi * psi_y), (q, tm0, t, front)
+                checked += 1
+    assert checked
