@@ -26,7 +26,11 @@ class SingularDenominator(StefanError):
 
 
 class QuadratureFailure(StefanError):
-    """Adaptive quadrature could not meet the requested error tolerance."""
+    """Adaptive quadrature missed its tolerance; ``interval`` indexes the worst integral."""
+
+    def __init__(self, message: str, interval: int = 0):
+        super().__init__(message)
+        self.interval = interval
 
 
 class OutOfRange(StefanError):

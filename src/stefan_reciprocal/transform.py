@@ -23,9 +23,10 @@ it once per field and raises NotMonotone when it is not.  The quadratures
 :func:`theta_quadrature` and :func:`c_of_t_general`, which read the field's
 T, S, dS/dt, L and Tm, are the independent oracle for the closed forms.
 
-Every integral of the package goes through :func:`quad_checked`, an adaptive
+Every integral of the package goes through :func:`quad_batch`, an adaptive
 Gauss-Kronrod (G7/K15) rule written in numpy: it integrates a batch of
-intervals at once and calls the integrand on arrays of nodes.  C(t) is
+intervals at once and calls the integrand on arrays of nodes, each labelled
+with its interval, so an integral over several times is one call.  C(t) is
 integrated in u = sqrt(tau/t), which makes the tau^(-1/2) front speed of
 sqrt(t) fronts smooth.
 """
@@ -85,10 +86,10 @@ _W_GAUSS[1::2] = _WG + _WG[-2::-1]
 _EPS = np.finfo(float).eps
 
 
-def _gk15(func, left, right):
+def _gk15(func, left, right, owner):
     """G7/K15 values, error estimates and round-off flags of the panels [left, right].
 
-    ``func`` is called once, on a flat array of the 15 nodes of every panel.
+    ``func`` is called once, on the 15 nodes of every panel and each node's ``owner``.
     A panel's error estimate is |K15 - G7|, floored at the round-off level
     50*eps*integral|f| that bisection cannot lower; panels at that floor are
     flagged.  QUADPACK's scaled estimate is not used: on an integrand whose
@@ -98,7 +99,7 @@ def _gk15(func, left, right):
     """
     half = 0.5 * (right - left)
     nodes = (0.5 * (left + right))[:, None] + half[:, None] * _NODES
-    fv = np.asarray(func(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    fv = np.asarray(func(nodes.ravel(), owner.repeat(15)), dtype=float).reshape(nodes.shape)
     # row sums rather than a matrix product, whose rounding depends on the batch
     kronrod, gauss = (fv * _W_KRONROD).sum(axis=1), (fv * _W_GAUSS).sum(axis=1)
     err = np.abs((kronrod - gauss) * half)
@@ -106,17 +107,20 @@ def _gk15(func, left, right):
     return kronrod * half, np.maximum(err, floor), err <= floor
 
 
-def quad_checked(func, a, b, quad_tol: float, limit: int = 200):
-    """Adaptive G7/K15 quadrature of ``func`` over [a, b]; a and b may be arrays.
+def quad_batch(func, a, b, quad_tol: float, limit: int = 200):
+    """Adaptive G7/K15 quadrature of ``func`` over the batch of intervals [a, b].
 
-    Every interval of the batch is integrated to max(quad_tol, |value|*quad_tol).
-    Each pass calls ``func`` once, on a 1-D array holding the nodes of all
-    live panels, and bisects the panels whose error estimate exceeds their
-    length's share of that tolerance and is not at the round-off floor.  An
-    integral stops when it meets its tolerance or when bisecting would give
-    it more than ``limit`` panels.  Raises QuadratureFailure when a final
-    error estimate is above ten times the tolerance.  A reversed interval
-    gives the negated value.
+    ``a`` and ``b`` broadcast to the batch's shape, which the result has.
+    Every interval is integrated to max(quad_tol, |value|*quad_tol).  Each
+    pass calls ``func(x, k)`` once: x holds the nodes of all live panels and
+    k the flat index in the batch of each node's interval, and it bisects
+    the panels whose error estimate exceeds their length's share of that
+    tolerance and is not at the round-off floor.  An integral stops when it
+    meets its tolerance or when bisecting would give it more than ``limit``
+    panels; its panels do not depend on the rest of the batch.  Raises
+    QuadratureFailure, naming the worst interval, when a final error
+    estimate is above ten times the tolerance.  A reversed interval gives
+    the negated value.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     lo, hi = np.minimum(a, b).ravel(), np.maximum(a, b).ravel()
@@ -125,7 +129,7 @@ def quad_checked(func, a, b, quad_tol: float, limit: int = 200):
     owner = np.flatnonzero(lo != hi)
     left, right = lo[owner], hi[owner]
     while owner.size:
-        val, err, roundoff = _gk15(func, left, right)
+        val, err, roundoff = _gk15(func, left, right, owner)
         tol = np.maximum(quad_tol, np.abs(value + np.bincount(owner, val, n)) * quad_tol)
         split = (err > tol[owner] * (right - left) / (hi - lo)[owner]) & ~roundoff
         stop = (error + np.bincount(owner, err, n) <= tol) | (
@@ -145,43 +149,49 @@ def quad_checked(func, a, b, quad_tol: float, limit: int = 200):
         worst = int(np.argmax(np.where(error <= bound, -np.inf, error)))
         raise QuadratureFailure(
             f"quadrature error estimate {error[worst]:.3e} exceeds tolerance {quad_tol:.3e}"
+            f" on [{a.flat[worst]:.6g}, {b.flat[worst]:.6g}]",
+            worst,
         )
     out = value.reshape(a.shape)
     return float(out) if out.ndim == 0 else out
 
 
-def c_of_t_general(field: StefanField, t: float, quad_tol: float = 1e-10) -> float:
+def c_of_t_general(field: StefanField, t, quad_tol: float = 1e-10):
     """C(t) = integral_0^t [L(tau) - Tm(tau)] * dS/dtau dtau by adaptive quadrature.
 
     Reads the field's latent_heat, melt_temperature and front_speed.
     Integrated in u = sqrt(tau/t), where dtau = 2*t*u du: a front speed that
     blows up like tau^(-1/2), as for sqrt(t) fronts, becomes smooth in u.
+    ``t`` may be an array, whose times form one batch; at t = 0 the interval is empty.
     """
-    if t < 0:
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
         raise DomainError("t must be >= 0")
-    if t == 0:
-        return 0.0
 
-    def integrand(u):
-        tau = t * u * u
+    def integrand(u, k):
+        t_k = t.flat[k]
+        tau = t_k * u * u
         rate = field.latent_heat(tau) - field.melt_temperature(tau)
-        return rate * field.front_speed(tau) * (2.0 * t * u)
+        return rate * field.front_speed(tau) * (2.0 * t_k * u)
 
-    return quad_checked(integrand, 0.0, 1.0, quad_tol)
+    return quad_batch(integrand, 0.0, np.where(t == 0, 0.0, 1.0), quad_tol)
 
 
-def theta_quadrature(y, t: float, field: StefanField, quad_tol: float = 1e-10):
+def theta_quadrature(y, t, field: StefanField, quad_tol: float = 1e-10):
     """Theta(y,t) = C(t) - integral_{S(t)}^{y} T(u,t) du, both by quadrature.
 
-    ``y`` may be an array: C(t) is integrated once per call and the integrals
-    of the field's temperature over every [S(t), y] form one batch.  Serves
-    as the independent oracle for :meth:`PsiField.theta`.
+    ``y`` and ``t`` may be arrays that broadcast together: C is integrated
+    once per element of ``t``, and the integrals of the field's temperature
+    over every [S(t), y] form one batch.  Serves as the independent oracle
+    for :meth:`PsiField.theta`.
     """
-    if t <= 0:
+    t = np.asarray(t, dtype=float)
+    if np.any(t <= 0):
         raise DomainError("t must be > 0")
     c_val = c_of_t_general(field, t, quad_tol)
-    return c_val - quad_checked(
-        lambda u: field.temperature(u, t), field.free_boundary(t), y, quad_tol
+    t_of = np.broadcast_to(t, np.broadcast_shapes(t.shape, np.shape(y))).ravel()
+    return c_val - quad_batch(
+        lambda u, k: field.temperature(u, t_of[k]), field.free_boundary(t), y, quad_tol
     )
 
 
@@ -429,13 +439,15 @@ class PsiField:
         """Recover S(t) as the directed integral of Psi over [X0*(t), X1*(t)].
 
         The directed integral is orientation-agnostic: when x* decreases in y
-        the boundary order and the sign of Psi flip together.
+        the boundary order and the sign of Psi flip together.  ``t`` may be an
+        array, whose times form one batch.
         """
         sign, x0v, x1v, s = self._orientation(t)
-        inv_tol = max(1e-13 * abs(x1v - x0v), 1e-15)
+        inv_tol = np.maximum(1e-13 * np.abs(x1v - x0v), 1e-15)
 
-        def integrand(sigma):
-            y = self._invert_array(sigma, t, inv_tol, sign, x0v, x1v, s)
-            return self.psi_parametric(y, t)
+        def integrand(sigma, k):
+            t_k, x0_k, x1_k, s_k, tol_k = (np.ravel(v)[k] for v in (t, x0v, x1v, s, inv_tol))
+            y = self._invert_array(sigma, t_k, tol_k, sign, x0_k, x1_k, s_k)
+            return self.psi_parametric(y, t_k)
 
-        return quad_checked(integrand, x0v, x1v, QUAD_TOL)
+        return quad_batch(integrand, x0v, x1v, QUAD_TOL)

@@ -11,7 +11,8 @@ Time derivatives of T, x* and Psi are taken at fixed fractional position
 s = y/S(t) and corrected by the advective term s*dS/dt*(d/dy).  The Psi
 equation and the Psi boundary slopes are written on the forward map (y, t)
 through dx*/dy = 1/Psi, so only the front recovery and the inversion round
-trip invert x*.  A grid identity evaluates all its times in one call per row.
+trip invert x*.  Every identity evaluates all its times at once: one call per
+stencil row or sampled quantity, and one quadrature call per integral.
 
 The protocol is fixed.  Boundary and consistency identities are sampled at
 :data:`T_SAMPLES`, the grid spans the first to the last of them, quadratures
@@ -29,19 +30,24 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidParameters
+from .errors import InvalidParameters, QuadratureFailure
 from .similarity import StefanField
 from .transform import (
     QUAD_TOL,
     PsiField,
     c_of_t_general,
     compute_boundary_coefficients,
-    quad_checked,
+    quad_batch,
     theta_quadrature,
 )
 
 #: Times at which the boundary and consistency identities are sampled.
 T_SAMPLES = (0.25, 1.0, 4.0)
+_TIMES = np.array(T_SAMPLES)
+
+#: libm's exp and log on arrays: numpy's differ from them in the last bit on some arguments.
+_exp = np.vectorize(math.exp, otypes=[float])
+_log = np.vectorize(math.log, otypes=[float])
 
 #: Lower end of the improper time integrals, which scale like 1/t near 0.
 T0 = 1e-8
@@ -129,7 +135,17 @@ class ResidualReport:
         return json.dumps(self.as_record(), sort_keys=True)
 
 
-def _reduce(identity, residuals, tolerance, grid=None, t_samples=None, details=None):
+def _reduce(identity, residuals, tolerance, grid=None):
+    """Norms of ``residuals``: an array on ``grid``, or named residuals at T_SAMPLES.
+
+    Named residuals have a first axis over T_SAMPLES and are kept in details;
+    the residual vector lists each time's entries in order, name by name.
+    """
+    details = None
+    if isinstance(residuals, dict):
+        details = {name: np.asarray(v).tolist() for name, v in residuals.items()}
+        rows = [np.reshape(v, (len(T_SAMPLES), -1)) for v in residuals.values()]
+        residuals = np.column_stack(rows).ravel()
     residuals = np.asarray(residuals, dtype=float)
     max_abs = float(np.max(np.abs(residuals)))
     l2 = float(np.sqrt(np.mean(residuals * residuals)))
@@ -140,49 +156,36 @@ def _reduce(identity, residuals, tolerance, grid=None, t_samples=None, details=N
         l2=l2,
         tolerance=tolerance,
         passed=max_abs <= tolerance,
-        t_samples=t_samples,
+        t_samples=None if details is None else T_SAMPLES,
         details=details,
         per_point=residuals,
     )
 
 
-def _rel(lhs, rhs) -> float:
-    """|lhs - rhs| relative to max(1, |lhs|, |rhs|)."""
-    return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+def _rel(lhs, rhs):
+    """|lhs - rhs| relative to max(1, |lhs|, |rhs|), elementwise."""
+    return abs(lhs - rhs) / np.maximum(1.0, np.maximum(abs(lhs), abs(rhs)))
 
 
-def _reduce_rows(identity, values, tolerance):
-    """Reduce the rows ``values(t)`` over T_SAMPLES, kept in details.
-
-    A row is a dict of named residuals, a list of residuals or one number;
-    the residual vector lists each row's entries in order, t by t.
-    """
-    rows = [values(t) for t in T_SAMPLES]
-    flat = [
-        np.ravel(list(row.values()) if isinstance(row, dict) else row) for row in rows
-    ]
-    return _reduce(
-        identity,
-        np.concatenate(flat),
-        tolerance,
-        t_samples=T_SAMPLES,
-        details={f"t={t:g}": row for t, row in zip(T_SAMPLES, rows)},
-    )
 
 
-def _d_dt(f, t: float) -> float:
+def _d_dt(f, t):
     """df/dt at t by a centered difference of step 1e-6*t."""
     hc = 1e-6 * t
     return (f(t + hc) - f(t - hc)) / (2.0 * hc)
 
 
-def _from_t0(rate, t: float, quad_tol: float, limit: int = 200) -> float:
-    """integral_{T0}^{t} rate(tau) dtau, integrated in u = log(tau).
+def _from_t0(rate, t, quad_tol: float, limit: int = 200):
+    """integral_{T0}^{t} rate(tau, k) dtau at every element of ``t``, in u = log(tau).
 
-    ``rate`` receives an array of tau.
+    ``rate`` receives an array of tau and the flat index k in ``t`` of the
+    integral each tau belongs to.  A QuadratureFailure names its t.
     """
-    lo, hi = math.log(T0), math.log(t)
-    return quad_checked(lambda u: rate(np.exp(u)) * np.exp(u), lo, hi, quad_tol, limit)
+    lo, hi = math.log(T0), _log(t)
+    try:
+        return quad_batch(lambda u, k: rate(np.exp(u), k) * np.exp(u), lo, hi, quad_tol, limit)
+    except QuadratureFailure as exc:
+        raise QuadratureFailure(f"{exc} at t={np.ravel(t)[exc.interval]:g}", exc.interval) from exc
 
 
 def one_sided_derivative(f, x0, h, direction):
@@ -265,21 +268,18 @@ def stefan_bc_residuals(field: StefanField):
     """Relative residuals of the three closed-form boundary identities."""
     p = field.params
     g = field.gamma.gamma
-
-    def row(t):
-        s_t = field.free_boundary(t)
-        tm = p.tm0 * math.sqrt(t)
-        return [
-            abs(field.temperature(s_t, t) - tm) / (1.0 + abs(tm)),
-            abs(field.temperature_gradient(0.0, t) + p.q) / p.q,
-            abs(field.temperature_gradient(s_t, t) + p.l0 * g) / p.l0,
-        ]
-
-    return _reduce_rows("stefan-boundary-conditions", row, 1e-11)
+    s_t = field.free_boundary(_TIMES)
+    tm = p.tm0 * np.sqrt(_TIMES)
+    columns = {
+        "T(S)": abs(field.temperature(s_t, _TIMES) - tm) / (1.0 + abs(tm)),
+        "T_y(0)": abs(field.temperature_gradient(0.0, _TIMES) + p.q) / p.q,
+        "T_y(S)": abs(field.temperature_gradient(s_t, _TIMES) + p.l0 * g) / p.l0,
+    }
+    return _reduce("stefan-boundary-conditions", columns, 1e-11)
 
 
-def burgers_bc_values(field: PsiField, t: float) -> dict:
-    """Normalized residuals of the transformed boundary conditions at one time."""
+def burgers_bc_values(field: PsiField, t) -> dict:
+    """Normalized residuals of the transformed boundary conditions; ``t`` may be an array."""
     d = field.delta
     s_t = field.stefan.free_boundary(t)
     c_t = field.c(t)
@@ -293,35 +293,34 @@ def burgers_bc_values(field: PsiField, t: float) -> dict:
     h = 1e-5 * s_t
     xy_front = one_sided_derivative(lambda yy: field.x_star(yy, t), s_t, h, -1.0)
     xy_face = one_sided_derivative(lambda yy: field.x_star(yy, t), 0.0, h, +1.0)
-    exponent = d * quad_checked(lambda u: field.x_star(u, t), s_t, 0.0, QUAD_TOL)
+    exponent = d * quad_batch(lambda u, k: field.x_star(u, np.ravel(t)[k]), s_t, 0.0, QUAD_TOL)
     q = -field.stefan.temperature_gradient(0.0, 1.0)  # flux magnitude at the fixed face
     return {
         "b6": _rel(c_dot, (lat - tm) * s_dot),
         "b7": _rel(xy_front - d * x1v * x1v, -lat * s_dot / (d * c_t)),
         "b8": _rel(x1v, tm / (d * c_t)),
-        "b9": _rel(xy_face - d * x0v * x0v, -q * math.exp(exponent) / (d * c_t)),
+        "b9": _rel(xy_face - d * x0v * x0v, -q * _exp(exponent) / (d * c_t)),
     }
 
 
 def burgers_bc_residuals(field: PsiField):
     """Aggregate residual of the transformed conditions at the sampled times."""
-    return _reduce_rows(
-        "burgers-boundary-conditions", lambda t: burgers_bc_values(field, t), 1e-6
-    )
+    return _reduce("burgers-boundary-conditions", burgers_bc_values(field, _TIMES), 1e-6)
 
 
-def _psi_slope(field: PsiField, t, front: bool):
+def _psi_slope(field: PsiField, t, front: bool, group=0):
     """Psi_x* at X1* (``front``, y = S(t)) or at X0* (y = 0); ``t`` may be an array.
 
     By the chain rule Psi_x* = Psi*Psi_y, which rests on dx*/dy = 1/Psi
     (checked by :func:`reciprocal_identity_residual` at 1e-6), so no x* is
     inverted.  Psi_y is the one-sided stencil of :func:`one_sided_derivative`
     pointing into [0, S(t)], evaluated at every step of :data:`SLOPE_STEPS`
-    in one call.  The call takes the step h whose largest Richardson estimate
-    |D(h) - D(h/2)| plus rounding term eps*|Psi|/h over its times is least.
-    One step for all times keeps the X0* integrand of :func:`psi_bc_values`
-    smooth in t; a step chosen per time jumps between neighbouring steps as
-    rounding moves the estimates, which multiplies the quadrature's panels.
+    in one call.  ``group`` labels the elements of ``t`` with small ints (one
+    group by default); each group takes the step h whose largest Richardson
+    estimate |D(h) - D(h/2)| plus rounding term eps*|Psi|/h is least.  One
+    step per integral keeps the X0* integrand of :func:`psi_bc_values` smooth
+    in t; a step chosen per node jumps between neighbouring steps as rounding
+    moves the estimates, which multiplies the quadrature's panels.
     """
     t = np.asarray(t, dtype=float)
     s = field.stefan.free_boundary(t)
@@ -332,17 +331,20 @@ def _psi_slope(field: PsiField, t, front: bool):
         lambda yy: field.psi_parametric(yy, t), edge, h, -1.0 if front else 1.0
     )
     error = np.abs(slopes[:-1] - slopes[1:]) + np.finfo(float).eps * np.abs(psi) / h[:-1]
-    best = np.argmin(np.max(error.reshape(len(error), -1), axis=1))
-    return psi * slopes[best]
+    group = np.broadcast_to(group, t.shape).ravel()
+    worst = np.zeros((len(error), group.max() + 1))
+    np.maximum.at(worst, (slice(None), group), error.reshape(len(error), -1))
+    best = np.argmin(worst, axis=0)[group].reshape(t.shape)
+    return psi * np.take_along_axis(slopes, best[None], axis=0)[0]
 
 
-def psi_bc_values(field: PsiField, t: float) -> dict:
-    """Normalized residuals of the source-equation boundary system at one time.
+def psi_bc_values(field: PsiField, t) -> dict:
+    """Normalized residuals of the source-equation boundary system; ``t`` may be an array.
 
     Includes the reconstruction of dS/dt from the Psi side, the two
     free-boundary conditions and the X0* integral identity (integrated from
-    T0 after the substitution tau = e^u).  The flux identity is checked by
-    :func:`h_ratio_value`.
+    T0 after the substitution tau = e^u).  Each time takes the slope steps
+    of a call at that time alone.  The flux identity is :func:`h_ratio_value`.
     """
     d = field.delta
     s_t = field.stefan.free_boundary(t)
@@ -352,17 +354,17 @@ def psi_bc_values(field: PsiField, t: float) -> dict:
     x0v = field.x0(t)
     x1v = field.x1(t)
     psi1 = field.psi_parametric(s_t, t)
-    psi_x1 = _psi_slope(field, t, front=True)
+    psi_x1 = _psi_slope(field, t, front=True, group=np.arange(np.size(t)).reshape(np.shape(t)))
     x1_dot = _d_dt(field.x1, t)
     s_dot_fd = _d_dt(field.stefan.free_boundary, t)
     c_dot_fd = _d_dt(field.c, t)
     s_dot_rec = psi1 * x1_dot + psi_x1 / (psi1 * psi1) + 2.0 * d * x1v
 
-    def boundary_rate(tau):
+    def boundary_rate(tau, k):
         """Psi_x*/Psi^3 + 2 delta X0*/Psi at X0*, the X0* integrand, on an array of tau."""
         x0_tau = field.x0(tau)
         psi0_tau = field.psi_parametric(0.0, tau)
-        px0 = _psi_slope(field, tau, front=False)
+        px0 = _psi_slope(field, tau, front=False, group=k)
         return px0 / psi0_tau**3 + 2.0 * d * x0_tau / psi0_tau
 
     integral = _from_t0(boundary_rate, t, 1e-11, limit=300)
@@ -371,26 +373,24 @@ def psi_bc_values(field: PsiField, t: float) -> dict:
         "c4i": _rel(1.0 / psi1 - d * x1v * x1v, -lat / (d * c_t) * s_dot_rec),
         "c4iii": _rel(c_dot_fd, (lat - tm) * s_dot_rec),
         "esepunto": _rel(s_dot_rec, s_dot_fd),
-        "c5": abs(x0v - (field.x0(T0) - integral)) / max(1.0, abs(x0v)),
+        "c5": abs(x0v - (field.x0(T0) - integral)) / np.maximum(1.0, abs(x0v)),
     }
 
 
-def h_ratio_value(field: PsiField, t: float) -> float:
+def h_ratio_value(field: PsiField, t):
     """|exp(int_{T0}^{t} H) - P(t)/P(T0)| with P(t) = exp(-delta*int_0^S x* dy).
 
     The time integral of H is improper at 0 (H scales like 1/t), so the
     identity is checked in ratio form from T0 after the substitution
-    tau = e^u; absolute integration constants are never asserted.
+    tau = e^u; absolute integration constants are never asserted.  ``t`` may
+    be an array; log P is integrated at its times and T0 in one call.
     """
-    d = field.delta
-
-    def log_p(tau):
-        return -d * quad_checked(
-            lambda u: field.x_star(u, tau), 0.0, field.stefan.free_boundary(tau), QUAD_TOL
-        )
-
-    h_integral = _from_t0(field.h_of_t, t, 1e-9)
-    return abs(math.exp(h_integral) - math.exp(log_p(t) - log_p(T0)))
+    times = np.append(t, T0)
+    log_p = -field.delta * quad_batch(
+        lambda u, k: field.x_star(u, times[k]), 0.0, field.stefan.free_boundary(times), QUAD_TOL
+    )
+    h_integral = _from_t0(lambda tau, _: field.h_of_t(tau), t, 1e-9)
+    return abs(_exp(h_integral) - _exp(log_p[:-1].reshape(np.shape(t)) - log_p[-1]))
 
 
 def psi_bc_residuals(field: PsiField):
@@ -399,16 +399,12 @@ def psi_bc_residuals(field: PsiField):
     The flux identity (checked in ratio form, tighter tolerance) is reported
     separately by :func:`h_ratio_residual`.
     """
-    return _reduce_rows(
-        "psi-boundary-conditions", lambda t: psi_bc_values(field, t), 1e-5
-    )
+    return _reduce("psi-boundary-conditions", psi_bc_values(field, _TIMES), 1e-5)
 
 
 def h_ratio_residual(field: PsiField):
     """Flux identity in ratio form at the sampled times; see h_ratio_value."""
-    return _reduce_rows(
-        "source-ratio-identity", lambda t: h_ratio_value(field, t), 1e-6
-    )
+    return _reduce("source-ratio-identity", {"ratio": h_ratio_value(field, _TIMES)}, 1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -431,58 +427,45 @@ def theta_consistency_residual(
     field: PsiField, grid: GridSpec = GridSpec(), quad_tol: float = QUAD_TOL
 ):
     """Closed-form Theta against the quadrature oracle on the grid."""
-    fracs = grid.fractions()
-    rows = []
-    for t in grid.times():
-        s_t = field.stefan.free_boundary(t)
-        closed = field.theta(fracs * s_t, t)
-        rows.append(closed - theta_quadrature(fracs * s_t, t, field.stefan, quad_tol))
-    return _reduce("theta-consistency", np.array(rows), 1e-9, grid=grid)
+    t = grid.times()[:, None]
+    y = grid.fractions() * field.stefan.free_boundary(t)
+    residual = field.theta(y, t) - theta_quadrature(y, t, field.stefan, quad_tol)
+    return _reduce("theta-consistency", residual, 1e-9, grid=grid)
 
 
 def c_consistency_residual(field: PsiField):
     """Quadrature C(t) against the closed linear form."""
-    return _reduce_rows(
-        "c-consistency",
-        lambda t: c_of_t_general(field.stefan, t, 1e-12) - field.c(t),
-        1e-10,
-    )
+    c_quad = c_of_t_general(field.stefan, _TIMES, 1e-12)
+    return _reduce("c-consistency", {"C": c_quad - field.c(_TIMES)}, 1e-10)
 
 
 def boundary_consistency_residual(field: StefanField):
     """Parametric boundaries against the coefficient forms C0,C1/(delta*sqrt(t))."""
     pf = PsiField(field)
     coeffs = compute_boundary_coefficients(field.params, field.gamma.gamma)
-
-    def row(t):
-        scale = pf.delta * math.sqrt(t)
-        # with tm0 = 0 both sides vanish identically; compare absolutely then
-        x1_dev = abs(pf.x1(t) * scale - coeffs.c1)
-        return [
-            abs(pf.x0(t) * scale - coeffs.c0) / abs(coeffs.c0),
-            x1_dev / abs(coeffs.c1) if coeffs.c1 != 0.0 else x1_dev,
-        ]
-
-    return _reduce_rows("boundary-consistency", row, 1e-10)
+    scale = pf.delta * np.sqrt(_TIMES)
+    # with tm0 = 0 both sides vanish identically; compare absolutely then
+    x1_dev = np.abs(pf.x1(_TIMES) * scale - coeffs.c1)
+    columns = {
+        "X0*": np.abs(pf.x0(_TIMES) * scale - coeffs.c0) / abs(coeffs.c0),
+        "X1*": x1_dev / abs(coeffs.c1) if coeffs.c1 != 0.0 else x1_dev,
+    }
+    return _reduce("boundary-consistency", columns, 1e-10)
 
 
 def s_recovery_residual(field: PsiField):
     """|s_from_psi(t) - S(t)| / sqrt(t): the inverse-direction front recovery."""
-    return _reduce_rows(
-        "front-recovery",
-        lambda t: (field.s_from_psi(t) - field.stefan.free_boundary(t)) / math.sqrt(t),
-        1e-7,
-    )
+    error = field.s_from_psi(_TIMES) - field.stefan.free_boundary(_TIMES)
+    return _reduce("front-recovery", {"S": error / np.sqrt(_TIMES)}, 1e-7)
 
 
 def roundtrip_residual(field: PsiField):
     """|invert_x_star(x*(y,t), t) - y| / S(t) at the fractions 0.1, 0.5, 0.9."""
-    t = np.array(T_SAMPLES)[:, None]
+    t = _TIMES[:, None]
     s_t = field.stefan.free_boundary(t)
     ys = np.array([0.1, 0.5, 0.9]) * s_t
     back = field.invert_x_star(field.x_star(ys, t), t, tol=1e-12)
-    rows = dict(zip(T_SAMPLES, (back - ys) / s_t))
-    return _reduce_rows("inversion-roundtrip", rows.get, 1e-9)
+    return _reduce("inversion-roundtrip", {"y": (back - ys) / s_t}, 1e-9)
 
 
 def run_verification_suite(field: StefanField, grid: GridSpec = GridSpec()) -> list:

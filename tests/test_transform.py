@@ -6,7 +6,7 @@ import pytest
 
 import stefan_reciprocal as sr
 from stefan_reciprocal import transform
-from stefan_reciprocal.transform import quad_checked
+from stefan_reciprocal.transform import quad_batch
 
 # frozen from a 50-digit evaluation at the baseline parameters
 C0_BASELINE = 1.1906543169306761504
@@ -424,13 +424,13 @@ class TestHFunction:
 
     def test_exponential_identity(self, baseline_psi, baseline_field):
         t0, t = 0.5, 2.0
-        h_int = quad_checked(lambda u: baseline_psi.h_of_t(u), t0, t, 1e-9)
+        h_int = quad_batch(lambda u, _: baseline_psi.h_of_t(u), t0, t, 1e-9)
         d = baseline_psi.delta
 
         def log_p(tau):
             s = baseline_field.free_boundary(tau)
-            return -d * quad_checked(
-                lambda u: baseline_psi.x_star(u, tau), 0.0, s, 1e-11
+            return -d * quad_batch(
+                lambda u, _: baseline_psi.x_star(u, tau), 0.0, s, 1e-11
             )
 
         assert abs(math.exp(h_int) - math.exp(log_p(t) - log_p(t0))) <= 1e-6
@@ -535,32 +535,49 @@ class TestSingularities:
 
 class TestQuadrature:
     def test_reversed_interval_negates(self):
-        forward = quad_checked(np.exp, 0.2, 1.7, 1e-12)
-        assert quad_checked(np.exp, 1.7, 0.2, 1e-12) == -forward
+        forward = quad_batch(lambda x, _: np.exp(x), 0.2, 1.7, 1e-12)
+        assert quad_batch(lambda x, _: np.exp(x), 1.7, 0.2, 1e-12) == -forward
         assert forward == pytest.approx(math.exp(1.7) - math.exp(0.2), rel=1e-14)
 
     def test_empty_interval_is_zero(self):
         calls = []
 
-        def f(x):
+        def f(x, _):
             calls.append(x)
             return np.ones_like(x)
 
-        assert quad_checked(f, 0.5, 0.5, 1e-10) == 0.0
+        assert quad_batch(f, 0.5, 0.5, 1e-10) == 0.0
         assert calls == []
 
     def test_batch_matches_one_at_a_time(self):
-        def f(x):
+        """Each integral of a batch is bit for bit the one it gives alone,
+        also when the integrand reads its parameters at k."""
+        def f(x, _):
             return np.exp(np.sin(5.0 * x)) / (1.0 + x * x)
 
         ends = np.array([-2.0, -0.3, 0.0, 0.4, 1.1, 3.0, 7.5])
-        batch = quad_checked(f, 0.1, ends, 1e-12)
-        single = [quad_checked(f, 0.1, b, 1e-12) for b in ends]
+        batch = quad_batch(f, 0.1, ends, 1e-12)
+        single = [quad_batch(f, 0.1, b, 1e-12) for b in ends]
         assert batch.shape == ends.shape
-        assert np.max(np.abs(batch - single)) <= 1e-14
+        assert batch.tolist() == single
+
+        freq = np.array([[0.5, 3.0, 10.0], [1.0, 7.0, 20.0]])
+        batch = quad_batch(lambda x, k: np.cos(freq.flat[k] * x * x), 0.0, 2.0 + 0.0 * freq, 1e-12)
+        single = [
+            quad_batch(lambda x, _: np.cos(w * x * x), 0.0, 2.0, 1e-12) for w in freq.ravel()
+        ]
+        assert batch.shape == freq.shape
+        assert batch.ravel().tolist() == single
+
+    def test_failure_names_the_worst_interval(self):
+        """One bad interval in a batch: the failure gives its bounds and index."""
+        freq = np.array([1.0, 1e4, 2.0])
+        with pytest.raises(sr.QuadratureFailure, match=r"on \[0, 3\]") as info:
+            quad_batch(lambda x, k: np.sin(freq[k] * x * x), 0.0, [1.0, 3.0, 2.0], 1e-13, limit=8)
+        assert info.value.interval == 1
 
     def test_integrable_endpoint_singularity(self):
-        value = quad_checked(lambda x: x**-0.5, 0.0, 1.0, 1e-13)
+        value = quad_batch(lambda x, _: x**-0.5, 0.0, 1.0, 1e-13)
         assert abs(value - 2.0) <= 1e-12 * 2.0
 
     def test_singular_theta_handle_c_is_exact(self):
@@ -569,15 +586,15 @@ class TestQuadrature:
         assert abs(pf.c(1.0) - 1.0) <= 1e-13
 
     def test_failure_when_limit_binds(self):
-        def f(x):
+        def f(x, _):
             return x**-0.5
 
-        assert quad_checked(f, 0.0, 1.0, 1e-10) == pytest.approx(2.0, rel=1e-10)
+        assert quad_batch(f, 0.0, 1.0, 1e-10) == pytest.approx(2.0, rel=1e-10)
         with pytest.raises(sr.QuadratureFailure):
-            quad_checked(f, 0.0, 1.0, 1e-10, limit=10)
+            quad_batch(f, 0.0, 1.0, 1e-10, limit=10)
 
 
 def test_quad_checked_failure():
     with pytest.raises(sr.QuadratureFailure):
         # highly oscillatory integrand with a tiny subdivision budget
-        quad_checked(lambda x: np.sin(1e4 * x * x), 0.0, 3.0, 1e-13, limit=1)
+        quad_batch(lambda x, _: np.sin(1e4 * x * x), 0.0, 3.0, 1e-13, limit=1)

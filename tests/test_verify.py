@@ -287,9 +287,10 @@ class TestSuite:
         assert ran == []
 
     def test_one_domain_check_per_field_evaluation(self, baseline_field, monkeypatch):
-        """The default suite at the baseline checks (y, t) 191 times (254 with
-        the Psi checks re-inverting x*, 459 with a call per time slice, 1,143
-        with a check per T, T_y and Theta)."""
+        """The default suite at the baseline checks (y, t) 81 times (191 with a
+        quadrature call per sampled time, 254 with the Psi checks re-inverting
+        x*, 459 with a call per time slice, 1,143 with a check per T, T_y and
+        Theta)."""
         inner, calls = sr.StefanField._check_domain, []
 
         def counting(self, y, t):
@@ -298,7 +299,23 @@ class TestSuite:
 
         monkeypatch.setattr(sr.StefanField, "_check_domain", counting)
         run_verification_suite(baseline_field)
-        assert len(calls) <= 191
+        assert len(calls) <= 81
+
+    def test_one_quadrature_call_per_integral(self, baseline_field, monkeypatch):
+        """The default suite at the baseline integrates in 8 calls, each
+        integral over all its times at once (31 with a call per sampled time)."""
+        from stefan_reciprocal import transform, verify
+
+        inner, calls = transform.quad_batch, []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1:3])
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(transform, "quad_batch", counting)
+        monkeypatch.setattr(verify, "quad_batch", counting)
+        run_verification_suite(baseline_field)
+        assert len(calls) <= 8
 
     def test_only_front_recovery_and_roundtrip_invert(self, baseline_field, monkeypatch):
         """Every other identity reads x* and Psi on the forward map (y, t)."""
@@ -356,6 +373,37 @@ def test_grid_rows_do_not_depend_on_other_times(q, tm0):
         one = check(arg, GridSpec(n_time=1)).per_point
         assert three.shape == (3, 50) and one.shape == (1, 50)
         np.testing.assert_array_equal(three[0], one[0])
+
+
+@pytest.mark.parametrize("q, tm0", [(1.0, 0.5), (100.0, 0.99)])
+def test_array_t_is_per_t_bit_for_bit(q, tm0):
+    """Each function that takes an array t gives at each time the bits of a
+    call at that time alone; a scalar t gives a float or a dict of floats."""
+    field = sr.StefanField.from_params(sr.PhysicalParams(q=q, l0=1.0, tm0=tm0))
+    pf = sr.PsiField(field)
+    t = np.array(T_SAMPLES)
+    scalar_valued = {
+        "c_of_t_general": lambda time: sr.c_of_t_general(field, time),
+        "s_from_psi": pf.s_from_psi,
+        "h_ratio_value": lambda time: h_ratio_value(pf, time),
+    }
+    for name, fn in scalar_valued.items():
+        singles = [fn(time) for time in T_SAMPLES]
+        assert all(isinstance(v, float) for v in singles), name
+        assert fn(t).tolist() == singles, name
+    for values in (burgers_bc_values, psi_bc_values):
+        batch = values(pf, t)
+        for i, time in enumerate(T_SAMPLES):
+            single = values(pf, time)
+            assert all(isinstance(v, float) for v in single.values())
+            assert {k: v[i] for k, v in batch.items()} == single, (values.__name__, time)
+    ys = np.linspace(0.1, 0.9, 5) * field.free_boundary(t[:, None])
+    theta = sr.theta_quadrature(ys, t[:, None], field)
+    for y, time, row in zip(ys, T_SAMPLES, theta):
+        assert row.tolist() == sr.theta_quadrature(y, time, field).tolist()
+    for front in (True, False):
+        grouped = _psi_slope(pf, t, front, group=np.arange(t.size))
+        assert grouped.tolist() == [_psi_slope(pf, time, front) for time in T_SAMPLES]
 
 
 #: The 60-point scan of the ROADMAP: l0 = 1, default identities at 12x3.
