@@ -252,11 +252,7 @@ def cmd_eval(args) -> int:
             rows = np.column_stack((t_values, field.free_boundary(t_values)))
         elif args.field == "H":
             header = ["t", "H"]
-            # per t: tm**3 on an array is numpy's power, not libm's pow, and
-            # changes the noise digits of H, a cancellation to rounding
-            rows = np.column_stack(
-                (t_values, [psi_field.h_of_t(ti) for ti in t_values])
-            )
+            rows = np.column_stack((t_values, psi_field.h_of_t(t_values)))
         else:
             header = ["t", "S", "X0", "X1"]
             rows = np.column_stack(

@@ -40,6 +40,9 @@ SEED_MODES = ("closed_form", "linear_profile")
 
 #: Largest march accepted, in time steps ceil((t_end - t0)/dt).
 MAX_STEPS = 10**8
+#: Snapshots kept, evenly spaced in steps from t0 to t_end inclusive; a march
+#: of fewer than N_SNAPSHOTS - 1 steps keeps one per step and t0.
+N_SNAPSHOTS = 11
 
 
 @dataclass(frozen=True)
@@ -50,7 +53,6 @@ class OracleConfig:
     dt: float = 2e-4  # requested step; shrunk to divide t_end - t0 exactly
     seed_mode: str = "closed_form"
     s0: float = 0.05  # initial front for linear_profile seeding
-    n_snapshots: int = 11
 
     def __post_init__(self):
         for name in ("t0", "t_end", "dt", "s0"):
@@ -72,8 +74,6 @@ class OracleConfig:
             raise InvalidParameters(f"seed_mode must be one of {SEED_MODES}")
         if self.seed_mode == "linear_profile" and not self.s0 > 0:
             raise InvalidParameters("s0 must be > 0 for linear_profile seeding")
-        if self.n_snapshots < 2:
-            raise InvalidParameters("n_snapshots must be >= 2")
 
 
 @dataclass
@@ -82,10 +82,9 @@ class OracleResult:
     xi: np.ndarray
     times: np.ndarray  # snapshot times
     fronts: np.ndarray  # S_num at snapshot times
-    snapshots: np.ndarray  # temperatures, shape (n_snapshots, n_xi + 1)
+    snapshots: np.ndarray  # u at each snapshot time, shape (len(times), n_xi + 1)
     gamma_estimate: float  # S_num(t_end) / (2*sqrt(t_end))
     steps: int
-    effective_dt: float
     max_cfl: float
     max_principle_violations: int
 
@@ -138,10 +137,12 @@ def solve(config: OracleConfig, field: StefanField) -> OracleResult:
 
     q, l0 and tm0 come from ``field.params``; the closed_form seed is
     ``field``'s own temperature, so a field built at another root tolerance
-    seeds from that root.  Each step calls LAPACK gtsv (``_dgtsv``) on
-    buffers that it overwrites in place: the three diagonals are refilled,
-    the advection term goes into preallocated arrays, and the two
-    temperature buffers swap roles, so a step allocates no array.
+    seeds from that root.  The march keeps one temperature array u of
+    n_xi + 1 values.  Each step adds the advection term to u, then LAPACK
+    gtsv (``_dgtsv``) overwrites the first n_xi values of u with the
+    implicit solve, and u[n_xi] takes the melt-face value.  The diagonals
+    and the advection term live in preallocated arrays that are refilled,
+    so a step allocates no array.
     """
     dgtsv = _dgtsv()
     n = config.n_xi
@@ -160,9 +161,7 @@ def solve(config: OracleConfig, field: StefanField) -> OracleResult:
     span = config.t_end - config.t0
     steps = max(1, int(math.ceil(span / config.dt - 1e-12)))
     dt = span / steps
-    snap_at = set(
-        np.round(np.linspace(0, steps, config.n_snapshots)).astype(int).tolist()
-    )
+    snap_at = set(np.round(np.linspace(0, steps, N_SNAPSHOTS)).astype(int).tolist())
 
     times, fronts, snaps = [config.t0], [front], [u.copy()]
     t = config.t0
@@ -174,17 +173,11 @@ def solve(config: OracleConfig, field: StefanField) -> OracleResult:
     advect = np.empty(n - 1)
     du = np.empty(n - 1)
     xi_inner = xi[1:n]
-
-    def views(buf):
-        # whole, gtsv right-hand side, interior, and the centred-difference pair
-        return buf, buf[:n], buf[1:n], buf[2 : n + 1], buf[: n - 1]
-
-    cur, new = views(u), views(np.empty(n + 1))
+    # gtsv's right-hand side and solution, the interior, the centred-difference pair
+    head, inner, up, down = u[:n], u[1:n], u[2:], u[: n - 1]
     u_min, u_max = float(u.min()), float(u.max())
 
     for k in range(steps):
-        u, u_head, _, u_up, u_down = cur
-        u_new, rhs, inner, _, _ = new
         grad_front = (3.0 * u.item(n) - 4.0 * u.item(n - 1) + u.item(n - 2)) / two_dxi
         s_dot = -grad_front / (front * l0 * math.sqrt(t))
         cfl = abs(s_dot) / front * dt / dxi
@@ -197,15 +190,14 @@ def solve(config: OracleConfig, field: StefanField) -> OracleResult:
         if front_new <= front:
             raise NonmonotoneFront(f"front stalled at t={t:.6g}")
 
-        # gtsv overwrites the right-hand side with the solution, so the
-        # interior of the new buffer starts as the right-hand side.  The
+        # The centred difference reads u before the step writes to it.  The
         # advection term keeps the association order of
         # dt * (xi*s_dot/front) * (u[2:] - u[:-2]) / (2*dxi).
-        np.copyto(rhs, u_head)
+        np.subtract(up, down, out=du)
         np.multiply(xi_inner, s_dot, out=advect)
         advect /= front
         np.multiply(dt, advect, out=advect)
-        advect *= np.subtract(u_up, u_down, out=du)
+        advect *= du
         advect /= two_dxi
         inner += advect
 
@@ -216,17 +208,17 @@ def solve(config: OracleConfig, field: StefanField) -> OracleResult:
         upper.fill(-r)
         lower.fill(-r)
         upper[0] = -2.0 * r
-        rhs[0] += 2.0 * r * dxi * q * front_new
-        rhs[n - 1] += r * dirichlet
-        info = dgtsv(lower, diag, upper, rhs, 1, 1, 1, 1)[4]
+        u[0] += 2.0 * r * dxi * q * front_new
+        u[n - 1] += r * dirichlet
+        info = dgtsv(lower, diag, upper, head, 1, 1, 1, 1)[4]
         if info != 0:
             raise StefanError(
                 f"tridiagonal solve failed (gtsv info={info}) at t={t_new:.6g}"
             )
-        u_new[n] = dirichlet
+        u[n] = dirichlet
 
         inner_min, inner_max = float(inner.min()), float(inner.max())
-        face = u_new.item(0)
+        face = u.item(0)
         if not (math.isfinite(inner_min) and math.isfinite(inner_max)
                 and math.isfinite(face)):
             raise StefanError(f"non-finite temperature at t={t_new:.6g}")
@@ -238,12 +230,11 @@ def solve(config: OracleConfig, field: StefanField) -> OracleResult:
 
         u_min = min(inner_min, face, dirichlet)
         u_max = max(inner_max, face, dirichlet)
-        cur, new = new, cur
         front, t = front_new, t_new
         if k + 1 in snap_at:
             times.append(t)
             fronts.append(front)
-            snaps.append(u_new.copy())
+            snaps.append(u.copy())
 
     if violations:
         warnings.warn(
@@ -260,7 +251,6 @@ def solve(config: OracleConfig, field: StefanField) -> OracleResult:
         snapshots=np.array(snaps),
         gamma_estimate=front / (2.0 * math.sqrt(t)),
         steps=steps,
-        effective_dt=dt,
         max_cfl=max_cfl,
         max_principle_violations=violations,
     )
@@ -269,18 +259,15 @@ def solve(config: OracleConfig, field: StefanField) -> OracleResult:
 def compare_to_closed_form(result: OracleResult, field: StefanField) -> ResidualReport:
     """Max/L2 temperature error and front error against the closed form.
 
-    The exact temperature is the unchecked profile on the numerical grid
-    y = xi*S_num(t), since the numerical front may overshoot S(t) slightly;
-    every snapshot time is at least OracleConfig.t0 > 0.
+    The exact temperature is the profile, evaluated in one call on the
+    numerical grids y = xi*S_num(t) of all snapshots, one row per snapshot
+    time.  It is the unchecked profile because the numerical front may
+    overshoot S(t) slightly; every snapshot time is at least
+    OracleConfig.t0 > 0.
     """
-    t_errs = []
-    front_errs = []
-    for t, s, u in zip(result.times, result.fronts, result.snapshots):
-        exact = field.profile(result.xi * s, t)[0]
-        t_errs.append(u - exact)
-        front_errs.append(s - field.free_boundary(t))
-    t_errs = np.array(t_errs)
-    front_errs = np.array(front_errs)
+    times, fronts = result.times, result.fronts
+    t_errs = result.snapshots - field.profile(result.xi * fronts[:, None], times[:, None])[0]
+    front_errs = fronts - field.free_boundary(times)
     report = _reduce("oracle-vs-closed-form", t_errs, 5e-4)
     report.details = {
         "T_max": float(np.max(np.abs(t_errs))),

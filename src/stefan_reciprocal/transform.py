@@ -415,6 +415,8 @@ class PsiField:
 
         For the sqrt(t) family every term scales as 1/t and the sum cancels
         to rounding (the face identity Theta(0,t) = q*t makes H vanish).
+        Tm^3 is numpy's power for a scalar t too, so each time gets the
+        same bits alone as in a batch.
         """
         if np.any(np.asarray(t) <= 0):
             raise DomainError("t must be > 0")
@@ -426,14 +428,15 @@ class PsiField:
         psi0 = self.psi_parametric(0.0, t)
         x0v = self.x0(t)
         d = self.delta
-        return (
-            -(tm**3) / (lat * c_val * c_val)
+        out = (
+            -np.power(tm, 3.0) / (lat * c_val * c_val)
             + d * (tm / lat) / psi1
             - d / psi1
             + tm * tm / (c_val * c_val)
             + d / psi0
             - d * d * x0v * x0v
         )
+        return float(out) if np.ndim(out) == 0 else out
 
     def s_from_psi(self, t):
         """Recover S(t) as the directed integral of Psi over [X0*(t), X1*(t)].

@@ -404,6 +404,12 @@ def test_array_t_is_per_t_bit_for_bit(q, tm0):
     for front in (True, False):
         grouped = _psi_slope(pf, t, front, group=np.arange(t.size))
         assert grouped.tolist() == [_psi_slope(pf, time, front) for time in T_SAMPLES]
+    # H cancels to rounding, so its last digits show how Tm^3 was formed; on
+    # this grid libm's pow and numpy's power differ at both (q, tm0).
+    times = np.linspace(0.1, 4.0, 40)
+    singles = [pf.h_of_t(time) for time in times.tolist()]
+    assert all(isinstance(v, float) for v in singles)
+    assert pf.h_of_t(times).tolist() == singles
 
 
 #: The 60-point scan of the ROADMAP: l0 = 1, default identities at 12x3.
