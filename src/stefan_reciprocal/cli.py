@@ -105,7 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_verify)
     p_verify.add_argument("--grid", type=str, default=f"{GridSpec.n_space},{GridSpec.n_time}")
     p_verify.add_argument("--margin", type=float, default=GridSpec.margin)
-    p_verify.add_argument("--fd-step", type=float, default=GridSpec.fd_step)
 
     p_oracle = sub.add_parser("oracle", help="front-fixing cross-check")
     add_common(p_oracle)
@@ -276,9 +275,7 @@ def cmd_verify(args) -> int:
         n_space, n_time = (int(v) for v in args.grid.split(","))
     except ValueError as exc:
         raise InvalidParameters(f"--grid expects n_space,n_time: {exc}") from exc
-    grid = GridSpec(
-        n_space=n_space, n_time=n_time, margin=args.margin, fd_step=args.fd_step
-    )
+    grid = GridSpec(n_space=n_space, n_time=n_time, margin=args.margin)
     reports = run_verification_suite(field, grid=grid)
     sink = _Sink(args.out)
     for rep in reports:

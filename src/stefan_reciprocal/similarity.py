@@ -18,6 +18,7 @@ and the temperature is
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,103 @@ _R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.0190504225118047741
 _S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
       1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
 _MAXLOG = 7.09782712893383996843e2
+
+
+class _Jet:
+    """Truncated Taylor jet (u, u_y, u_yy, u_t) of a quantity at a point (y, t).
+
+    Forward-mode differentiation (Griewank & Walther, *Evaluating
+    Derivatives*, 2nd ed., SIAM 2008): +, -, *, / and the ufuncs sqrt and
+    exp carry the exact first and second y-derivatives and the first
+    t-derivative by the product and chain rules, and so does :func:`_erf`.
+    The value component takes the float code's operations in its order, so
+    its bits are those of a float evaluation.  Components are floats or
+    arrays that broadcast together; :meth:`in_y` and :meth:`in_t` seed them.
+    """
+
+    __slots__ = ("v", "y", "yy", "t")
+
+    def __init__(self, v, y, yy, t):
+        self.v, self.y, self.yy, self.t = v, y, yy, t
+
+    @staticmethod
+    def in_y(y):
+        """The jet of the coordinate y."""
+        return _Jet(y, 1.0, 0.0, 0.0)
+
+    @staticmethod
+    def in_t(t):
+        """The jet of the coordinate t."""
+        return _Jet(t, 0.0, 0.0, 1.0)
+
+    def chain(self, f, df, d2f):
+        """The jet of g(self) from the values f, df and d2f of g, g' and g''."""
+        return _Jet(f, df * self.y, d2f * self.y * self.y + df * self.yy, df * self.t)
+
+    def __neg__(self):
+        return _Jet(-self.v, -self.y, -self.yy, -self.t)
+
+    def __add__(self, o):
+        if not isinstance(o, _Jet):
+            return _Jet(self.v + o, self.y, self.yy, self.t)
+        return _Jet(self.v + o.v, self.y + o.y, self.yy + o.yy, self.t + o.t)
+
+    def __sub__(self, o):
+        return self + -o
+
+    def __mul__(self, o):
+        if not isinstance(o, _Jet):
+            return _Jet(self.v * o, self.y * o, self.yy * o, self.t * o)
+        return _Jet(
+            self.v * o.v,
+            self.y * o.v + self.v * o.y,
+            self.yy * o.v + 2.0 * self.y * o.y + self.v * o.yy,
+            self.t * o.v + self.v * o.t,
+        )
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __truediv__(self, o):
+        if not isinstance(o, _Jet):
+            return _Jet(self.v / o, self.y / o, self.yy / o, self.t / o)
+        q = self.v / o.v
+        q_y = (self.y - q * o.y) / o.v
+        return _Jet(q, q_y, (self.yy - 2.0 * q_y * o.y - q * o.yy) / o.v, (self.t - q * o.t) / o.v)
+
+    def sqrt(self):
+        r = np.sqrt(self.v)
+        return self.chain(r, 0.5 / r, -0.25 / (r * self.v))
+
+    def exp(self):
+        e = np.exp(self.v)
+        return self.chain(e, e, e)
+
+    def __array_ufunc__(self, ufunc, method, *args, **kwargs):
+        """np.sqrt, np.exp, and arithmetic with a numpy array or scalar on the left."""
+        rule = _JET_UFUNCS.get(ufunc) if method == "__call__" and not kwargs else None
+        if rule is None:
+            return NotImplemented
+        return rule(*(a if isinstance(a, _Jet) else _Jet(a, 0.0, 0.0, 0.0) for a in args))
+
+
+_JET_UFUNCS = {np.sqrt: _Jet.sqrt, np.exp: _Jet.exp,
+               np.add: operator.add, np.subtract: operator.sub,
+               np.multiply: operator.mul, np.true_divide: operator.truediv}
+
+
+def _floats(x):
+    """``x`` as a float array; a jet as it is."""
+    return x if isinstance(x, _Jet) else np.asarray(x, dtype=float)
+
+
+def _value(x):
+    """The value component of a jet; any other ``x`` as it is."""
+    return x.v if isinstance(x, _Jet) else x
+
+
+def _scalar(out):
+    """A 0-d result as a float; an array or a jet as it is."""
+    return out if isinstance(out, _Jet) or out.ndim else float(out)
 
 
 def _horner(x, coeffs):
@@ -88,7 +186,11 @@ def _erf(x):
     A 0-d input takes the plain-float path (the root solve calls it once per
     bisection step).  An array evaluates the |x| <= 1 polynomial in numpy;
     its elements with |x| > 1 (or NaN) take the plain-float path one by one.
+    A jet takes erf' = (2/sqrt(pi))*exp(-x^2) and erf'' = -2x*erf'.
     """
+    if isinstance(x, _Jet):
+        d = 2.0 / SQRT_PI * np.exp(-x.v * x.v)
+        return x.chain(_erf(x.v), d, -2.0 * x.v * d)
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
         return np.float64(_erf_float(float(x)))
@@ -149,9 +251,7 @@ class GammaRoot:
 
 def eval_G(x, params: PhysicalParams):
     """Left side of the root equation: q - l0*x, strictly decreasing."""
-    x = np.asarray(x, dtype=float)
-    out = params.q - params.l0 * x
-    return float(out) if out.ndim == 0 else out
+    return _scalar(params.q - params.l0 * np.asarray(x, dtype=float))
 
 
 def eval_F(x, params: PhysicalParams):
@@ -162,7 +262,7 @@ def eval_F(x, params: PhysicalParams):
     x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore"):
         out = (params.tm0 / 2.0 + params.l0 * x * x) * np.exp(x * x) * SQRT_PI * _erf(x)
-    return float(out) if out.ndim == 0 else out
+    return _scalar(out)
 
 
 def solve_gamma(params: PhysicalParams, tol: float = 1e-12) -> GammaRoot:
@@ -170,9 +270,10 @@ def solve_gamma(params: PhysicalParams, tol: float = 1e-12) -> GammaRoot:
 
     The bracket endpoints start at eps and q/l0 - eps with
     eps = 1e-14*q/l0, so the function is never evaluated outside the open
-    interval.  Bisection runs until the bracket width is <= tol and the
-    returned gamma is the bracket midpoint, making the result deterministic
-    for fixed inputs.
+    interval.  Bisection returns the first midpoint at which both the
+    bracket width and |G - F| are <= tol; if the bracket reaches rounding
+    resolution or 200 halvings first, it returns the bracket's midpoint.
+    The result is deterministic for fixed inputs.
 
     Raises InvalidParameters unless tol is finite and > 0, and NoSignChange
     when G - F is single-signed on the bracket, which signals inadmissible
@@ -252,11 +353,10 @@ class StefanField:
 
     def free_boundary(self, t):
         """Front position S(t) = 2*gamma*sqrt(t); S(0) = 0."""
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0):
+        t = _floats(t)
+        if np.any(_value(t) < 0):
             raise DomainError("t must be >= 0")
-        out = 2.0 * self.gamma.gamma * np.sqrt(t)
-        return float(out) if out.ndim == 0 else out
+        return _scalar(2.0 * self.gamma.gamma * np.sqrt(t))
 
     def front_speed(self, t):
         """dS/dt = gamma / sqrt(t) for t > 0."""
@@ -268,20 +368,16 @@ class StefanField:
 
     def latent_heat(self, t):
         """L(t) = l0*sqrt(t)."""
-        t = np.asarray(t, dtype=float)
-        out = self.params.l0 * np.sqrt(t)
-        return float(out) if out.ndim == 0 else out
+        return _scalar(self.params.l0 * np.sqrt(_floats(t)))
 
     def melt_temperature(self, t):
         """Tm(t) = tm0*sqrt(t)."""
-        t = np.asarray(t, dtype=float)
-        out = self.params.tm0 * np.sqrt(t)
-        return float(out) if out.ndim == 0 else out
+        return _scalar(self.params.tm0 * np.sqrt(_floats(t)))
 
     # -- fields -----------------------------------------------------------
 
     def _check_domain(self, y, t):
-        t = np.asarray(t, dtype=float)
+        y, t = _value(y), np.asarray(_value(t), dtype=float)
         if np.any(t <= 0):
             raise DomainError("temperature is defined for t > 0 only")
         s = 2.0 * self.gamma.gamma * np.sqrt(t)
@@ -295,9 +391,10 @@ class StefanField:
         The closed form is evaluated as-is for any y and any t > 0, which
         suits numerical fronts that overshoot S(t) slightly.  The eta terms
         are returned so that Theta can be assembled from the same values.
+        ``y`` and ``t`` may be jets (:class:`_Jet`); the results are then jets.
         """
-        y = np.asarray(y, dtype=float)
-        sqrt_t = np.sqrt(np.asarray(t, dtype=float))
+        y = _floats(y)
+        sqrt_t = np.sqrt(_floats(t))
         eta = y / (2.0 * sqrt_t)
         erf_eta, gauss = _erf(eta), np.exp(-eta * eta)
         temp = (
@@ -310,8 +407,7 @@ class StefanField:
     def temperature(self, y, t):
         """T(y,t) on 0 <= y <= S(t), t > 0."""
         self._check_domain(y, t)
-        out = self.profile(y, t)[0]
-        return float(out) if out.ndim == 0 else out
+        return _scalar(self.profile(y, t)[0])
 
     def temperature_gradient(self, y, t):
         """T_y(y,t) = A*sqrt(pi)*erf(y/(2 sqrt(t))) - q.
@@ -321,5 +417,4 @@ class StefanField:
         T_y(S(t),t) = -l0*gamma.
         """
         self._check_domain(y, t)
-        out = self.profile(y, t)[1]
-        return float(out) if out.ndim == 0 else out
+        return _scalar(self.profile(y, t)[1])

@@ -48,7 +48,7 @@ from .errors import (
     SingularDenominator,
     SingularTheta,
 )
-from .similarity import SQRT_PI, GammaRoot, PhysicalParams, StefanField
+from .similarity import SQRT_PI, GammaRoot, PhysicalParams, StefanField, _floats, _scalar, _value
 
 #: Theta values below this fraction of C(t) count as a breakdown of the map.
 THETA_RTOL = 1e-13
@@ -152,8 +152,7 @@ def quad_batch(func, a, b, quad_tol: float, limit: int = 200):
             f" on [{a.flat[worst]:.6g}, {b.flat[worst]:.6g}]",
             worst,
         )
-    out = value.reshape(a.shape)
-    return float(out) if out.ndim == 0 else out
+    return _scalar(value.reshape(a.shape))
 
 
 def c_of_t_general(field: StefanField, t, quad_tol: float = 1e-10):
@@ -251,7 +250,8 @@ class PsiField:
         """(T, T_y, Theta) as float arrays: one domain check, one profile evaluation.
 
         Theta is the explicit erf/exp form of the sqrt(t) family, assembled
-        from the profile's eta terms.
+        from the profile's eta terms.  ``y`` and ``t`` may be jets, and so
+        may the results of every method that reads this core.
         """
         f = self.stefan
         f._check_domain(y, t)
@@ -268,37 +268,35 @@ class PsiField:
             g * (p.l0 - p.tm0)
             + 2.0 * p.q * (eta * eta - g * g)
             - 2.0 * f.amplitude * bracket
-        ) * np.asarray(t, dtype=float)
+        ) * _floats(t)
         return temp, grad, theta
 
     def _checked_parts(self, y, t):
         """:meth:`_parts`; raises SingularTheta where Theta is below THETA_RTOL*|C(t)|."""
         parts = self._parts(y, t)
-        if np.any(np.abs(parts[2]) < THETA_RTOL * np.abs(self.c(t))):
-            raise SingularTheta(
-                "Theta below breakdown threshold; the transformation is singular"
-            )
+        if np.any(np.abs(_value(parts[2])) < THETA_RTOL * np.abs(self.c(_value(t)))):
+            raise SingularTheta("Theta below breakdown threshold; the transformation is singular")
         return parts
 
     def c(self, t):
         """C(t) = gamma*(l0 - tm0)*t, linear in t for the sqrt(t) family."""
         p = self.stefan.params
-        out = self.stefan.gamma.gamma * (p.l0 - p.tm0) * np.asarray(t, dtype=float)
-        return float(out) if out.ndim == 0 else out
+        return _scalar(self.stefan.gamma.gamma * (p.l0 - p.tm0) * _floats(t))
 
     def theta(self, y, t):
         """Theta(y,t) = C(t) - integral_{S(t)}^{y} T(u,t) du on 0 <= y <= S(t)."""
-        out = self._parts(y, t)[2]
-        return float(out) if out.ndim == 0 else out
+        return _scalar(self._parts(y, t)[2])
 
     def x_star(self, y, t):
         """Parametric coordinate x* = T / (delta * Theta)."""
         temp, _, theta = self._checked_parts(y, t)
-        out = temp / (self.delta * theta)
-        return float(out) if out.ndim == 0 else out
+        return _scalar(temp / (self.delta * theta))
 
     def _x_and_slope(self, y, t):
-        """x* and its slope dx*/dy = 1/Psi = (T_y*Theta + T^2)/(delta*Theta^2)."""
+        """x* and Newton's slope dx*/dy = 1/Psi = (T_y*Theta + T^2)/(delta*Theta^2).
+
+        The slope is Psi's formula inverted; reciprocal-identity checks it on jets.
+        """
         temp, grad, theta = self._checked_parts(y, t)
         return (
             temp / (self.delta * theta),
@@ -308,12 +306,12 @@ class PsiField:
     def psi_parametric(self, y, t):
         """Psi = delta*Theta^2 / (T_y*Theta + T^2), parametrized by (y, t)."""
         temp, grad, theta = self._parts(y, t)
-        den = grad * theta + temp * temp
-        scale = np.maximum(1.0, np.maximum(np.abs(grad * theta), temp * temp))
-        if np.any(np.abs(den) < 1e-14 * scale):
+        cross, square = grad * theta, temp * temp
+        den = cross + square
+        scale = np.maximum(1.0, np.maximum(np.abs(_value(cross)), _value(square)))
+        if np.any(np.abs(_value(den)) < 1e-14 * scale):
             raise SingularDenominator("T_y*Theta + T^2 vanished; Psi is singular")
-        out = self.delta * theta * theta / den
-        return float(out) if out.ndim == 0 else out
+        return _scalar(self.delta * theta * theta / den)
 
     def x0(self, t):
         """Left parametric boundary X0*(t) = x*(0, t)."""
@@ -357,10 +355,10 @@ class PsiField:
         Starts from the chord between (0, X0*) and (S, X1*); a step that is
         not finite or leaves the bisection bracket [lo, hi] becomes its
         midpoint.  Each point is frozen at the first y that meets its own
-        stopping rule, so its result does not depend on the rest of the
-        batch.  Assumes monotonicity has been established; ``sign`` is +1
-        when x* is increasing in y.  ``t``, ``tol`` and the orientation
-        values broadcast against ``xs``.
+        stopping rule and is not evaluated again, so its result does not
+        depend on the rest of the batch.  Assumes monotonicity has been
+        established; ``sign`` is +1 when x* is increasing in y.  ``t``,
+        ``tol`` and the orientation values broadcast against ``xs``.
         """
         xs = np.asarray(xs, dtype=float)
         lo_x, hi_x = np.minimum(x0v, x1v), np.maximum(x0v, x1v)
@@ -372,28 +370,29 @@ class PsiField:
             )
             raise OutOfRange(f"target outside [{lo_b:.6g}, {hi_b:.6g}] at t={t_b}")
         target = sign * np.clip(xs, lo_x, hi_x)
-        lo = np.zeros_like(target)
-        hi = lo + s
         y = s * (target - sign * x0v) / (sign * (x1v - x0v))
-        frozen = np.zeros_like(target, dtype=bool)
-        result = np.full_like(target, np.nan)
+        shape = np.broadcast_shapes(y.shape, np.shape(t), np.shape(tol))
+        # flat arrays over the batch; the live ones are indexed by `live`
+        y, target, t, tol, s = (np.broadcast_to(v, shape).ravel() for v in (y, target, t, tol, s))
         floor = 16.0 * np.finfo(float).eps * s
+        lo, hi, result, live = np.zeros_like(y), s, np.empty_like(y), np.arange(y.size)
         for _ in range(110):
-            fx, slope = self._x_and_slope(y, t)
+            fx, slope = self._x_and_slope(y, t[live])
             fm = sign * fx
-            below = fm < target
+            below = fm < target[live]
             lo = np.where(below, y, lo)
             hi = np.where(below, hi, y)
-            hit = ~frozen & ((np.abs(fm - target) <= tol) | (hi - lo <= floor))
-            result = np.where(hit, y, result)
-            frozen = frozen | hit
-            if np.all(frozen):
+            hit = (np.abs(fm - target[live]) <= tol[live]) | (hi - lo <= floor[live])
+            result[live[hit]] = y[hit]
+            live, y, lo, hi, fm, slope = (v[~hit] for v in (live, y, lo, hi, fm, slope))
+            if not live.size:
                 break
             with np.errstate(all="ignore"):
-                step = y - (fm - target) / (sign * slope)
+                step = y - (fm - target[live]) / (sign * slope)
             inside = np.isfinite(step) & (step > lo) & (step < hi)
             y = np.where(inside, step, 0.5 * (lo + hi))
-        return np.where(frozen, result, y)
+        result[live] = y
+        return result.reshape(shape)
 
     def invert_x_star(self, xs, t, tol: float = 1e-12):
         """Solve x*(y, t) = xs for y: Newton on dx*/dy = 1/Psi inside a bisection bracket.
@@ -413,10 +412,13 @@ class PsiField:
     def h_of_t(self, t):
         """Source-equation coefficient H(t) assembled from both boundaries.
 
-        For the sqrt(t) family every term scales as 1/t and the sum cancels
-        to rounding (the face identity Theta(0,t) = q*t makes H vanish).
-        Tm^3 is numpy's power for a scalar t too, so each time gets the
-        same bits alone as in a batch.
+        For the sqrt(t) family every term scales as 1/t and the face
+        identity Theta(0,t) = q*t makes H vanish with an exact gamma.  With
+        gamma solved to the root tolerance, H*t is a constant set by that
+        tolerance, not by rounding: -7.07e-12 at (q, l0, tm0) = (1, 1, 0.5)
+        and -7.71e-7 at (0.1, 1, 0.99) (ROADMAP item 10).  Tm^3 is numpy's
+        power for a scalar t too, so each time gets the same bits alone as
+        in a batch.
         """
         if np.any(np.asarray(t) <= 0):
             raise DomainError("t must be > 0")

@@ -1,18 +1,18 @@
-"""Finite-difference and quadrature verification of the governing identities.
+"""Verification of the governing identities by exact derivatives and quadrature.
 
-Every check here recomputes derivatives independently (centered stencils in
-the interior, one-sided O(h^3) stencils at boundaries, adaptive quadrature
-for integrals) and reduces the pointwise residuals to max/L2 norms.  Grids
-avoid the domain edges by a relative margin so centered stencils never leave
-the phase region; boundary conditions are checked separately at the exact
-boundary points.
+Every derivative a check needs is read off one evaluation of the closed
+form on jets (:class:`similarity._Jet`): truncated Taylor arithmetic that
+carries u_y, u_yy and u_t through the same code that computes the value,
+so no step is chosen and nothing is truncated.  Integrals use adaptive
+quadrature.  Each check reduces its pointwise residuals to max/L2 norms.
+The interior grid keeps a relative margin from the domain edges; boundary
+conditions are checked separately at the exact boundary points.
 
-Time derivatives of T, x* and Psi are taken at fixed fractional position
-s = y/S(t) and corrected by the advective term s*dS/dt*(d/dy).  The Psi
-equation and the Psi boundary slopes are written on the forward map (y, t)
-through dx*/dy = 1/Psi, so only the front recovery and the inversion round
-trip invert x*.  Every identity evaluates all its times at once: one call per
-stencil row or sampled quantity, and one quadrature call per integral.
+Time derivatives are taken at fixed y.  The Psi equation and the Psi
+boundary slopes are written on the forward map (y, t) through
+dx*/dy = 1/Psi, so only the front recovery and the inversion round trip
+invert x*.  Every identity evaluates all its times at once: one call per
+sampled quantity, and one quadrature call per integral.
 
 The protocol is fixed.  Boundary and consistency identities are sampled at
 :data:`T_SAMPLES`, the grid spans the first to the last of them, quadratures
@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidParameters, QuadratureFailure
-from .similarity import StefanField
+from .similarity import StefanField, _Jet
 from .transform import (
     QUAD_TOL,
     PsiField,
@@ -52,26 +52,18 @@ _log = np.vectorize(math.log, otypes=[float])
 #: Lower end of the improper time integrals, which scale like 1/t near 0.
 T0 = 1e-8
 
-#: Steps of the boundary slopes as fractions of S(t), halving from S/4, where
-#: the 5-point stencil spans [0, S(t)], to 2^-26 ~ sqrt(eps), below which
-#: rounding costs a first difference half its digits.
-SLOPE_STEPS = 2.0 ** -np.arange(2.0, 27.0)
-
 
 @dataclass(frozen=True)
 class GridSpec:
     """Interior verification grid.
 
-    Space is parameterized by the fraction s = y/S(t) (or the analogous
-    fraction of the x* interval), restricted to [margin, 1-margin]; time
-    by n_time points spanning T_SAMPLES.  fd_step is the relative step of
-    the space stencils; time stencils use fd_step/10 relative to t.
+    Space is parameterized by the fraction s = y/S(t), restricted to
+    [margin, 1-margin]; time by n_time points spanning T_SAMPLES.
     """
 
     n_space: int = 50
     n_time: int = 5
     margin: float = 0.02
-    fd_step: float = 1e-4
 
     def __post_init__(self):
         if self.n_space < 8:
@@ -80,12 +72,6 @@ class GridSpec:
             raise InvalidParameters("n_time must be >= 1")
         if not (0.0 < self.margin < 0.5):
             raise InvalidParameters("margin must lie in (0, 0.5)")
-        if not (0.0 < self.fd_step < self.margin / 2.0):
-            raise InvalidParameters("fd_step must lie in (0, margin/2)")
-
-    @property
-    def step_t(self) -> float:
-        return self.fd_step * 0.1
 
     def times(self) -> np.ndarray:
         return np.linspace(T_SAMPLES[0], T_SAMPLES[-1], self.n_time)
@@ -94,14 +80,8 @@ class GridSpec:
         return np.linspace(self.margin, 1.0 - self.margin, self.n_space)
 
     def as_dict(self) -> dict:
-        return {
-            "n_space": self.n_space,
-            "n_time": self.n_time,
-            "t_range": [T_SAMPLES[0], T_SAMPLES[-1]],
-            "margin": self.margin,
-            "fd_step": self.fd_step,
-            "fd_step_t": self.step_t,
-        }
+        return {"n_space": self.n_space, "n_time": self.n_time, "margin": self.margin,
+                "t_range": [T_SAMPLES[0], T_SAMPLES[-1]]}
 
 
 @dataclass
@@ -167,41 +147,16 @@ def _rel(lhs, rhs):
     return abs(lhs - rhs) / np.maximum(1.0, np.maximum(abs(lhs), abs(rhs)))
 
 
-
-
-def _d_dt(f, t):
-    """df/dt at t by a centered difference of step 1e-6*t."""
-    hc = 1e-6 * t
-    return (f(t + hc) - f(t - hc)) / (2.0 * hc)
-
-
 def _from_t0(rate, t, quad_tol: float, limit: int = 200):
-    """integral_{T0}^{t} rate(tau, k) dtau at every element of ``t``, in u = log(tau).
+    """integral_{T0}^{t} rate(tau) dtau at every element of ``t``, in u = log(tau).
 
-    ``rate`` receives an array of tau and the flat index k in ``t`` of the
-    integral each tau belongs to.  A QuadratureFailure names its t.
+    ``rate`` receives an array of tau.  A QuadratureFailure names its t.
     """
     lo, hi = math.log(T0), _log(t)
     try:
-        return quad_batch(lambda u, k: rate(np.exp(u), k) * np.exp(u), lo, hi, quad_tol, limit)
+        return quad_batch(lambda u, _: rate(np.exp(u)) * np.exp(u), lo, hi, quad_tol, limit)
     except QuadratureFailure as exc:
         raise QuadratureFailure(f"{exc} at t={np.ravel(t)[exc.interval]:g}", exc.interval) from exc
-
-
-def one_sided_derivative(f, x0, h, direction):
-    """First derivative at a domain edge: 5-point one-sided stencil, O(h^4).
-
-    ``direction`` is +1/-1 and points into the domain; ``f`` must accept an
-    ndarray of evaluation points.  ``x0``, ``h`` and ``direction`` may be
-    arrays of edges: ``f`` then receives the stencil points with a leading
-    axis of 5.  The high order keeps boundary derivatives accurate enough for
-    the X0* integral identity, whose integrand spans four decades in magnitude.
-    """
-    d = np.where(np.asarray(direction) > 0, 1.0, -1.0)
-    offsets = np.arange(5.0).reshape((5,) + (1,) * np.broadcast(x0, h, d).ndim)
-    v = np.asarray(f(x0 + d * h * offsets), dtype=float)
-    out = d * (-25.0 * v[0] + 48.0 * v[1] - 36.0 * v[2] + 16.0 * v[3] - 3.0 * v[4]) / (12.0 * h)
-    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -209,38 +164,22 @@ def one_sided_derivative(f, x0, h, direction):
 # ---------------------------------------------------------------------------
 
 
-def _ale_parts(u, s_of, grid):
-    """(u_t at fixed y, u_y, u_yy, u) on the interior grid by centered differences.
-
-    u_t is taken at fixed fraction y/S(t) and corrected by the advective term
-    fraction*dS/dt*u_y: the ALE stencil of every grid PDE check.  Each array
-    has the (n_time, n_space) shape of the grid.
-    """
-    fracs = grid.fractions()
+def _grid_jets(field: StefanField, grid):
+    """Jets of the coordinates y and t on the interior grid, shaped (n_time, n_space)."""
     t = grid.times()[:, None]
-    s_t = s_of(t)
-    ht = grid.step_t * t
-    hy = grid.fd_step * s_t
-    y = fracs * s_t
-    s_plus, s_minus = s_of(t + ht), s_of(t - ht)
-    d_ale = (u(fracs * s_plus, t + ht) - u(fracs * s_minus, t - ht)) / (2.0 * ht)
-    s_dot = (s_plus - s_minus) / (2.0 * ht)
-    u_p, u_m, u_c = u(y + hy, t), u(y - hy, t), u(y, t)
-    u_y = (u_p - u_m) / (2.0 * hy)
-    u_yy = (u_p - 2.0 * u_c + u_m) / (hy * hy)
-    return d_ale - fracs * s_dot * u_y, u_y, u_yy, u_c
+    return _Jet.in_y(grid.fractions() * field.free_boundary(t)), _Jet.in_t(t)
 
 
 def heat_residual(field: StefanField, grid: GridSpec = GridSpec()):
-    """max |T_t - T_yy| on the interior grid by centered differences."""
-    u_t, _, u_yy, _ = _ale_parts(field.temperature, field.free_boundary, grid)
-    return _reduce("heat-equation", u_t - u_yy, 1e-5, grid=grid)
+    """max |T_t - T_yy| on the interior grid."""
+    temp = field.temperature(*_grid_jets(field, grid))
+    return _reduce("heat-equation", temp.t - temp.yy, 1e-5, grid=grid)
 
 
 def burgers_residual(field: PsiField, grid: GridSpec = GridSpec()):
     """max |x*_t - x*_yy + 2*delta*x* x*_y| on the interior grid."""
-    u_t, u_y, u_yy, u = _ale_parts(field.x_star, field.stefan.free_boundary, grid)
-    residual = u_t - (u_yy - 2.0 * field.delta * u * u_y)
+    x = field.x_star(*_grid_jets(field.stefan, grid))
+    residual = x.t - (x.yy - 2.0 * field.delta * x.v * x.y)
     return _reduce("burgers-equation", residual, 1e-4, grid=grid)
 
 
@@ -249,13 +188,12 @@ def evolution_residual(field: PsiField, grid: GridSpec = GridSpec()):
 
     With P(y, t) = Psi(x*(y, t), t) and dx*/dy = 1/Psi, Psi_t at fixed x* is
     P_t - P*P_y*x*_t and d/dx*(Psi_x*/Psi^2) is P_yy - P_y^2/P, every
-    derivative taken by the ALE stencil at fixed y.  The form rests on
-    dx*/dy = 1/Psi, which :func:`reciprocal_identity_residual` checks at 1e-6.
+    derivative taken at fixed y.  The form rests on dx*/dy = 1/Psi, which
+    :func:`reciprocal_identity_residual` checks at 1e-6.
     """
-    s_of = field.stefan.free_boundary
-    p_t, p_y, p_yy, p = _ale_parts(field.psi_parametric, s_of, grid)
-    x_t = _ale_parts(field.x_star, s_of, grid)[0]
-    residual = p_t - p * p_y * x_t - p_yy + p_y * p_y / p - 2.0 * field.delta
+    y, t = _grid_jets(field.stefan, grid)
+    p, x_t = field.psi_parametric(y, t), field.x_star(y, t).t
+    residual = p.t - p.v * p.y * x_t - p.yy + p.y * p.y / p.v - 2.0 * field.delta
     return _reduce("source-equation", residual, 1e-3, grid=grid)
 
 
@@ -281,25 +219,19 @@ def stefan_bc_residuals(field: StefanField):
 def burgers_bc_values(field: PsiField, t) -> dict:
     """Normalized residuals of the transformed boundary conditions; ``t`` may be an array."""
     d = field.delta
-    s_t = field.stefan.free_boundary(t)
-    c_t = field.c(t)
+    s = field.stefan.free_boundary(_Jet.in_t(t))
+    c = field.c(_Jet.in_t(t))
     lat = field.stefan.latent_heat(t)
     tm = field.stefan.melt_temperature(t)
-    x0v = field.x0(t)
-    x1v = field.x_star(s_t, t)
-    s_dot = _d_dt(field.stefan.free_boundary, t)
-    c_dot = _d_dt(field.c, t)
-
-    h = 1e-5 * s_t
-    xy_front = one_sided_derivative(lambda yy: field.x_star(yy, t), s_t, h, -1.0)
-    xy_face = one_sided_derivative(lambda yy: field.x_star(yy, t), 0.0, h, +1.0)
-    exponent = d * quad_batch(lambda u, k: field.x_star(u, np.ravel(t)[k]), s_t, 0.0, QUAD_TOL)
+    front = field.x_star(_Jet.in_y(s.v), t)
+    face = field.x_star(_Jet.in_y(0.0), t)
+    exponent = d * quad_batch(lambda u, k: field.x_star(u, np.ravel(t)[k]), s.v, 0.0, QUAD_TOL)
     q = -field.stefan.temperature_gradient(0.0, 1.0)  # flux magnitude at the fixed face
     return {
-        "b6": _rel(c_dot, (lat - tm) * s_dot),
-        "b7": _rel(xy_front - d * x1v * x1v, -lat * s_dot / (d * c_t)),
-        "b8": _rel(x1v, tm / (d * c_t)),
-        "b9": _rel(xy_face - d * x0v * x0v, -q * _exp(exponent) / (d * c_t)),
+        "b6": _rel(c.t, (lat - tm) * s.t),
+        "b7": _rel(front.y - d * front.v * front.v, -lat * s.t / (d * c.v)),
+        "b8": _rel(front.v, tm / (d * c.v)),
+        "b9": _rel(face.y - d * face.v * face.v, -q * _exp(exponent) / (d * c.v)),
     }
 
 
@@ -308,34 +240,16 @@ def burgers_bc_residuals(field: PsiField):
     return _reduce("burgers-boundary-conditions", burgers_bc_values(field, _TIMES), 1e-6)
 
 
-def _psi_slope(field: PsiField, t, front: bool, group=0):
-    """Psi_x* at X1* (``front``, y = S(t)) or at X0* (y = 0); ``t`` may be an array.
+def _psi_slope(field: PsiField, t, front: bool):
+    """(Psi, Psi_x*) at X1* (``front``, y = S(t)) or at X0* (y = 0); ``t`` may be an array.
 
     By the chain rule Psi_x* = Psi*Psi_y, which rests on dx*/dy = 1/Psi
     (checked by :func:`reciprocal_identity_residual` at 1e-6), so no x* is
-    inverted.  Psi_y is the one-sided stencil of :func:`one_sided_derivative`
-    pointing into [0, S(t)], evaluated at every step of :data:`SLOPE_STEPS`
-    in one call.  ``group`` labels the elements of ``t`` with small ints (one
-    group by default); each group takes the step h whose largest Richardson
-    estimate |D(h) - D(h/2)| plus rounding term eps*|Psi|/h is least.  One
-    step per integral keeps the X0* integrand of :func:`psi_bc_values` smooth
-    in t; a step chosen per node jumps between neighbouring steps as rounding
-    moves the estimates, which multiplies the quadrature's panels.
+    inverted.  Psi_y is exact, read off one jet evaluation of Psi.
     """
-    t = np.asarray(t, dtype=float)
-    s = field.stefan.free_boundary(t)
-    edge = s if front else 0.0 * s
-    h = SLOPE_STEPS.reshape((-1,) + (1,) * t.ndim) * s
-    psi = field.psi_parametric(edge, t)
-    slopes = one_sided_derivative(
-        lambda yy: field.psi_parametric(yy, t), edge, h, -1.0 if front else 1.0
-    )
-    error = np.abs(slopes[:-1] - slopes[1:]) + np.finfo(float).eps * np.abs(psi) / h[:-1]
-    group = np.broadcast_to(group, t.shape).ravel()
-    worst = np.zeros((len(error), group.max() + 1))
-    np.maximum.at(worst, (slice(None), group), error.reshape(len(error), -1))
-    best = np.argmin(worst, axis=0)[group].reshape(t.shape)
-    return psi * np.take_along_axis(slopes, best[None], axis=0)[0]
+    y = field.stefan.free_boundary(t) if front else 0.0
+    psi = field.psi_parametric(_Jet.in_y(y), t)
+    return psi.v, psi.v * psi.y
 
 
 def psi_bc_values(field: PsiField, t) -> dict:
@@ -343,36 +257,30 @@ def psi_bc_values(field: PsiField, t) -> dict:
 
     Includes the reconstruction of dS/dt from the Psi side, the two
     free-boundary conditions and the X0* integral identity (integrated from
-    T0 after the substitution tau = e^u).  Each time takes the slope steps
-    of a call at that time alone.  The flux identity is :func:`h_ratio_value`.
+    T0 after the substitution tau = e^u).  The flux identity is
+    :func:`h_ratio_value`.
     """
     d = field.delta
-    s_t = field.stefan.free_boundary(t)
-    c_t = field.c(t)
+    s = field.stefan.free_boundary(_Jet.in_t(t))
+    c = field.c(_Jet.in_t(t))
+    x1 = field.x1(_Jet.in_t(t))
     lat = field.stefan.latent_heat(t)
     tm = field.stefan.melt_temperature(t)
     x0v = field.x0(t)
-    x1v = field.x1(t)
-    psi1 = field.psi_parametric(s_t, t)
-    psi_x1 = _psi_slope(field, t, front=True, group=np.arange(np.size(t)).reshape(np.shape(t)))
-    x1_dot = _d_dt(field.x1, t)
-    s_dot_fd = _d_dt(field.stefan.free_boundary, t)
-    c_dot_fd = _d_dt(field.c, t)
-    s_dot_rec = psi1 * x1_dot + psi_x1 / (psi1 * psi1) + 2.0 * d * x1v
+    psi1, psi_x1 = _psi_slope(field, t, front=True)
+    s_dot_rec = psi1 * x1.t + psi_x1 / (psi1 * psi1) + 2.0 * d * x1.v
 
-    def boundary_rate(tau, k):
+    def boundary_rate(tau):
         """Psi_x*/Psi^3 + 2 delta X0*/Psi at X0*, the X0* integrand, on an array of tau."""
-        x0_tau = field.x0(tau)
-        psi0_tau = field.psi_parametric(0.0, tau)
-        px0 = _psi_slope(field, tau, front=False, group=k)
-        return px0 / psi0_tau**3 + 2.0 * d * x0_tau / psi0_tau
+        psi0, px0 = _psi_slope(field, tau, front=False)
+        return px0 / psi0**3 + 2.0 * d * field.x0(tau) / psi0
 
     integral = _from_t0(boundary_rate, t, 1e-11, limit=300)
 
     return {
-        "c4i": _rel(1.0 / psi1 - d * x1v * x1v, -lat / (d * c_t) * s_dot_rec),
-        "c4iii": _rel(c_dot_fd, (lat - tm) * s_dot_rec),
-        "esepunto": _rel(s_dot_rec, s_dot_fd),
+        "c4i": _rel(1.0 / psi1 - d * x1.v * x1.v, -lat / (d * c.v) * s_dot_rec),
+        "c4iii": _rel(c.t, (lat - tm) * s_dot_rec),
+        "esepunto": _rel(s_dot_rec, s.t),
         "c5": abs(x0v - (field.x0(T0) - integral)) / np.maximum(1.0, abs(x0v)),
     }
 
@@ -389,7 +297,7 @@ def h_ratio_value(field: PsiField, t):
     log_p = -field.delta * quad_batch(
         lambda u, k: field.x_star(u, times[k]), 0.0, field.stefan.free_boundary(times), QUAD_TOL
     )
-    h_integral = _from_t0(lambda tau, _: field.h_of_t(tau), t, 1e-9)
+    h_integral = _from_t0(field.h_of_t, t, 1e-9)
     return abs(_exp(h_integral) - _exp(log_p[:-1].reshape(np.shape(t)) - log_p[-1]))
 
 
@@ -413,13 +321,9 @@ def h_ratio_residual(field: PsiField):
 
 
 def reciprocal_identity_residual(field: PsiField, grid: GridSpec = GridSpec()):
-    """max |Psi * dx*/dy - 1| with a centered h = 1e-6*S(t) difference."""
-    t = grid.times()[:, None]
-    s_t = field.stefan.free_boundary(t)
-    h = 1e-6 * s_t
-    y = grid.fractions() * s_t
-    dx = (field.x_star(y + h, t) - field.x_star(y - h, t)) / (2.0 * h)
-    residual = field.psi_parametric(y, t) * dx - 1.0
+    """max |Psi * dx*/dy - 1| on the interior grid, dx*/dy exact."""
+    y, t = _grid_jets(field.stefan, grid)
+    residual = field.psi_parametric(y.v, t.v) * field.x_star(y, t.v).y - 1.0
     return _reduce("reciprocal-identity", residual, 1e-6, grid=grid)
 
 

@@ -88,23 +88,19 @@ def test_criterion_2_boundary_identities(baseline_field):
     )
 
 
-def test_criterion_3_pde_residuals(baseline_field, baseline_psi):
+def test_criterion_3_pde_residuals(baseline_field, baseline_psi, stencil_error):
     start = time.perf_counter()
     heat = heat_residual(baseline_field, FULL_GRID)
     burg = burgers_residual(baseline_psi, FULL_GRID)
     evo = evolution_residual(baseline_psi, FULL_GRID)
-    heat_slope = _slope(
-        [heat_residual(baseline_field, GridSpec(fd_step=h)).max_abs for h in SLOPE_STEPS]
-    )
-    burg_slope = _slope(
-        [burgers_residual(baseline_psi, GridSpec(fd_step=h)).max_abs for h in SLOPE_STEPS]
-    )
-    evo_slope = _slope(
-        [
-            evolution_residual(baseline_psi, GridSpec(n_space=16, fd_step=h)).max_abs
-            for h in SLOPE_STEPS
-        ]
-    )
+
+    def order(u, grid):
+        """Refinement order of centred differences of u towards the jet derivatives above."""
+        return _slope([stencil_error(u, baseline_field, grid, h) for h in SLOPE_STEPS])
+
+    heat_slope = order(baseline_field.temperature, FULL_GRID)
+    burg_slope = order(baseline_psi.x_star, FULL_GRID)
+    evo_slope = order(baseline_psi.psi_parametric, GridSpec(n_space=16))
     elapsed = time.perf_counter() - start
     ok = (
         heat.max_abs <= 1e-5
