@@ -43,6 +43,9 @@ MAX_STEPS = 10**8
 #: Snapshots kept, evenly spaced in steps from t0 to t_end inclusive; a march
 #: of fewer than N_SNAPSHOTS - 1 steps keeps one per step and t0.
 N_SNAPSHOTS = 11
+#: Steps whose temperatures are checked together, for finiteness and the
+#: discrete maximum principle.
+BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -59,6 +62,8 @@ class OracleConfig:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise InvalidParameters(f"{name} must be finite, got {value}")
+        if not isinstance(self.n_xi, int) or isinstance(self.n_xi, bool):
+            raise InvalidParameters(f"n_xi must be an int, got {self.n_xi!r}")
         if self.n_xi < 32:
             raise InvalidParameters("n_xi must be >= 32")
         if not (self.t0 > 0 and self.t_end > self.t0):
@@ -102,6 +107,30 @@ class OracleResult:
                     )
 
 
+def _check_steps(rows, times, bounds):
+    """Check consecutive march steps, one row of ``rows`` and time per step.
+
+    Raises StefanError at the first step that is not finite.  Else returns
+    the number of steps with a value more than tol = 1e-10*(1 + |hi|)
+    outside [lo, hi], the bounds of the previous step's values and this
+    step's boundary values (the discrete maximum principle), and the last
+    step's (min, max); ``bounds`` is that of the step before the first row.
+    """
+    step_min, step_max = rows.min(axis=1), rows.max(axis=1)
+    finite = np.isfinite(step_min) & np.isfinite(step_max)
+    if not finite.all():
+        raise StefanError(f"non-finite temperature at t={times[finite.argmin()]:.6g}")
+    prev_min = np.concatenate(([bounds[0]], step_min))
+    prev_max = np.concatenate(([bounds[1]], step_max))
+    face, melt = rows[:, 0], rows[:, -1]
+    lo = np.minimum(np.minimum(prev_min[:-1], melt), face)
+    hi = np.maximum(np.maximum(prev_max[:-1], melt), face)
+    tol = 1e-10 * (1.0 + np.abs(hi))
+    # The boundary values lie in [lo, hi], so a row's extremes test its interior.
+    broken = (step_min < lo - tol) | (step_max > hi + tol)
+    return int(np.count_nonzero(broken)), (prev_min[-1], prev_max[-1])
+
+
 @functools.cache
 def _dgtsv():
     """LAPACK dgtsv, loaded from scipy's f2py extension ``scipy.linalg._flapack``.
@@ -141,8 +170,12 @@ def solve(config: OracleConfig, field: StefanField) -> OracleResult:
     n_xi + 1 values.  Each step adds the advection term to u, then LAPACK
     gtsv (``_dgtsv``) overwrites the first n_xi values of u with the
     implicit solve, and u[n_xi] takes the melt-face value.  The diagonals
-    and the advection term live in preallocated arrays that are refilled,
-    so a step allocates no array.
+    (views of one band buffer) and the advection term live in preallocated
+    arrays that are refilled, so a step allocates no array.
+
+    Finiteness and the discrete maximum principle are checked on blocks of
+    BLOCK steps' copies of u, at the end of the march, and before any march
+    error is raised, so the first non-finite step is the one reported.
     """
     dgtsv = _dgtsv()
     n = config.n_xi
@@ -167,74 +200,74 @@ def solve(config: OracleConfig, field: StefanField) -> OracleResult:
     t = config.t0
     max_cfl = 0.0
     violations = 0
-    diag = np.empty(n)
-    upper = np.empty(n - 1)
-    lower = np.empty(n - 1)
+    # One band buffer, so that the sub- and super-diagonal take one fill
+    band = np.empty(3 * n - 2)
+    lower, upper, diag = band[: n - 1], band[n - 1 : 2 * n - 2], band[2 * n - 2 :]
+    off_diag = band[: 2 * n - 2]
     advect = np.empty(n - 1)
     du = np.empty(n - 1)
     xi_inner = xi[1:n]
     # gtsv's right-hand side and solution, the interior, the centred-difference pair
     head, inner, up, down = u[:n], u[1:n], u[2:], u[: n - 1]
-    u_min, u_max = float(u.min()), float(u.max())
+    # The last BLOCK steps' temperatures and end times, checked together
+    rows, row_t = np.empty((BLOCK, n + 1)), np.empty(BLOCK)
+    bounds = (u.min(), u.max())
 
-    for k in range(steps):
-        grad_front = (3.0 * u.item(n) - 4.0 * u.item(n - 1) + u.item(n - 2)) / two_dxi
-        s_dot = -grad_front / (front * l0 * math.sqrt(t))
-        cfl = abs(s_dot) / front * dt / dxi
-        max_cfl = max(max_cfl, cfl)
-        if not cfl <= 1.0:
-            raise StabilityViolation(
-                f"advective CFL {cfl:.3f} > 1 at t={t:.6g}; reduce dt"
-            )
-        front_new = front + dt * s_dot
-        if front_new <= front:
-            raise NonmonotoneFront(f"front stalled at t={t:.6g}")
+    try:
+        for k in range(steps):
+            grad_front = (3.0 * u.item(n) - 4.0 * u.item(n - 1) + u.item(n - 2)) / two_dxi
+            s_dot = -grad_front / (front * l0 * math.sqrt(t))
+            cfl = abs(s_dot) / front * dt / dxi
+            max_cfl = max(max_cfl, cfl)
+            if not cfl <= 1.0:
+                raise StabilityViolation(
+                    f"advective CFL {cfl:.3f} > 1 at t={t:.6g}; reduce dt"
+                )
+            front_new = front + dt * s_dot
+            if front_new <= front:
+                raise NonmonotoneFront(f"front stalled at t={t:.6g}")
 
-        # The centred difference reads u before the step writes to it.  The
-        # advection term keeps the association order of
-        # dt * (xi*s_dot/front) * (u[2:] - u[:-2]) / (2*dxi).
-        np.subtract(up, down, out=du)
-        np.multiply(xi_inner, s_dot, out=advect)
-        advect /= front
-        np.multiply(dt, advect, out=advect)
-        advect *= du
-        advect /= two_dxi
-        inner += advect
+            # The centred difference reads u before the step writes to it.  The
+            # advection term keeps the association order of
+            # dt * (xi*s_dot/front) * (u[2:] - u[:-2]) / (2*dxi).
+            np.subtract(up, down, out=du)
+            np.multiply(xi_inner, s_dot, out=advect)
+            advect /= front
+            np.multiply(dt, advect, out=advect)
+            advect *= du
+            advect /= two_dxi
+            inner += advect
 
-        t_new = t + dt
-        dirichlet = tm0 * math.sqrt(t_new)
-        r = dt / (front_new * front_new * dxi * dxi)
-        diag.fill(1.0 + 2.0 * r)
-        upper.fill(-r)
-        lower.fill(-r)
-        upper[0] = -2.0 * r
-        u[0] += 2.0 * r * dxi * q * front_new
-        u[n - 1] += r * dirichlet
-        info = dgtsv(lower, diag, upper, head, 1, 1, 1, 1)[4]
-        if info != 0:
-            raise StefanError(
-                f"tridiagonal solve failed (gtsv info={info}) at t={t_new:.6g}"
-            )
-        u[n] = dirichlet
+            t_new = t + dt
+            dirichlet = tm0 * math.sqrt(t_new)
+            r = dt / (front_new * front_new * dxi * dxi)
+            diag.fill(1.0 + 2.0 * r)
+            off_diag.fill(-r)
+            upper[0] = -2.0 * r
+            u[0] += 2.0 * r * dxi * q * front_new
+            u[n - 1] += r * dirichlet
+            info = dgtsv(lower, diag, upper, head, 1, 1, 1, 1)[4]
+            if info != 0:
+                raise StefanError(
+                    f"tridiagonal solve failed (gtsv info={info}) at t={t_new:.6g}"
+                )
+            u[n] = dirichlet
 
-        inner_min, inner_max = float(inner.min()), float(inner.max())
-        face = u.item(0)
-        if not (math.isfinite(inner_min) and math.isfinite(inner_max)
-                and math.isfinite(face)):
-            raise StefanError(f"non-finite temperature at t={t_new:.6g}")
-        lo = min(u_min, dirichlet, face)
-        hi = max(u_max, dirichlet, face)
-        tol = 1e-10 * (1.0 + abs(hi))
-        if inner_min < lo - tol or inner_max > hi + tol:
-            violations += 1
-
-        u_min = min(inner_min, face, dirichlet)
-        u_max = max(inner_max, face, dirichlet)
-        front, t = front_new, t_new
-        if k + 1 in snap_at:
-            times.append(t)
-            fronts.append(front)
-            snaps.append(u.copy())
+            j = k % BLOCK
+            rows[j] = u
+            row_t[j] = t_new
+            if j == BLOCK - 1 or k == steps - 1:
+                count, bounds = _check_steps(rows[: j + 1], row_t[: j + 1], bounds)
+                violations += count
+            front, t = front_new, t_new
+            if k + 1 in snap_at:
+                times.append(t)
+                fronts.append(front)
+                snaps.append(u.copy())
+    except StefanError:
+        # A non-finite step earlier in the block is the first fault.
+        _check_steps(rows[: k % BLOCK], row_t[: k % BLOCK], bounds)
+        raise
 
     if violations:
         warnings.warn(

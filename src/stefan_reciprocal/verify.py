@@ -66,6 +66,10 @@ class GridSpec:
     margin: float = 0.02
 
     def __post_init__(self):
+        for name in ("n_space", "n_time"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise InvalidParameters(f"{name} must be an int, got {value!r}")
         if self.n_space < 8:
             raise InvalidParameters("n_space must be >= 8")
         if self.n_time < 1:

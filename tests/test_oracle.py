@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -100,6 +101,26 @@ class TestLinearProfileSeed:
         assert dev_end < 0.2 * dev_start  # transient decays
 
 
+def _faulty_gtsv(monkeypatch, faults, fail_on=None):
+    """Make the march's gtsv add ``value`` to ``b[cell]`` after its call
+    number ``c`` (counted from 1) for each ``c: (cell, value)`` in ``faults``,
+    and report failure (info 1) on call ``fail_on``."""
+    gtsv = oracle._dgtsv()
+    calls = itertools.count(1)
+
+    def faulty_gtsv(dl, d, du, b, *overwrite):
+        call = next(calls)
+        if call == fail_on:
+            return dl, d, du, b, 1
+        out = gtsv(dl, d, du, b, *overwrite)
+        if call in faults:
+            cell, value = faults[call]
+            b[cell] += value
+        return out
+
+    monkeypatch.setattr(oracle, "_dgtsv", lambda: faulty_gtsv)
+
+
 class TestGuards:
     def test_stability_violation(self, baseline_field):
         with pytest.raises(sr.StabilityViolation):
@@ -125,10 +146,13 @@ class TestGuards:
             {"t0": math.nan},
             {"dt": math.inf},
             {"s0": math.nan},
+            {"n_xi": 64.0},
+            {"n_xi": True},
+            {"n_xi": np.int64(64)},
         ],
     )
     def test_config_validation(self, kwargs):
-        with pytest.raises(sr.InvalidParameters):
+        with pytest.raises(sr.InvalidParameters, match="|".join(kwargs)):
             OracleConfig(**kwargs)
 
     @pytest.mark.parametrize(
@@ -147,6 +171,42 @@ class TestGuards:
         monkeypatch.setattr(oracle, "_dgtsv", lambda: broken_gtsv)
         with pytest.raises(sr.StefanError, match=message):
             solve(OracleConfig(n_xi=32, t0=0.1, t_end=0.3, dt=1e-3), baseline_field)
+
+    @pytest.mark.parametrize(
+        "faults, fail_on, t",
+        [
+            ({37: (5, math.inf)}, None, "0.137"),  # inside a block
+            ({64: (3, math.nan)}, None, "0.164"),  # the last step of a block
+            ({65: (0, -math.inf)}, None, "0.165"),  # the flux face, first of a block
+            ({100: (30, math.inf)}, None, "0.2"),  # the next step's CFL is inf
+            ({37: (5, math.nan)}, 38, "0.137"),  # gtsv fails on the next step
+        ],
+    )
+    def test_first_non_finite_step_named(
+        self, baseline_field, monkeypatch, faults, fail_on, t
+    ):
+        """A non-finite value is reported at the step that made it, ahead of
+        the stability or gtsv error that a later step of its block meets."""
+        _faulty_gtsv(monkeypatch, faults, fail_on)
+        with pytest.raises(sr.StefanError) as exc:
+            solve(OracleConfig(n_xi=32, t0=0.1, t_end=0.3, dt=1e-3), baseline_field)
+        assert type(exc.value) is sr.StefanError
+        assert str(exc.value) == f"non-finite temperature at t={t}"
+
+    def test_violations_counted_across_blocks(self, baseline_field, monkeypatch):
+        """A +-1 jump in one interior cell breaks the discrete maximum principle
+        on its own step only.  The jumps sit on the first and last steps and
+        on both sides of the edges of the march's 64-step blocks."""
+        assert oracle.BLOCK == 64
+        jumps = {1: 1.0, 63: -1.0, 64: 1.0, 65: -1.0, 128: 1.0, 200: -1.0}
+        _faulty_gtsv(
+            monkeypatch, {c: (3 if v > 0 else 10, v) for c, v in jumps.items()}
+        )
+        config = OracleConfig(n_xi=32, t0=0.1, t_end=0.3, dt=1e-3)
+        with pytest.warns(RuntimeWarning, match="^discrete maximum principle violated on 6 steps$"):
+            result = solve(config, baseline_field)
+        assert result.steps == 200
+        assert result.max_principle_violations == 6
 
     def test_solves_in_place(self, baseline_field, monkeypatch):
         """Every step hands gtsv the same right-hand side array: the head of
@@ -191,6 +251,21 @@ PINS = [
     (
         {"n_xi": 128, "t0": 0.4, "t_end": 2.0, "dt": 1e-3},
         "0x1.e6018e7084069p-2", "0x1.47ad59fed7ab3p-3", "4658fb6b62ef731e",
+    ),
+    # Marches of 5, 64 and 65 steps: shorter than one of the march's 64-step
+    # check blocks, exactly one, and one step more.
+    (
+        {"n_xi": 33, "t0": 0.1, "t_end": 0.105, "dt": 1e-3},
+        "0x1.e60630df8d436p-2", "0x1.51e053afdf7edp-3", "4df1d28f830cc4b4",
+    ),
+    (
+        {"n_xi": 32, "t0": 0.02, "t_end": 0.02256, "dt": 4e-5,
+         "seed_mode": "linear_profile", "s0": 0.05},
+        "0x1.b0c80290ec263p-3", "0x1.72ba43fff36e2p-3", "36752d718a5cc192",
+    ),
+    (
+        {"n_xi": 100, "t0": 0.1, "t_end": 0.165, "dt": 1e-3},
+        "0x1.e611173ae3b0fp-2", "0x1.fffe2309f57e5p-2", "67370cf0390911e0",
     ),
 ]
 

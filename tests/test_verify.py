@@ -40,6 +40,10 @@ class TestGridSpec:
             GridSpec(n_time=0)
         with pytest.raises(sr.InvalidParameters):
             GridSpec(margin=0.6)
+        for kwargs in ({"n_space": 12.5}, {"n_space": 50.0}, {"n_time": 3.0},
+                       {"n_time": True}, {"n_space": "50"}):
+            with pytest.raises(sr.InvalidParameters, match=f"{next(iter(kwargs))} must be an int"):
+                GridSpec(**kwargs)
 
     def test_report_record_schema(self, baseline_field):
         report = stefan_bc_residuals(baseline_field)
