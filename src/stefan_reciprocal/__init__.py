@@ -27,6 +27,7 @@ from .similarity import (
     eval_G,
     physical_margin,
     solve_gamma,
+    solve_gammas,
 )
 from .transform import (
     BoundaryCoefficients,
@@ -87,6 +88,7 @@ __all__ = [
     "reciprocal_identity_residual",
     "run_verification_suite",
     "solve_gamma",
+    "solve_gammas",
     "solve_oracle",
     "stefan_bc_residuals",
     "theta_quadrature",

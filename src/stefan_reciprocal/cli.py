@@ -12,6 +12,7 @@ sweep cells are written in parameter order.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import re
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import oracle as oracle_mod
 from .errors import InvalidParameters, NotMonotone, StefanError
-from .similarity import PhysicalParams, StefanField, physical_margin, solve_gamma
+from .similarity import PhysicalParams, StefanField, physical_margin, solve_gamma, solve_gammas
 from .transform import PsiField
 from .verify import GridSpec, run_verification_suite
 
@@ -329,17 +330,18 @@ def cmd_sweep(args) -> int:
     q_values = _parse_range(args.q_range) if args.q_range else [cfg["q"]]
     l0_values = _parse_range(args.l0_range) if args.l0_range else [cfg["l0"]]
     tm0_values = _parse_range(args.tm0_range) if args.tm0_range else [cfg["tm0"]]
-    cells = [
-        (q, l0, tm0) for q in q_values for l0 in l0_values for tm0 in tm0_values
-    ]
-
-    def solve_cell(cell):
-        q, l0, tm0 = cell
-        params = PhysicalParams(q=q, l0=l0, tm0=tm0, delta=cfg["delta"])
-        root = solve_gamma(params, cfg["tol"])
-        return (q, l0, tm0, root.gamma, root.residual, physical_margin(params, root.gamma))
-
-    rows = [solve_cell(cell) for cell in cells]
+    params, invalid = [], None
+    for q, l0, tm0 in itertools.product(q_values, l0_values, tm0_values):
+        try:
+            params.append(PhysicalParams(q=q, l0=l0, tm0=tm0, delta=cfg["delta"]))
+        except InvalidParameters as exc:
+            invalid = exc  # raised once the cells before it are solved, as cell by cell
+            break
+    roots = solve_gammas(params, cfg["tol"]) if params else []
+    if invalid:
+        raise invalid
+    rows = [(p.q, p.l0, p.tm0, r.gamma, r.residual, physical_margin(p, r.gamma))
+            for p, r in zip(params, roots)]
     sink = _Sink(args.out)
     _emit_rows(sink, ["q", "l0", "tm0", "gamma", "residual", "margin"], rows, args.json)
     sink.flush()

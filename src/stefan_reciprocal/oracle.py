@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameters, NonmonotoneFront, StabilityViolation, StefanError
-from .similarity import StefanField
+from .similarity import StefanField, _check_reals
 from .verify import ResidualReport, _reduce
 
 SEED_MODES = ("closed_form", "linear_profile")
@@ -58,10 +58,7 @@ class OracleConfig:
     s0: float = 0.05  # initial front for linear_profile seeding
 
     def __post_init__(self):
-        for name in ("t0", "t_end", "dt", "s0"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise InvalidParameters(f"{name} must be finite, got {value}")
+        _check_reals(self, ("t0", "t_end", "dt", "s0"))
         if not isinstance(self.n_xi, int) or isinstance(self.n_xi, bool):
             raise InvalidParameters(f"n_xi must be an int, got {self.n_xi!r}")
         if self.n_xi < 32:

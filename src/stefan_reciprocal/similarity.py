@@ -18,6 +18,7 @@ and the temperature is
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -206,6 +207,16 @@ def _erf(x):
     return out
 
 
+def _check_reals(obj, names):
+    """Refuse a field of ``obj`` that is a bool, not a real number, or not finite."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise InvalidParameters(f"{name} must be a real number, got {value!r}")
+        if not math.isfinite(value):
+            raise InvalidParameters(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
     """Problem constants.
@@ -222,10 +233,7 @@ class PhysicalParams:
     delta: float = 1.0
 
     def __post_init__(self):
-        for name in ("q", "l0", "tm0", "delta"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise InvalidParameters(f"{name} must be finite, got {value}")
+        _check_reals(self, ("q", "l0", "tm0", "delta"))
         if not (self.q > 0):
             raise InvalidParameters(f"q must be > 0, got {self.q}")
         if not (self.l0 > 0):
@@ -265,6 +273,16 @@ def eval_F(x, params: PhysicalParams):
     return _scalar(out)
 
 
+def _g_minus_f(x, params):
+    """G(x) - F(x); ``params`` may be a record array of cells whose fields broadcast against x."""
+    return eval_G(x, params) - eval_F(x, params)
+
+
+def _check_tol(tol):
+    if not (tol > 0 and math.isfinite(tol)):
+        raise InvalidParameters(f"tol must be {'finite' if tol > 0 else '> 0'}, got {tol}")
+
+
 def solve_gamma(params: PhysicalParams, tol: float = 1e-12) -> GammaRoot:
     """Solve G(gamma) = F(gamma) by bisection on (0, q/l0).
 
@@ -279,18 +297,12 @@ def solve_gamma(params: PhysicalParams, tol: float = 1e-12) -> GammaRoot:
     when G - F is single-signed on the bracket, which signals inadmissible
     data (e.g. strongly negative tm0).
     """
-    if not (tol > 0):
-        raise InvalidParameters(f"tol must be > 0, got {tol}")
-    if not math.isfinite(tol):
-        raise InvalidParameters(f"tol must be finite, got {tol}")
+    _check_tol(tol)
     upper = params.q / params.l0
     eps = 1e-14 * upper
     lo, hi = eps, upper - eps
 
-    def diff(x):
-        return eval_G(x, params) - eval_F(x, params)
-
-    f_lo, f_hi = diff(lo), diff(hi)
+    f_lo, f_hi = _g_minus_f(lo, params), _g_minus_f(hi, params)
     if f_lo == 0.0:
         return GammaRoot(lo, 0.0, lo, lo, 0)
     if f_hi == 0.0:
@@ -308,7 +320,7 @@ def solve_gamma(params: PhysicalParams, tol: float = 1e-12) -> GammaRoot:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break  # bracket at rounding resolution; best effort
-        f_mid = diff(mid)
+        f_mid = _g_minus_f(mid, params)
         iterations += 1
         if f_mid == 0.0 or (hi - lo <= tol and abs(f_mid) <= tol):
             return GammaRoot(mid, abs(f_mid), lo, hi, iterations)
@@ -318,7 +330,49 @@ def solve_gamma(params: PhysicalParams, tol: float = 1e-12) -> GammaRoot:
             hi, f_hi = mid, f_mid
 
     gamma = 0.5 * (lo + hi)
-    return GammaRoot(gamma, abs(diff(gamma)), lo, hi, iterations)
+    return GammaRoot(gamma, abs(_g_minus_f(gamma, params)), lo, hi, iterations)
+
+
+def solve_gammas(params: list[PhysicalParams], tol: float) -> list[GammaRoot]:
+    """:func:`solve_gamma` of every PhysicalParams in ``params``, by one array bisection.
+
+    Each cell keeps its own bracket and solve_gamma's stopping rules and is
+    frozen at its first stop, so it gets the bits that solve_gamma gives it;
+    the live cells share one G - F evaluation per halving.  Raises as
+    solve_gamma does, for the first cell in order without a sign change.
+    """
+    _check_tol(tol)
+    cells = np.rec.fromarrays([[getattr(p, k) for p in params] for k in ("q", "l0", "tm0")],
+                              names="q,l0,tm0", formats="f8,f8,f8")
+    upper = cells.q / cells.l0
+    eps = 1e-14 * upper
+    lo, hi = eps, upper - eps
+    f_lo, f_hi = _g_minus_f(np.stack((lo, hi)), cells)
+    bracketed = (f_lo != 0.0) & (f_hi != 0.0)
+    none = bracketed & (np.sign(f_lo) == np.sign(f_hi))
+    if none.any():
+        solve_gamma(params[int(np.argmax(none))], tol)  # raises that cell's NoSignChange
+    # a zero at an end is the root, found in no halving
+    gamma, b_lo, b_hi = (np.where(f_lo == 0.0, lo, hi) for _ in range(3))
+    residual, iterations = np.zeros_like(gamma), np.zeros(gamma.shape, dtype=int)
+    live = np.flatnonzero(bracketed)
+    lo, hi, f_lo, cells = lo[live], hi[live], f_lo[live], cells[live]
+    for k in range(201):  # k midpoints evaluated so far in every live cell
+        if not live.size:
+            break
+        mid = 0.5 * (lo + hi)
+        f_mid = _g_minus_f(mid, cells)
+        stuck = (mid <= lo) | (mid >= hi) | (k == 200)  # evaluated, not counted
+        hit = ~stuck & ((f_mid == 0.0) | ((hi - lo <= tol) & (np.abs(f_mid) <= tol)))
+        done = stuck | hit
+        i = live[done]
+        gamma[i], residual[i], b_lo[i], b_hi[i] = mid[done], np.abs(f_mid[done]), lo[done], hi[done]
+        iterations[i] = k + hit[done]
+        same = np.sign(f_mid) == np.sign(f_lo)
+        lo, f_lo, hi = np.where(same, mid, lo), np.where(same, f_mid, f_lo), np.where(same, hi, mid)
+        live, lo, hi, f_lo, cells = (v[~done] for v in (live, lo, hi, f_lo, cells))
+    fields = (gamma, residual, b_lo, b_hi, iterations)
+    return [GammaRoot(*root) for root in zip(*(v.tolist() for v in fields))]
 
 
 def physical_margin(params: PhysicalParams, gamma: float) -> float:

@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidParameters, QuadratureFailure
-from .similarity import StefanField, _Jet
+from .similarity import StefanField, _check_reals, _Jet
 from .transform import (
     QUAD_TOL,
     PsiField,
@@ -70,6 +70,7 @@ class GridSpec:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise InvalidParameters(f"{name} must be an int, got {value!r}")
+        _check_reals(self, ("margin",))
         if self.n_space < 8:
             raise InvalidParameters("n_space must be >= 8")
         if self.n_time < 1:

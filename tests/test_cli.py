@@ -222,6 +222,57 @@ class TestSweep:
         assert code == 0
         assert len(out.splitlines()) == 2
 
+    def test_one_evaluation_per_halving(self, capsys, monkeypatch):
+        """A 20x20 sweep evaluates G - F for all its cells at once, in 44
+        calls, not in the 17,599 of per-cell solves."""
+        from stefan_reciprocal import similarity
+
+        erf, calls, depth = similarity._erf, [0], [0]
+
+        def counted(x):  # _erf calls itself on the |x| <= 1 part of an array
+            calls[0] += depth[0] == 0
+            depth[0] += 1
+            try:
+                return erf(x)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(similarity, "_erf", counted)
+        code, out, _ = run(capsys, "sweep", "--q-range", "0.9:1.6:20", "--tm0-range", "0:0.6:20")
+        monkeypatch.undo()
+        assert code == 0
+        cells = [[float(v) for v in line.split(",")[:3]] for line in out.splitlines()[1:]]
+        assert len(cells) == 400
+        solve, params = stefan_reciprocal.solve_gamma, stefan_reciprocal.PhysicalParams
+        most = max(solve(params(*cell)).iterations for cell in cells)
+        assert calls[0] <= 2 + most
+
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            # tm0 >= l0 first at the eighth cell
+            (["--q-range", "0.5:1.5:3", "--l0-range", "1.2:0.9:2", "--tm0-range", "0:0.9:4"], 1,
+             "requires l0 > tm0, got l0=0.9, tm0=0.9"),
+            (["--q-range", "1.5:0:4", "--tm0-range", "0:0.9:4"], 1, "q must be > 0, got 0.0"),
+            # no sign change in the first cell, an invalid cell (tm0 = 1.5) after it
+            (["--q-range", "0.5:1.5:3", "--tm0-range", "-100:1.5:3"], 2,
+             "G - F does not change sign on (5e-15, 0.5); "
+             "no admissible gamma for q=0.5, l0=1.0, tm0=-100.0"),
+            # no sign change at the eleventh cell, after ten solved ones
+            (["--q-range", "0.5:4:8", "--l0-range", "0.7:1.3:3", "--tm0-range", "-0.4:0.45:5"], 2,
+             "G - F does not change sign on (3.85e-15, 0.385); "
+             "no admissible gamma for q=0.5, l0=1.3, tm0=-0.4"),
+            (["--q-range", "0.5:1.5:3", "--tol", "0"], 1, "tol must be > 0, got 0.0"),
+            (["--q-range", "0.5:1.5:3", "--tol", "nan"], 1, "tol must be > 0, got nan"),
+            (["--q-range", "0.5:1.5:3", "--tol", "inf"], 1, "tol must be finite, got inf"),
+            # an invalid first cell is reported before a bad tol
+            (["--q-range", "-1:1:3", "--tol", "0"], 1, "q must be > 0, got -1.0"),
+            (["--tm0", "-100", "--tol", "nan"], 1, "tol must be > 0, got nan"),
+        ],
+    )
+    def test_fails_at_first_failing_cell(self, capsys, argv, code, message):
+        assert run(capsys, "sweep", *argv) == (code, "", f"error: {message}\n")
+
 
 class TestConfigPrecedence:
     def test_config_file_overrides_defaults(self, capsys, tmp_path):
@@ -349,6 +400,15 @@ class TestBitIdentity:
              "876b056ddaf9888ec11baa0dfdeb7b5f0752295858ccb39b774f11f5f0e3c159"),
             (["oracle", "--n-xi", "1024", "--t-end", "0.12", "--dt", "5e-5", "--json"], 0,
              "7d0c1ea881e9cd9bdce478b37715d10971cb36673ae70af9b09bab2acde7d70d"),
+            (["sweep", "--q-range", "0.5:1.5:7", "--tm0-range", "0:0.9:6"], 0,
+             "3ef41741feb80fabcd4a6414bba9ce6e1c1adeacc67785869ee05566a325b869"),
+            (["sweep", "--q-range", "0.6:1.4:5", "--l0-range", "0.8:1.6:4",
+              "--tm0-range", "0:0.6:3", "--json"], 0,
+             "46cfd620e14307a509c667f2ad662aeb585182751ba21dc26d2be0738a60cfad"),
+            # bisection midpoints above 1 take _erf's float path; tm0 < 0
+            (["sweep", "--q-range", "0.6:4:8", "--l0-range", "0.7:1.3:3",
+              "--tm0-range", "-0.4:0.45:5"], 0,
+             "14c2c146054d4d88c1e2a90e9fd59f36c7c319566d875013f5cbbace122476bb"),
         ],
     )
     def test_pinned_stdout(self, capsys, argv, code, digest):

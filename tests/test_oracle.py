@@ -149,6 +149,10 @@ class TestGuards:
             {"n_xi": 64.0},
             {"n_xi": True},
             {"n_xi": np.int64(64)},
+            {"t0": "0.1"},
+            {"dt": True},
+            {"t_end": None},
+            {"s0": 1j},
         ],
     )
     def test_config_validation(self, kwargs):

@@ -215,6 +215,65 @@ class TestSolveGamma:
             sr.solve_gamma(baseline_params, tol=0.0)
 
 
+def _root_bits(root):
+    """The five GammaRoot fields, floats as their exact hex."""
+    floats = (root.gamma, root.residual, root.bracket_lo, root.bracket_hi)
+    return (*(float(v).hex() for v in floats), root.iterations)
+
+
+def _admissible(cells, tol=1e-12):
+    out = []
+    for q, l0, tm0 in cells:
+        params = sr.PhysicalParams(q=q, l0=l0, tm0=tm0)
+        try:
+            out.append((params, sr.solve_gamma(params, tol)))
+        except sr.NoSignChange:
+            pass
+    return out
+
+
+class TestSolveGammas:
+    """The array bisection gives every cell the bits of solve_gamma alone."""
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-6, 1e-300])
+    def test_matches_scalar_solve_bit_for_bit(self, tol):
+        # q/l0 up to 200 and tm0 < 0; at tol=1e-300 no cell stops by its residual
+        cells = [(q, l0, tm0) for q in np.geomspace(0.01, 100.0, 9) for l0 in (0.5, 1.0, 2.0)
+                 for tm0 in np.linspace(-0.4, 0.45, 5)]
+        solved = _admissible(cells, tol)
+        assert len(solved) > 100
+        roots = sr.solve_gammas([p for p, _ in solved], tol)
+        assert [_root_bits(r) for r in roots] == [_root_bits(r) for _, r in solved]
+        if tol == 1e-300:
+            adjacent = [np.nextafter(r.bracket_lo, np.inf) == r.bracket_hi for r in roots]
+            assert all(a or r.residual == 0.0 for a, r in zip(adjacent, roots))
+            assert sum(adjacent) > len(roots) / 2
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.tuples(st.floats(1e-3, 1e3), st.floats(0.1, 10.0),
+                              st.floats(-0.9, 0.99)), min_size=1, max_size=8))
+    def test_matches_scalar_solve_on_admissible_box(self, scaled):
+        cells = [(q, l0, tm0 * l0) for q, l0, tm0 in scaled]
+        solved = _admissible(cells)
+        if solved:
+            roots = sr.solve_gammas([p for p, _ in solved], 1e-12)
+            assert [_root_bits(r) for r in roots] == [_root_bits(r) for _, r in solved]
+
+    def test_first_cell_without_sign_change_raises(self):
+        good = sr.PhysicalParams(q=1.0, l0=1.0, tm0=0.5)
+        bad = [sr.PhysicalParams(q=q, l0=1.0, tm0=-100.0) for q in (0.5, 2.0)]
+        with pytest.raises(sr.NoSignChange) as scalar:
+            sr.solve_gamma(bad[0])
+        with pytest.raises(sr.NoSignChange) as batch:
+            sr.solve_gammas([good, *bad], 1e-12)
+        assert str(batch.value) == str(scalar.value)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_invalid_tol(self, baseline_params, tol):
+        with pytest.raises(sr.InvalidParameters, match="tol must be"):
+            sr.solve_gammas([baseline_params], tol)
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -229,11 +288,21 @@ class TestSolveGamma:
         {"q": 1.0, "l0": 1.0, "tm0": -math.inf},
         {"q": 1.0, "l0": 1.0, "tm0": math.nan},
         {"q": 1.0, "l0": 1.0, "delta": math.inf},
+        {"q": True, "l0": 2.0},
+        {"q": 1.0, "l0": "2.0"},
+        {"q": 1.0, "l0": 2.0, "tm0": None},
+        {"q": 1.0, "l0": 2.0, "delta": np.True_},
+        {"q": 1.0, "l0": 2.0, "tm0": 0.5 + 0j},
     ],
 )
 def test_params_validation(kwargs):
-    with pytest.raises(sr.InvalidParameters):
+    with pytest.raises(sr.InvalidParameters, match="|".join(kwargs)):
         sr.PhysicalParams(**kwargs)
+
+
+def test_params_accept_numpy_and_int_values():
+    p = sr.PhysicalParams(q=np.float64(1.5), l0=2, tm0=np.float32(0.25), delta=np.int64(1))
+    assert (p.q, p.l0, p.tm0, p.delta) == (1.5, 2, 0.25, 1)
 
 
 class TestTemperature:

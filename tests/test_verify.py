@@ -44,6 +44,10 @@ class TestGridSpec:
                        {"n_time": True}, {"n_space": "50"}):
             with pytest.raises(sr.InvalidParameters, match=f"{next(iter(kwargs))} must be an int"):
                 GridSpec(**kwargs)
+        for margin in ("0.1", True, None, np.nan):
+            with pytest.raises(sr.InvalidParameters, match="margin must be"):
+                GridSpec(margin=margin)
+        assert GridSpec(margin=np.float64(0.1)).margin == 0.1
 
     def test_report_record_schema(self, baseline_field):
         report = stefan_bc_residuals(baseline_field)
