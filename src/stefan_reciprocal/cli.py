@@ -26,7 +26,7 @@ from .similarity import PhysicalParams, StefanField, physical_margin, solve_gamm
 from .transform import PsiField
 from .verify import GridSpec, run_verification_suite
 
-DEFAULTS = {"q": 1.0, "l0": 1.0, "tm0": 0.5, "delta": 1.0, "tol": 1e-12}
+DEFAULTS = {"q": 1.0, "l0": 1.0, "tm0": 0.5, "delta": 1.0}
 
 
 def fmt(value) -> str:
@@ -83,7 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--l0", type=float, default=None)
         p.add_argument("--tm0", type=float, default=None)
         p.add_argument("--delta", type=float, default=None)
-        p.add_argument("--tol", type=float, default=None)
         p.add_argument("--json", action="store_true")
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--config", type=str, default=None)
@@ -175,7 +174,7 @@ class _Sink:
 def cmd_gamma(args) -> int:
     cfg = _merge_config(args)
     params = _params(cfg)
-    root = solve_gamma(params, cfg["tol"])
+    root = solve_gamma(params)
     margin = physical_margin(params, root.gamma)
     sink = _Sink(args.out)
     if args.json:
@@ -218,7 +217,7 @@ def _emit_rows(sink, header, rows, as_json):
 def cmd_eval(args) -> int:
     cfg = _merge_config(args)
     params = _params(cfg)
-    field = StefanField.from_params(params, cfg["tol"])
+    field = StefanField.from_params(params)
     psi_field = PsiField(field)
     t = args.t
     if not math.isfinite(t):
@@ -271,7 +270,7 @@ def cmd_eval(args) -> int:
 def cmd_verify(args) -> int:
     cfg = _merge_config(args)
     params = _params(cfg)
-    field = StefanField.from_params(params, cfg["tol"])
+    field = StefanField.from_params(params)
     try:
         n_space, n_time = (int(v) for v in args.grid.split(","))
     except ValueError as exc:
@@ -294,7 +293,7 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     cfg = _merge_config(args)
-    field = StefanField.from_params(_params(cfg), cfg["tol"])
+    field = StefanField.from_params(_params(cfg))
     config = oracle_mod.OracleConfig(
         n_xi=args.n_xi,
         t0=args.t0,
@@ -337,7 +336,7 @@ def cmd_sweep(args) -> int:
         except InvalidParameters as exc:
             invalid = exc  # raised once the cells before it are solved, as cell by cell
             break
-    roots = solve_gammas(params, cfg["tol"]) if params else []
+    roots = solve_gammas(params)
     if invalid:
         raise invalid
     rows = [(p.q, p.l0, p.tm0, r.gamma, r.residual, physical_margin(p, r.gamma))

@@ -21,6 +21,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -274,104 +275,78 @@ def eval_F(x, params: PhysicalParams):
 
 
 def _g_minus_f(x, params):
-    """G(x) - F(x); ``params`` may be a record array of cells whose fields broadcast against x."""
+    """G(x) - F(x); the fields of ``params`` may be arrays that broadcast against x."""
     return eval_G(x, params) - eval_F(x, params)
 
 
-def _check_tol(tol):
-    if not (tol > 0 and math.isfinite(tol)):
-        raise InvalidParameters(f"tol must be {'finite' if tol > 0 else '> 0'}, got {tol}")
+def _bisect(cells, params):
+    """The GammaRoot fields of every cell, as arrays of the cells' shape.
 
-
-def solve_gamma(params: PhysicalParams, tol: float = 1e-12) -> GammaRoot:
-    """Solve G(gamma) = F(gamma) by bisection on (0, q/l0).
-
-    The bracket endpoints start at eps and q/l0 - eps with
-    eps = 1e-14*q/l0, so the function is never evaluated outside the open
-    interval.  Bisection returns the first midpoint at which both the
-    bracket width and |G - F| are <= tol; if the bracket reaches rounding
-    resolution or 200 halvings first, it returns the bracket's midpoint.
-    The result is deterministic for fixed inputs.
-
-    Raises InvalidParameters unless tol is finite and > 0, and NoSignChange
-    when G - F is single-signed on the bracket, which signals inadmissible
-    data (e.g. strongly negative tm0).
+    ``cells`` has fields q, l0 and tm0: floats for one cell, or float arrays
+    of one shape; ``params`` lists the cells' PhysicalParams in flat order.
+    Each bracket starts at eps and q/l0 - eps with eps = 1e-14*q/l0, so
+    G - F is never evaluated outside the open interval, and is halved while
+    its midpoint lies strictly inside it: until its ends are adjacent
+    doubles, or until G - F is exactly 0 at an end or a midpoint, where the
+    bracket closes on that point.  gamma is the last midpoint, an end of the
+    bracket.  All cells share one G - F evaluation per halving.
     """
-    _check_tol(tol)
-    upper = params.q / params.l0
-    eps = 1e-14 * upper
-    lo, hi = eps, upper - eps
-
-    f_lo, f_hi = _g_minus_f(lo, params), _g_minus_f(hi, params)
-    if f_lo == 0.0:
-        return GammaRoot(lo, 0.0, lo, lo, 0)
-    if f_hi == 0.0:
-        return GammaRoot(hi, 0.0, hi, hi, 0)
-    if np.sign(f_lo) == np.sign(f_hi):
-        raise NoSignChange(
-            f"G - F does not change sign on ({lo:.3g}, {hi:.3g}); "
-            f"no admissible gamma for q={params.q}, l0={params.l0}, tm0={params.tm0}"
-        )
-
-    # halve until both the bracket width and the midpoint residual meet tol
-    # (the residual needs a few extra halvings when |G' - F'| > 1 at the root)
-    iterations = 0
-    while iterations < 200:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # bracket at rounding resolution; best effort
-        f_mid = _g_minus_f(mid, params)
-        iterations += 1
-        if f_mid == 0.0 or (hi - lo <= tol and abs(f_mid) <= tol):
-            return GammaRoot(mid, abs(f_mid), lo, hi, iterations)
-        if np.sign(f_mid) == np.sign(f_lo):
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-
-    gamma = 0.5 * (lo + hi)
-    return GammaRoot(gamma, abs(_g_minus_f(gamma, params)), lo, hi, iterations)
-
-
-def solve_gammas(params: list[PhysicalParams], tol: float) -> list[GammaRoot]:
-    """:func:`solve_gamma` of every PhysicalParams in ``params``, by one array bisection.
-
-    Each cell keeps its own bracket and solve_gamma's stopping rules and is
-    frozen at its first stop, so it gets the bits that solve_gamma gives it;
-    the live cells share one G - F evaluation per halving.  Raises as
-    solve_gamma does, for the first cell in order without a sign change.
-    """
-    _check_tol(tol)
-    cells = np.rec.fromarrays([[getattr(p, k) for p in params] for k in ("q", "l0", "tm0")],
-                              names="q,l0,tm0", formats="f8,f8,f8")
     upper = cells.q / cells.l0
     eps = 1e-14 * upper
     lo, hi = eps, upper - eps
-    f_lo, f_hi = _g_minus_f(np.stack((lo, hi)), cells)
-    bracketed = (f_lo != 0.0) & (f_hi != 0.0)
-    none = bracketed & (np.sign(f_lo) == np.sign(f_hi))
-    if none.any():
-        solve_gamma(params[int(np.argmax(none))], tol)  # raises that cell's NoSignChange
-    # a zero at an end is the root, found in no halving
-    gamma, b_lo, b_hi = (np.where(f_lo == 0.0, lo, hi) for _ in range(3))
-    residual, iterations = np.zeros_like(gamma), np.zeros(gamma.shape, dtype=int)
-    live = np.flatnonzero(bracketed)
-    lo, hi, f_lo, cells = lo[live], hi[live], f_lo[live], cells[live]
-    for k in range(201):  # k midpoints evaluated so far in every live cell
-        if not live.size:
-            break
+    f_lo, f_hi = _g_minus_f(lo, cells), _g_minus_f(hi, cells)
+    none = (f_lo != 0.0) & (np.sign(f_lo) == np.sign(f_hi))
+    if np.any(none):
+        i = int(np.argmax(none))
+        p, a, b = params[i], np.ravel(lo)[i], np.ravel(hi)[i]
+        raise NoSignChange(
+            f"G - F does not change sign on ({a:.3g}, {b:.3g}); "
+            f"no admissible gamma for q={p.q}, l0={p.l0}, tm0={p.tm0}"
+        )
+    # a zero at an end closes the bracket on that end
+    at_lo, at_hi = f_lo == 0.0, (f_hi == 0.0) & (f_lo != 0.0)
+    hi, f_hi = np.where(at_lo, lo, hi), np.where(at_lo, f_lo, f_hi)
+    lo = np.where(at_hi, hi, lo)
+    iterations = np.zeros(np.shape(lo), dtype=int)
+    while True:
         mid = 0.5 * (lo + hi)
+        inside = (lo < mid) & (mid < hi)
+        if not inside.any():
+            break
         f_mid = _g_minus_f(mid, cells)
-        stuck = (mid <= lo) | (mid >= hi) | (k == 200)  # evaluated, not counted
-        hit = ~stuck & ((f_mid == 0.0) | ((hi - lo <= tol) & (np.abs(f_mid) <= tol)))
-        done = stuck | hit
-        i = live[done]
-        gamma[i], residual[i], b_lo[i], b_hi[i] = mid[done], np.abs(f_mid[done]), lo[done], hi[done]
-        iterations[i] = k + hit[done]
-        same = np.sign(f_mid) == np.sign(f_lo)
-        lo, f_lo, hi = np.where(same, mid, lo), np.where(same, f_mid, f_lo), np.where(same, hi, mid)
-        live, lo, hi, f_lo, cells = (v[~done] for v in (live, lo, hi, f_lo, cells))
-    fields = (gamma, residual, b_lo, b_hi, iterations)
+        iterations += inside
+        same, zero = np.sign(f_mid) == np.sign(f_lo), f_mid == 0.0
+        up, down = inside & (same | zero), inside & ~same
+        lo, f_lo = np.where(up, mid, lo), np.where(up, f_mid, f_lo)
+        hi, f_hi = np.where(down, mid, hi), np.where(down, f_mid, f_hi)
+    return mid, np.abs(np.where(mid == hi, f_hi, f_lo)), lo, hi, iterations
+
+
+def solve_gamma(params: PhysicalParams) -> GammaRoot:
+    """Solve G(gamma) = F(gamma) by bisection on (0, q/l0) to adjacent doubles.
+
+    The bracket endpoints start at eps and q/l0 - eps with
+    eps = 1e-14*q/l0, so the function is never evaluated outside the open
+    interval.  Bisection halves the bracket until its midpoint is no longer
+    strictly inside it, which leaves bracket_lo and bracket_hi adjacent
+    doubles and gamma the one of them that the midpoint rounds to; where
+    G - F is exactly 0 at an end or a midpoint, the bracket closes on that
+    point and the residual is 0.  The result is deterministic for fixed inputs.
+
+    Raises NoSignChange when G - F is single-signed on the bracket, which
+    signals inadmissible data (e.g. strongly negative tm0).
+    """
+    return GammaRoot(*(v.tolist() for v in _bisect(params, [params])))
+
+
+def solve_gammas(params: list[PhysicalParams]) -> list[GammaRoot]:
+    """:func:`solve_gamma` of every PhysicalParams in ``params``, by one array bisection.
+
+    Raises as solve_gamma does, for the first cell in order without a sign change.
+    """
+    cells = SimpleNamespace(**{k: np.array([getattr(p, k) for p in params], dtype=float)
+                               for k in ("q", "l0", "tm0")})
+    fields = _bisect(cells, params)
     return [GammaRoot(*root) for root in zip(*(v.tolist() for v in fields))]
 
 
@@ -397,8 +372,8 @@ class StefanField:
     amplitude: float  # A = (q - l0*gamma) / (sqrt(pi)*erf(gamma))
 
     @classmethod
-    def from_params(cls, params: PhysicalParams, tol: float = 1e-12) -> "StefanField":
-        root = solve_gamma(params, tol)
+    def from_params(cls, params: PhysicalParams) -> "StefanField":
+        root = solve_gamma(params)
         g = root.gamma
         amplitude = (params.q - params.l0 * g) / (SQRT_PI * math.erf(g))
         return cls(params, root, amplitude)

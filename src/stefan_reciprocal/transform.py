@@ -414,11 +414,12 @@ class PsiField:
 
         For the sqrt(t) family every term scales as 1/t and the face
         identity Theta(0,t) = q*t makes H vanish with an exact gamma.  With
-        gamma solved to the root tolerance, H*t is a constant set by that
-        tolerance, not by rounding: -7.07e-12 at (q, l0, tm0) = (1, 1, 0.5)
-        and -7.71e-7 at (0.1, 1, 0.99) (ROADMAP item 10).  Tm^3 is numpy's
-        power for a scalar t too, so each time gets the same bits alone as
-        in a batch.
+        gamma bisected to adjacent doubles, H*t is rounding noise that
+        changes sign with t: over eval's t in [0.25, 4], max |H*t| is 3.9e-15
+        at (q, l0, tm0) = (1, 1, 0.5), 2.6e-9 at (0.1, 1, 0.99) and 1.2e-9
+        at (1e-3, 1, 0.5), two points where its first term reaches 3.9e6
+        and 1.1e6.  Tm^3 is numpy's power for a scalar t too, so each time
+        gets the same bits alone as in a batch.
         """
         if np.any(np.asarray(t) <= 0):
             raise DomainError("t must be > 0")

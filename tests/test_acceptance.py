@@ -45,7 +45,7 @@ def test_criterion_1_root_correctness():
     for q in (0.5, 1.0, 2.0):
         for tm0 in (0.0, 0.25, 0.5):
             params = sr.PhysicalParams(q=q, l0=1.0, tm0=tm0)
-            root = sr.solve_gamma(params, tol=1e-12)
+            root = sr.solve_gamma(params)
             in_bracket = 0.0 < root.gamma < q / params.l0
             resid = abs(
                 sr.eval_G(root.gamma, params) - sr.eval_F(root.gamma, params)

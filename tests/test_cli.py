@@ -48,10 +48,12 @@ class TestGamma:
         assert "sign" in err
 
     def test_tighter_tol(self, capsys):
-        code, out, _ = run(capsys, "gamma", "--tm0", "0", "--tol", "1e-14", "--json")
+        """The bracket is tighter than any root tolerance: adjacent doubles here."""
+        code, out, _ = run(capsys, "gamma", "--tm0", "0", "--json")
         assert code == 0
         payload = json.loads(out)
         assert payload["bracket_hi"] - payload["bracket_lo"] <= 1e-14
+        assert payload["bracket_hi"] == np.nextafter(payload["bracket_lo"], np.inf)
 
 
 class TestEval:
@@ -179,18 +181,17 @@ class TestOracle:
         assert lines[0] == "t,xi,y,T_num,S_num"
         assert len(lines) > 32
 
-    def test_tol_seeds_the_march(self, capsys, tmp_path):
-        """--tol sets the root tolerance of the field the march starts from,
-        not only of the field it is compared against."""
+    def test_root_seeds_the_march(self, capsys, tmp_path):
+        """The march starts from the field it is compared against."""
         out_path = tmp_path / "oracle.csv"
         code, out, _ = run(
             capsys,
             "oracle", "--n-xi", "32", "--dt", "1e-3", "--t-end", "0.3", "--json",
-            "--tol", "1e-3", "--out", str(out_path),
+            "--q", "1.3", "--out", str(out_path),
         )
         assert code == 0
         field = stefan_reciprocal.StefanField.from_params(
-            stefan_reciprocal.PhysicalParams(q=1.0, l0=1.0, tm0=0.5), 1e-3
+            stefan_reciprocal.PhysicalParams(q=1.3, l0=1.0, tm0=0.5)
         )
         assert json.loads(out)["gamma_exact"] == field.gamma.gamma
         rows = [[float(v) for v in line.split(",")] for line in out_path.read_text().splitlines()[1:34]]
@@ -262,12 +263,11 @@ class TestSweep:
             (["--q-range", "0.5:4:8", "--l0-range", "0.7:1.3:3", "--tm0-range", "-0.4:0.45:5"], 2,
              "G - F does not change sign on (3.85e-15, 0.385); "
              "no admissible gamma for q=0.5, l0=1.3, tm0=-0.4"),
-            (["--q-range", "0.5:1.5:3", "--tol", "0"], 1, "tol must be > 0, got 0.0"),
-            (["--q-range", "0.5:1.5:3", "--tol", "nan"], 1, "tol must be > 0, got nan"),
-            (["--q-range", "0.5:1.5:3", "--tol", "inf"], 1, "tol must be finite, got inf"),
-            # an invalid first cell is reported before a bad tol
-            (["--q-range", "-1:1:3", "--tol", "0"], 1, "q must be > 0, got -1.0"),
-            (["--tm0", "-100", "--tol", "nan"], 1, "tol must be > 0, got nan"),
+            # an invalid first cell: no cell is solved
+            (["--q-range", "-1:1:3"], 1, "q must be > 0, got -1.0"),
+            (["--tm0", "-100"], 2,
+             "G - F does not change sign on (1e-14, 1); "
+             "no admissible gamma for q=1.0, l0=1.0, tm0=-100.0"),
         ],
     )
     def test_fails_at_first_failing_cell(self, capsys, argv, code, message):
@@ -299,12 +299,19 @@ class TestConfigPrecedence:
         assert code == 1
         assert "unknown config keys" in err
 
+    def test_tol_config_key_refused(self, capsys, tmp_path):
+        """gamma is bisected to adjacent doubles; there is no root tolerance to configure."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tol": 1e-12}))
+        code, out, err = run(capsys, "gamma", "--config", str(cfg))
+        assert (code, out, err) == (1, "", "error: unknown config keys: ['tol']\n")
+
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, _ = run(capsys, "gamma", "--config", str(tmp_path / "nope.json"))
         assert code == 2
 
     @pytest.mark.parametrize(
-        "payload", [{"q": "2"}, {"q": True}, {"tol": None}, {"tm0": [0.5]}, ["q"]]
+        "payload", [{"q": "2"}, {"q": True}, {"delta": None}, {"tm0": [0.5]}, ["q"]]
     )
     def test_rejects_non_number_values(self, capsys, tmp_path, payload):
         cfg = tmp_path / "cfg.json"
@@ -347,7 +354,7 @@ class TestDeterminism:
         ["sweep", "--q-range", "0.5:inf:3"],
         ["oracle", "--t-end", "inf"],
         ["oracle", "--seed", "linear", "--s0", "inf", "--n-xi", "32", "--t-end", "0.2"],
-        ["gamma", "--tol", "inf"],
+        ["gamma", "--l0", "inf"],
         ["eval", "--field", "T", "--n", "-1"],
         ["oracle", "--dt", "1e-300", "--n-xi", "32", "--t-end", "0.2"],
         ["verify", "--grid", "8,0"],
@@ -369,46 +376,46 @@ class TestBitIdentity:
         "argv, code, digest",
         [
             (["eval", "--field", "T"], 0,
-             "fa695d3ee27e94a35cef6a4ddd30497db6aeb52dc990203cf3114a9902e9a1bb"),
+             "e55a1b7277622635815dbb17545c5e52e63f0b404d3c4329bd88c048f3fcfa79"),
             (["eval", "--field", "Ty"], 0,
-             "2ec5beb37d66930e59989aeefa50acb76a8ef72b5ace4cc8b0096e57094c9f7c"),
+             "777944d8d15ffe68b717b4e962f63e01027c6aaa0383b38612f2cd321a917475"),
             (["eval", "--field", "S"], 0,
-             "972f3ce80fec5b3ed0b5b78a50c4f70c5143eb5d451267c903243846f8802dbb"),
+             "9c0149ec2716cff2457fdbf4cda9fbea772f04db6792430f89a5a3e92413c083"),
             (["eval", "--field", "xstar"], 0,
-             "d280a691b0263f86e70272cfee7ca7223e64c812463a1b6af955fc6aea40d034"),
+             "d9ffd726723057560868bfd1ef1ee93bd02c10794629fc44f6db61a55bd8e551"),
             (["eval", "--field", "psi"], 0,
-             "9fc181f0e282a11a91f2cd4d0b162c15d845823d050f376eaac16d5e05998634"),
+             "0de12d6dd2dcff8d0b256f790c0bf13ac26e68370db81a8fb75ee0126b146483"),
             (["eval", "--field", "theta"], 0,
-             "1c5eabc8a7487fbafdcd707c09ff7efe17e85908d0e197ed1703255ec9d52254"),
+             "349bed90a30680c9549c81a47231cf728be807c991a974c22012512e2fe8e939"),
             (["eval", "--field", "H"], 0,
-             "67e891802d1477e9556be097ba37d2bff6b60e60057023d754ace0b5a70316a3"),
+             "7d1a3a6c2486c0a356a6a32ca1460dcb6e641c0aa4e6b5ab3e1fc8b306306c1f"),
             (["eval", "--field", "boundaries"], 0,
-             "facc541938db5d897ac6d44c1ca1cc1be65de8a77e50dabc363ff62ac5a83f72"),
+             "e3e177b35846d6b1e457ec6aee2418b06105b47180a09d4a674889a4c4b3d147"),
             (["verify", "--grid", "12,3", "--json", "--tm0", "0.5"], 0,
-             "b3cf9105ad6570b1ed7e5961fb94c7028b53934bf3db94bb9ca3468ea0492838"),
+             "db4c02f61513da0d8e111d14b7cbe464db9ad3ae86f78ff95a11cab5d559a65e"),
             (["verify", "--grid", "12,3", "--json", "--tm0", "0"], 0,
-             "1607604a590b202c91d3a621dfd9c02cec35b143c0d8561d47fa9eecf063ab2e"),
+             "b493d2cb092289471e8a12439982747e37e924c16c033a6dcfcd4bc85342f2ea"),
             # an inversion bracket reaches 16*eps*S(t) before tol here
             (["verify", "--grid", "12,3", "--json", "--q", "100", "--tm0", "0.99"], 0,
-             "db873521be20483e186445119a2fda566d5876009eb3df3e9bddfd3034459ec5"),
+             "dd2a168183bd2c351e126500a104191de4e8d4407c59b98a045c96f51ef703e3"),
             # the oracle-march workload's shapes, shortened
             (["oracle", "--q", "1.1", "--tm0", "0.3", "--n-xi", "256", "--t-end", "0.2",
               "--dt", "2e-4", "--json"], 0,
-             "a427ab710dd7c9bb1ea7164801c4a6dc76d2740ff95696ac06b9c11e2cad5ec8"),
+             "5568d76e15be6434c021b0ab52c4c4bae010fe59339bb408b2c28e655ccc46d4"),
             (["oracle", "--n-xi", "128", "--t0", "0.02", "--t-end", "0.05", "--dt", "4e-5",
               "--seed", "linear", "--s0", "0.05"], 0,
-             "876b056ddaf9888ec11baa0dfdeb7b5f0752295858ccb39b774f11f5f0e3c159"),
+             "e873c62b1d89041fad512174f22623486cf2f88b8d2f34b6cac1d3798e5a2ce7"),
             (["oracle", "--n-xi", "1024", "--t-end", "0.12", "--dt", "5e-5", "--json"], 0,
-             "7d0c1ea881e9cd9bdce478b37715d10971cb36673ae70af9b09bab2acde7d70d"),
+             "0f63c361ad49d9544207b9ae501a2ed6441f83cc8b52b23383cb1045513543da"),
             (["sweep", "--q-range", "0.5:1.5:7", "--tm0-range", "0:0.9:6"], 0,
-             "3ef41741feb80fabcd4a6414bba9ce6e1c1adeacc67785869ee05566a325b869"),
+             "49278b9afa67bc0608f9e7495b7e75e783702f62f5eff973b1ee73971edc4543"),
             (["sweep", "--q-range", "0.6:1.4:5", "--l0-range", "0.8:1.6:4",
               "--tm0-range", "0:0.6:3", "--json"], 0,
-             "46cfd620e14307a509c667f2ad662aeb585182751ba21dc26d2be0738a60cfad"),
+             "0bd8402a41932dc17f0f9784a2b6df93989102cf659b4ff35ce47d47fc408ff8"),
             # bisection midpoints above 1 take _erf's float path; tm0 < 0
             (["sweep", "--q-range", "0.6:4:8", "--l0-range", "0.7:1.3:3",
               "--tm0-range", "-0.4:0.45:5"], 0,
-             "14c2c146054d4d88c1e2a90e9fd59f36c7c319566d875013f5cbbace122476bb"),
+             "6df2548bd901aca95bfc3d4a7f9496ee91dbd06295a4791f94d531cef18736b3"),
         ],
     )
     def test_pinned_stdout(self, capsys, argv, code, digest):
@@ -511,6 +518,18 @@ def test_malformed_range_is_invalid_input(capsys, argv):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert argv[-1] in lines[0]
+
+
+@pytest.mark.parametrize(
+    "argv", [["gamma"], ["eval", "--field", "T"], ["verify"], ["oracle"], ["sweep"]], ids=lambda a: a[0]
+)
+def test_tol_flag_refused(capsys, argv):
+    """There is no --tol: every subcommand refuses it as a usage error."""
+    code, out, err = run(capsys, *argv, "--tol", "1e-12")
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and "error:" in lines[0] and "--tol" in lines[0]
 
 
 def test_usage_error_exit_code(capsys):

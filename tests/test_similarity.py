@@ -158,11 +158,11 @@ class TestErf:
 
 class TestSolveGamma:
     def test_regression_tm0_zero(self):
-        root = sr.solve_gamma(sr.PhysicalParams(q=1.0, l0=1.0, tm0=0.0), tol=1e-12)
+        root = sr.solve_gamma(sr.PhysicalParams(q=1.0, l0=1.0, tm0=0.0))
         assert root.gamma == pytest.approx(GAMMA_TM0_ZERO, abs=2e-12)
 
     def test_bracket_and_residual(self, baseline_params):
-        root = sr.solve_gamma(baseline_params, tol=1e-12)
+        root = sr.solve_gamma(baseline_params)
         assert 0.0 < root.gamma < baseline_params.q / baseline_params.l0
         assert root.gamma == pytest.approx(GAMMA_BASELINE, abs=2e-12)
         assert root.bracket_hi - root.bracket_lo <= 1e-12
@@ -179,7 +179,7 @@ class TestSolveGamma:
 
     def test_residual_meets_requested_tolerance(self):
         for q in (0.5, 1.0, 2.0):
-            root = sr.solve_gamma(sr.PhysicalParams(q=q, l0=1.0, tm0=0.5), tol=1e-12)
+            root = sr.solve_gamma(sr.PhysicalParams(q=q, l0=1.0, tm0=0.5))
             assert root.residual <= 1e-12
             assert root.bracket_hi - root.bracket_lo <= 1e-12
 
@@ -187,9 +187,13 @@ class TestSolveGamma:
         assert sr.solve_gamma(baseline_params) == sr.solve_gamma(baseline_params)
 
     def test_tighter_tol(self, baseline_params):
-        root = sr.solve_gamma(baseline_params, tol=1e-14)
-        assert root.bracket_hi - root.bracket_lo <= 1e-14
-        assert root.residual <= 1e-12
+        """The bracket is tighter than any root tolerance: its ends are adjacent
+        doubles, or one point where G - F is exactly 0 (as at the baseline)."""
+        for params in (baseline_params, sr.PhysicalParams(q=1.0, l0=1.0, tm0=0.0)):
+            root = sr.solve_gamma(params)
+            assert root.bracket_hi - root.bracket_lo <= 1e-14
+            assert root.residual <= 1e-12
+            _assert_at_rounding([root])
 
     def test_no_sign_change(self):
         with pytest.raises(sr.NoSignChange):
@@ -211,8 +215,11 @@ class TestSolveGamma:
         assert seen and all(0.0 < x < upper for x in seen)
 
     def test_invalid_tol(self, baseline_params):
-        with pytest.raises(sr.InvalidParameters):
-            sr.solve_gamma(baseline_params, tol=0.0)
+        """There is no root tolerance to pass."""
+        with pytest.raises(TypeError):
+            sr.solve_gamma(baseline_params, tol=1e-12)
+        with pytest.raises(TypeError):
+            sr.StefanField.from_params(baseline_params, 1e-12)
 
 
 def _root_bits(root):
@@ -221,33 +228,69 @@ def _root_bits(root):
     return (*(float(v).hex() for v in floats), root.iterations)
 
 
-def _admissible(cells, tol=1e-12):
+def _admissible(cells):
     out = []
     for q, l0, tm0 in cells:
         params = sr.PhysicalParams(q=q, l0=l0, tm0=tm0)
         try:
-            out.append((params, sr.solve_gamma(params, tol)))
+            out.append((params, sr.solve_gamma(params)))
         except sr.NoSignChange:
             pass
     return out
 
 
+#: (q, l0, tm0) cells of TestSolveGammas, inadmissible ones included.
+GRID = [(q, l0, tm0) for q in np.geomspace(0.01, 100.0, 9) for l0 in (0.5, 1.0, 2.0)
+        for tm0 in np.linspace(-0.4, 0.45, 5)]
+
+
+def _assert_at_rounding(roots):
+    """Each bracket ends at adjacent doubles, or closes on an exact zero; gamma is an end."""
+    for r in roots:
+        assert r.bracket_hi == np.nextafter(r.bracket_lo, np.inf) or r.residual == 0.0, r
+        assert r.gamma in (r.bracket_lo, r.bracket_hi), r
+        if r.residual == 0.0:
+            assert r.bracket_lo == r.bracket_hi == r.gamma, r
+
+
 class TestSolveGammas:
     """The array bisection gives every cell the bits of solve_gamma alone."""
 
-    @pytest.mark.parametrize("tol", [1e-12, 1e-6, 1e-300])
-    def test_matches_scalar_solve_bit_for_bit(self, tol):
-        # q/l0 up to 200 and tm0 < 0; at tol=1e-300 no cell stops by its residual
-        cells = [(q, l0, tm0) for q in np.geomspace(0.01, 100.0, 9) for l0 in (0.5, 1.0, 2.0)
-                 for tm0 in np.linspace(-0.4, 0.45, 5)]
-        solved = _admissible(cells, tol)
+    def test_matches_scalar_solve_bit_for_bit(self):
+        # q/l0 up to 200 and tm0 < 0
+        solved = _admissible(GRID)
         assert len(solved) > 100
-        roots = sr.solve_gammas([p for p, _ in solved], tol)
+        roots = sr.solve_gammas([p for p, _ in solved])
         assert [_root_bits(r) for r in roots] == [_root_bits(r) for _, r in solved]
-        if tol == 1e-300:
-            adjacent = [np.nextafter(r.bracket_lo, np.inf) == r.bracket_hi for r in roots]
-            assert all(a or r.residual == 0.0 for a, r in zip(adjacent, roots))
-            assert sum(adjacent) > len(roots) / 2
+        _assert_at_rounding(roots)
+        assert sum(r.residual > 0.0 for r in roots) > len(roots) / 2
+
+    def test_matches_plain_float_bisection(self):
+        """Every field against a float loop that halves to adjacent doubles."""
+
+        def reference(p):
+            def f(x):
+                return sr.eval_G(x, p) - sr.eval_F(x, p)
+
+            upper = p.q / p.l0
+            lo, hi = 1e-14 * upper, upper - 1e-14 * upper
+            f_lo, f_hi = f(lo), f(hi)
+            if f_lo == 0.0 or f_hi == 0.0:
+                end = lo if f_lo == 0.0 else hi
+                return sr.GammaRoot(end, 0.0, end, end, 0)
+            n = 0
+            while lo < (mid := 0.5 * (lo + hi)) < hi:
+                f_mid, n = f(mid), n + 1
+                if f_mid == 0.0:
+                    return sr.GammaRoot(mid, 0.0, mid, mid, n)
+                if (f_mid > 0.0) == (f_lo > 0.0):
+                    lo, f_lo = mid, f_mid
+                else:
+                    hi, f_hi = mid, f_mid
+            return sr.GammaRoot(mid, abs(f_lo if mid == lo else f_hi), lo, hi, n)
+
+        solved = _admissible(GRID)
+        assert [_root_bits(r) for _, r in solved] == [_root_bits(reference(p)) for p, _ in solved]
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.tuples(st.floats(1e-3, 1e3), st.floats(0.1, 10.0),
@@ -256,8 +299,9 @@ class TestSolveGammas:
         cells = [(q, l0, tm0 * l0) for q, l0, tm0 in scaled]
         solved = _admissible(cells)
         if solved:
-            roots = sr.solve_gammas([p for p, _ in solved], 1e-12)
+            roots = sr.solve_gammas([p for p, _ in solved])
             assert [_root_bits(r) for r in roots] == [_root_bits(r) for _, r in solved]
+            _assert_at_rounding(roots)
 
     def test_first_cell_without_sign_change_raises(self):
         good = sr.PhysicalParams(q=1.0, l0=1.0, tm0=0.5)
@@ -265,12 +309,13 @@ class TestSolveGammas:
         with pytest.raises(sr.NoSignChange) as scalar:
             sr.solve_gamma(bad[0])
         with pytest.raises(sr.NoSignChange) as batch:
-            sr.solve_gammas([good, *bad], 1e-12)
+            sr.solve_gammas([good, *bad])
         assert str(batch.value) == str(scalar.value)
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("tol", [1e-12, 0.0, -1.0, math.nan, math.inf])
     def test_invalid_tol(self, baseline_params, tol):
-        with pytest.raises(sr.InvalidParameters, match="tol must be"):
+        """There is no root tolerance to pass, valid or not."""
+        with pytest.raises(TypeError):
             sr.solve_gammas([baseline_params], tol)
 
 
@@ -438,7 +483,7 @@ class TestPhysicalCondition:
 )
 def test_gamma_properties_random_params(q, l0, tm0_frac):
     params = sr.PhysicalParams(q=q, l0=l0, tm0=tm0_frac * l0)
-    root = sr.solve_gamma(params, tol=1e-12)
+    root = sr.solve_gamma(params)
     assert 0.0 < root.gamma < q / l0
     assert root.residual <= 1e-10 * max(1.0, q)
     assert sr.physical_margin(params, root.gamma) > 0.0
