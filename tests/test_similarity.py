@@ -253,10 +253,35 @@ def _assert_at_rounding(roots):
             assert r.bracket_lo == r.bracket_hi == r.gamma, r
 
 
+def _tol_bracket(p, tol):
+    """The bracket where bisection stops once its width and |G - F| at the midpoint are <= tol."""
+
+    def f(x):
+        return sr.eval_G(x, p) - sr.eval_F(x, p)
+
+    upper = p.q / p.l0
+    lo, hi = 1e-14 * upper, upper - 1e-14 * upper
+    f_lo = f(lo)
+    if f_lo == 0.0 or f(hi) == 0.0:
+        return lo, hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        f_mid = f(mid)
+        if f_mid == 0.0 or (hi - lo <= tol and abs(f_mid) <= tol):
+            break
+        if (f_mid > 0.0) == (f_lo > 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 class TestSolveGammas:
     """The array bisection gives every cell the bits of solve_gamma alone."""
 
-    def test_matches_scalar_solve_bit_for_bit(self):
+    @pytest.mark.parametrize("tol", [1e-12, 1e-6, 1e-300])
+    def test_matches_scalar_solve_bit_for_bit(self, tol):
+        """Batch equals scalar, and each bracket nests in the one where a
+        bisection that stops once width and residual are <= tol would stop."""
         # q/l0 up to 200 and tm0 < 0
         solved = _admissible(GRID)
         assert len(solved) > 100
@@ -264,6 +289,9 @@ class TestSolveGammas:
         assert [_root_bits(r) for r in roots] == [_root_bits(r) for _, r in solved]
         _assert_at_rounding(roots)
         assert sum(r.residual > 0.0 for r in roots) > len(roots) / 2
+        for (p, _), r in zip(solved, roots):
+            lo, hi = _tol_bracket(p, tol)
+            assert lo <= r.bracket_lo <= r.bracket_hi <= hi, (p, r)
 
     def test_matches_plain_float_bisection(self):
         """Every field against a float loop that halves to adjacent doubles."""
