@@ -162,13 +162,13 @@ def solve(config: OracleConfig, field: StefanField) -> OracleResult:
     """March the immobilized system from t0 to t_end.
 
     q, l0 and tm0 come from ``field.params``; the closed_form seed is
-    ``field``'s own temperature, so a field built at another root tolerance
-    seeds from that root.  The march keeps one temperature array u of
-    n_xi + 1 values.  Each step adds the advection term to u, then LAPACK
-    gtsv (``_dgtsv``) overwrites the first n_xi values of u with the
-    implicit solve, and u[n_xi] takes the melt-face value.  The diagonals
-    (views of one band buffer) and the advection term live in preallocated
-    arrays that are refilled, so a step allocates no array.
+    ``field``'s own temperature, at its gamma.  The march keeps one
+    temperature array u of n_xi + 1 values.  Each step adds the advection
+    term to u, then LAPACK gtsv (``_dgtsv``) overwrites the first n_xi
+    values of u with the implicit solve, and u[n_xi] takes the melt-face
+    value.  The diagonals (views of one band buffer) and the advection term
+    live in preallocated arrays that are refilled, so a step allocates no
+    array.
 
     Finiteness and the discrete maximum principle are checked on blocks of
     BLOCK steps' copies of u, at the end of the march, and before any march
@@ -300,8 +300,8 @@ def compare_to_closed_form(result: OracleResult, field: StefanField) -> Residual
     front_errs = fronts - field.free_boundary(times)
     report = _reduce("oracle-vs-closed-form", t_errs, 5e-4)
     report.details = {
-        "T_max": float(np.max(np.abs(t_errs))),
-        "T_l2": float(np.sqrt(np.mean(t_errs * t_errs))),
+        "T_max": report.max_abs,
+        "T_l2": report.l2,
         "front_max": float(np.max(np.abs(front_errs))),
         "gamma_error": float(abs(result.gamma_estimate - field.gamma.gamma)),
     }

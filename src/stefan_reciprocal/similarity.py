@@ -145,6 +145,17 @@ def _value(x):
     return x.v if isinstance(x, _Jet) else x
 
 
+def _check_time(t, positive=False):
+    """``t`` as :func:`_floats` gives it; DomainError unless t >= 0, or t > 0 if ``positive``.
+
+    S, L, Tm and C take t >= 0; dS/dt, X1*, H and the fields take t > 0.
+    """
+    t = _floats(t)
+    if np.any(_value(t) <= 0) if positive else np.any(_value(t) < 0):
+        raise DomainError("t must be > 0" if positive else "t must be >= 0")
+    return t
+
+
 def _scalar(out):
     """A 0-d result as a float; an array or a jet as it is."""
     return out if isinstance(out, _Jet) or out.ndim else float(out)
@@ -382,33 +393,24 @@ class StefanField:
 
     def free_boundary(self, t):
         """Front position S(t) = 2*gamma*sqrt(t); S(0) = 0."""
-        t = _floats(t)
-        if np.any(_value(t) < 0):
-            raise DomainError("t must be >= 0")
-        return _scalar(2.0 * self.gamma.gamma * np.sqrt(t))
+        return _scalar(2.0 * self.gamma.gamma * np.sqrt(_check_time(t)))
 
     def front_speed(self, t):
         """dS/dt = gamma / sqrt(t) for t > 0."""
-        t = np.asarray(t, dtype=float)
-        if np.any(t <= 0):
-            raise DomainError("t must be > 0")
-        out = self.gamma.gamma / np.sqrt(t)
-        return float(out) if out.ndim == 0 else out
+        return _scalar(self.gamma.gamma / np.sqrt(_check_time(t, positive=True)))
 
     def latent_heat(self, t):
         """L(t) = l0*sqrt(t)."""
-        return _scalar(self.params.l0 * np.sqrt(_floats(t)))
+        return _scalar(self.params.l0 * np.sqrt(_check_time(t)))
 
     def melt_temperature(self, t):
         """Tm(t) = tm0*sqrt(t)."""
-        return _scalar(self.params.tm0 * np.sqrt(_floats(t)))
+        return _scalar(self.params.tm0 * np.sqrt(_check_time(t)))
 
     # -- fields -----------------------------------------------------------
 
     def _check_domain(self, y, t):
-        y, t = _value(y), np.asarray(_value(t), dtype=float)
-        if np.any(t <= 0):
-            raise DomainError("temperature is defined for t > 0 only")
+        y, t = _value(y), _value(_check_time(t, positive=True))
         s = 2.0 * self.gamma.gamma * np.sqrt(t)
         slack = DOMAIN_RTOL * s
         if np.any(y < -slack) or np.any(y > s + slack):

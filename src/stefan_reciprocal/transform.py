@@ -41,20 +41,23 @@ import numpy as np
 
 from .errors import (
     DegenerateDenominator,
-    DomainError,
     NotMonotone,
     OutOfRange,
     QuadratureFailure,
     SingularDenominator,
     SingularTheta,
 )
-from .similarity import SQRT_PI, GammaRoot, PhysicalParams, StefanField, _floats, _scalar, _value
+from .similarity import (SQRT_PI, GammaRoot, PhysicalParams, StefanField, _check_time, _floats,
+                         _scalar, _value)
 
 #: Theta values below this fraction of C(t) count as a breakdown of the map.
 THETA_RTOL = 1e-13
 
 #: Sample count, at t = 1, of the monotonicity check run before the first inversion.
 MONOTONE_SAMPLES = 64
+
+#: An inverted point is accepted within this fraction of |X1*(t) - X0*(t)| of its target.
+INVERT_RTOL = 1e-13
 
 #: Absolute and relative tolerance of the front recovery and the verify quadratures.
 QUAD_TOL = 1e-10
@@ -163,9 +166,7 @@ def c_of_t_general(field: StefanField, t, quad_tol: float = 1e-10):
     blows up like tau^(-1/2), as for sqrt(t) fronts, becomes smooth in u.
     ``t`` may be an array, whose times form one batch; at t = 0 the interval is empty.
     """
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise DomainError("t must be >= 0")
+    t = _check_time(t)
 
     def integrand(u, k):
         t_k = t.flat[k]
@@ -184,9 +185,7 @@ def theta_quadrature(y, t, field: StefanField, quad_tol: float = 1e-10):
     over every [S(t), y] form one batch.  Serves as the independent oracle
     for :meth:`PsiField.theta`.
     """
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0):
-        raise DomainError("t must be > 0")
+    t = _check_time(t, positive=True)
     c_val = c_of_t_general(field, t, quad_tol)
     t_of = np.broadcast_to(t, np.broadcast_shapes(t.shape, np.shape(y))).ravel()
     return c_val - quad_batch(
@@ -281,7 +280,7 @@ class PsiField:
     def c(self, t):
         """C(t) = gamma*(l0 - tm0)*t, linear in t for the sqrt(t) family."""
         p = self.stefan.params
-        return _scalar(self.stefan.gamma.gamma * (p.l0 - p.tm0) * _floats(t))
+        return _scalar(self.stefan.gamma.gamma * (p.l0 - p.tm0) * _check_time(t))
 
     def theta(self, y, t):
         """Theta(y,t) = C(t) - integral_{S(t)}^{y} T(u,t) du on 0 <= y <= S(t)."""
@@ -318,7 +317,8 @@ class PsiField:
         return self.x_star(0.0, t)
 
     def x1(self, t):
-        """Moving-front image X1*(t) = Tm(t) / (delta * C(t))."""
+        """Moving-front image X1*(t) = Tm(t) / (delta * C(t)) for t > 0."""
+        _check_time(t, positive=True)
         return self.stefan.melt_temperature(t) / (self.delta * self.c(t))
 
     # -- inversion ----------------------------------------------------------
@@ -343,23 +343,22 @@ class PsiField:
         raise NotMonotone("x*(., t) is not monotone on [0, S(t)], for every t")
 
     def _orientation(self, t):
-        """(monotone_sign, x*(0, t), x*(S(t), t), S(t)); the last three shaped like t."""
-        sign = self.monotone_sign
+        """(x*(0, t), x*(S(t), t), S(t)), shaped like t."""
         s = self.stefan.free_boundary(t)
         xv = self.x_star(np.linspace(0.0, s, 2), t)
-        return sign, xv[0], xv[1], s
+        return xv[0], xv[1], s
 
-    def _invert_array(self, xs, t, tol, sign, x0v, x1v, s):
+    def _invert_array(self, xs, t, x0v, x1v, s):
         """Vectorized Newton solve of x*(., t) = xs on [0, S(t)] with dx*/dy = 1/Psi.
 
         Starts from the chord between (0, X0*) and (S, X1*); a step that is
         not finite or leaves the bisection bracket [lo, hi] becomes its
-        midpoint.  Each point is frozen at the first y that meets its own
-        stopping rule and is not evaluated again, so its result does not
-        depend on the rest of the batch.  Assumes monotonicity has been
-        established; ``sign`` is +1 when x* is increasing in y.  ``t``,
-        ``tol`` and the orientation values broadcast against ``xs``.
+        midpoint.  Each point is frozen at the first y that meets the stopping
+        rule of :meth:`invert_x_star` and is not evaluated again, so its
+        result does not depend on the rest of the batch.  ``t`` and the
+        orientation values (:meth:`_orientation`) broadcast against ``xs``.
         """
+        sign = self.monotone_sign
         xs = np.asarray(xs, dtype=float)
         lo_x, hi_x = np.minimum(x0v, x1v), np.maximum(x0v, x1v)
         slack = 1e-9 * (hi_x - lo_x)
@@ -371,7 +370,8 @@ class PsiField:
             raise OutOfRange(f"target outside [{lo_b:.6g}, {hi_b:.6g}] at t={t_b}")
         target = sign * np.clip(xs, lo_x, hi_x)
         y = s * (target - sign * x0v) / (sign * (x1v - x0v))
-        shape = np.broadcast_shapes(y.shape, np.shape(t), np.shape(tol))
+        tol = INVERT_RTOL * (hi_x - lo_x)
+        shape = np.broadcast_shapes(y.shape, np.shape(t))
         # flat arrays over the batch; the live ones are indexed by `live`
         y, target, t, tol, s = (np.broadcast_to(v, shape).ravel() for v in (y, target, t, tol, s))
         floor = 16.0 * np.finfo(float).eps * s
@@ -394,17 +394,18 @@ class PsiField:
         result[live] = y
         return result.reshape(shape)
 
-    def invert_x_star(self, xs, t, tol: float = 1e-12):
+    def invert_x_star(self, xs, t):
         """Solve x*(y, t) = xs for y: Newton on dx*/dy = 1/Psi inside a bisection bracket.
 
-        A point is accepted once |x*(y,t) - xs| <= tol or its bracket is
-        16*eps*S(t) wide.  ``t`` and ``tol`` may be arrays that broadcast
-        against ``xs``.  Raises NotMonotone if x* is not monotone in y (see
+        A point is accepted once |x*(y,t) - xs| <= INVERT_RTOL*|X1* - X0*| or
+        its bracket is 16*eps*S(t) wide.  Both are relative to the map's own
+        scale, so the accepted y does not depend on delta (x* is proportional
+        to 1/delta).  ``t`` may be an array that broadcasts against ``xs``.
+        Raises NotMonotone if x* is not monotone in y (see
         :attr:`monotone_sign`) and OutOfRange if xs is not finite or lies
         outside the boundary interval.
         """
-        sign, x0v, x1v, s = self._orientation(t)
-        out = self._invert_array(xs, t, tol, sign, x0v, x1v, s)
+        out = self._invert_array(xs, t, *self._orientation(t))
         return float(out) if np.ndim(xs) == 0 else out
 
     # -- derived identities ---------------------------------------------------
@@ -421,8 +422,7 @@ class PsiField:
         and 1.1e6.  Tm^3 is numpy's power for a scalar t too, so each time
         gets the same bits alone as in a batch.
         """
-        if np.any(np.asarray(t) <= 0):
-            raise DomainError("t must be > 0")
+        _check_time(t, positive=True)
         tm = self.stefan.melt_temperature(t)
         lat = self.stefan.latent_heat(t)
         c_val = self.c(t)
@@ -448,12 +448,10 @@ class PsiField:
         the boundary order and the sign of Psi flip together.  ``t`` may be an
         array, whose times form one batch.
         """
-        sign, x0v, x1v, s = self._orientation(t)
-        inv_tol = np.maximum(1e-13 * np.abs(x1v - x0v), 1e-15)
+        x0v, x1v, s = self._orientation(t)
 
         def integrand(sigma, k):
-            t_k, x0_k, x1_k, s_k, tol_k = (np.ravel(v)[k] for v in (t, x0v, x1v, s, inv_tol))
-            y = self._invert_array(sigma, t_k, tol_k, sign, x0_k, x1_k, s_k)
-            return self.psi_parametric(y, t_k)
+            t_k, x0_k, x1_k, s_k = (np.ravel(v)[k] for v in (t, x0v, x1v, s))
+            return self.psi_parametric(self._invert_array(sigma, t_k, x0_k, x1_k, s_k), t_k)
 
         return quad_batch(integrand, x0v, x1v, QUAD_TOL)

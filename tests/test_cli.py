@@ -392,12 +392,12 @@ class TestBitIdentity:
             (["eval", "--field", "boundaries"], 0,
              "e3e177b35846d6b1e457ec6aee2418b06105b47180a09d4a674889a4c4b3d147"),
             (["verify", "--grid", "12,3", "--json", "--tm0", "0.5"], 0,
-             "db4c02f61513da0d8e111d14b7cbe464db9ad3ae86f78ff95a11cab5d559a65e"),
+             "3d7f89459fbfd3eb59334a680a6dc5b455a0f69aa6960a404a7c3b34f7f8d8bb"),
             (["verify", "--grid", "12,3", "--json", "--tm0", "0"], 0,
              "b493d2cb092289471e8a12439982747e37e924c16c033a6dcfcd4bc85342f2ea"),
-            # an inversion bracket reaches 16*eps*S(t) before tol here
+            # an inversion bracket reaches 16*eps*S(t) before the residual rule here
             (["verify", "--grid", "12,3", "--json", "--q", "100", "--tm0", "0.99"], 0,
-             "dd2a168183bd2c351e126500a104191de4e8d4407c59b98a045c96f51ef703e3"),
+             "99bc5242e0bc918aa74193b876408a540ed07fc94e881d2338e0716dc7c294d4"),
             # the oracle-march workload's shapes, shortened
             (["oracle", "--q", "1.1", "--tm0", "0.3", "--n-xi", "256", "--t-end", "0.2",
               "--dt", "2e-4", "--json"], 0,

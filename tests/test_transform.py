@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -218,6 +219,12 @@ class TestBoundaryCoefficients:
         assert baseline_psi.x1(1.0) * d == pytest.approx(coeffs.c1, rel=1e-15)
 
 
+def _with_delta(field, delta):
+    """A PsiField of ``field``'s solution under the transformation constant ``delta``."""
+    params = dataclasses.replace(field.params, delta=delta)
+    return sr.PsiField(sr.StefanField(params, field.gamma, field.amplitude))
+
+
 class TestInversion:
     def test_endpoints(self, baseline_psi, baseline_field):
         t = 1.0
@@ -229,11 +236,14 @@ class TestInversion:
 
     @pytest.mark.parametrize("frac", [0.1, 0.5, 0.9])
     @pytest.mark.parametrize("t", [0.25, 1.0, 4.0])
-    def test_roundtrip(self, baseline_psi, baseline_field, frac, t):
+    def test_roundtrip(self, baseline_field, frac, t):
+        """y comes back to 1e-9*S(t) at delta = 1 and far from it (x* scales as 1/delta)."""
         s = baseline_field.free_boundary(t)
         y = frac * s
-        back = baseline_psi.invert_x_star(baseline_psi.x_star(y, t), t, tol=1e-12)
-        assert abs(back - y) <= 1e-9 * s
+        for delta in (1.0, 1e-6, 1e6, 1e9):
+            pf = _with_delta(baseline_field, delta)
+            back = pf.invert_x_star(pf.x_star(y, t), t)
+            assert abs(back - y) <= 1e-9 * s, delta
 
     def test_roundtrip_reversed_orientation(self, zero_tm0_psi, zero_tm0_field):
         t = 1.0
@@ -263,23 +273,33 @@ class TestInversion:
 
     @pytest.mark.parametrize("name", ["baseline_psi", "zero_tm0_psi"])
     @pytest.mark.parametrize("t", [0.25, 1.0, 4.0])
-    @pytest.mark.parametrize("tol", [1e-6, 1e-12])
-    def test_residual_within_tol(self, request, name, t, tol):
-        """Targets across [X0*, X1*]: y stays in [0, S(t)] and the residual <= tol."""
-        pf = request.getfixturevalue(name)
+    @pytest.mark.parametrize("delta", [1e-6, 1e-12, 1.0, 1e6, 1e9])
+    def test_residual_within_tol(self, request, name, t, delta):
+        """Targets across [X0*, X1*]: y stays in [0, S(t)] and the residual is
+        at most INVERT_RTOL*|X1* - X0*|, at every delta."""
+        pf = _with_delta(request.getfixturevalue(name).stefan, delta)
         s = pf.stefan.free_boundary(t)
+        tol = transform.INVERT_RTOL * abs(np.diff(pf.x_star(np.array([0.0, s]), t))[0])
         xs = np.linspace(pf.x0(t), pf.x1(t), 65)
-        scalar = [pf.invert_x_star(x, t, tol) for x in xs]
-        for y in (pf.invert_x_star(xs, t, tol), np.array(scalar)):
+        scalar = [pf.invert_x_star(x, t) for x in xs]
+        for y in (pf.invert_x_star(xs, t), np.array(scalar)):
             assert np.all((y >= 0.0) & (y <= s))
             assert np.max(np.abs(pf.x_star(y, t) - xs)) <= tol
+
+    def test_tol_refused(self, baseline_psi):
+        """The stopping rule is fixed: invert_x_star takes no tolerance."""
+        x, t = baseline_psi.x0(1.0), 1.0
+        with pytest.raises(TypeError):
+            baseline_psi.invert_x_star(x, t, tol=1e-12)
+        with pytest.raises(TypeError):
+            baseline_psi.invert_x_star(x, t, 1e-12)
 
     def test_batch_invariant_at_the_floor(self):
         """A point's y does not depend on the other points of its call.
 
         At (q, tm0) = (100, 0.99) some brackets of the source-equation
-        stencil reach 16*eps*S(t) before tol; each point is accepted there,
-        as it is when inverted alone.
+        stencil reach 16*eps*S(t) before the residual rule; each point is
+        accepted there, as it is when inverted alone.
         """
         params = sr.PhysicalParams(q=100.0, l0=1.0, tm0=0.99)
         pf = sr.PsiField(sr.StefanField.from_params(params))
@@ -288,10 +308,9 @@ class TestInversion:
         x0, width = pf.x0(t), pf.x1(t) - pf.x0(t)
         xs = x0 + width * grid.fractions()
         stencil = xs + 1e-4 * np.abs(width) * np.arange(-2.0, 3.0)[:, None, None]
-        tol = 1e-13 * np.abs(width)
-        batched = pf.invert_x_star(stencil, t, tol)
-        points = zip(*(a.ravel() for a in np.broadcast_arrays(stencil, t, tol)))
-        alone = [pf.invert_x_star(x, ti, tol_i) for x, ti, tol_i in points]
+        batched = pf.invert_x_star(stencil, t)
+        points = zip(*(a.ravel() for a in np.broadcast_arrays(stencil, t)))
+        alone = [pf.invert_x_star(x, ti) for x, ti in points]
         np.testing.assert_array_equal(batched.ravel(), alone)
 
     @staticmethod
@@ -322,12 +341,16 @@ class TestInversion:
             assert 1 <= len(calls) <= 10 and calls[0] == 17
             assert sum(calls) == alone
 
-    def test_zero_tol_terminates_at_machine_floor(self, baseline_field, zero_tm0_field):
-        """Interior targets and the end targets X0*, X1* end within 8 ulp.
+    def test_zero_tol_terminates_at_machine_floor(
+        self, baseline_field, zero_tm0_field, monkeypatch
+    ):
+        """With INVERT_RTOL = 0 the bracket floor alone stops each point, within 8 ulp.
 
-        X1* = Tm/(delta*C) differs from x*(S(t), t) by the root residual, so
-        it may lie just outside [x*(0,t), x*(S,t)]; it is then clamped.
+        Interior targets and the end targets X0*, X1* are inverted.  X1* =
+        Tm/(delta*C) differs from x*(S(t), t) by the root residual, so it
+        may lie just outside [x*(0,t), x*(S,t)]; it is then clamped.
         """
+        monkeypatch.setattr(transform, "INVERT_RTOL", 0.0)
         t = 1.0
         for field in (baseline_field, zero_tm0_field):
             pf, calls = self._counted(field)
@@ -336,7 +359,7 @@ class TestInversion:
             ulp = np.spacing(max(abs(x0), abs(x1)))
             for xs in [x0, x1] + [x0 + frac * (x1 - x0) for frac in (0.1, 0.37, 0.5, 0.9)]:
                 calls.clear()
-                y = pf.invert_x_star(xs, t, tol=0.0)
+                y = pf.invert_x_star(xs, t)
                 assert len(calls) <= 12
                 assert abs(pf.x_star(y, t) - np.clip(xs, *ends)) <= 8 * ulp
 
@@ -419,6 +442,64 @@ class TestCore:
         for y, t in [(1.5 * s, 1.0), (-0.1 * s, 1.0), (np.array([0.5, 1.5]) * s, 1.0), (0.1, 0.0), (0.1, -1.0)]:
             with pytest.raises(sr.DomainError):
                 getattr(baseline_psi, method)(y, t)
+
+
+def _time_evaluators(pf):
+    """Every evaluator of a time, by name, as a function of t alone (y = 0)."""
+    f = pf.stefan
+    return {
+        "free_boundary": f.free_boundary,
+        "latent_heat": f.latent_heat,
+        "melt_temperature": f.melt_temperature,
+        "c": pf.c,
+        "c_of_t_general": lambda t: sr.c_of_t_general(f, t),
+        "front_speed": f.front_speed,
+        "x1": pf.x1,
+        "h_of_t": pf.h_of_t,
+        "temperature": lambda t: f.temperature(0.0, t),
+        "temperature_gradient": lambda t: f.temperature_gradient(0.0, t),
+        "x_star": lambda t: pf.x_star(0.0, t),
+        "x0": pf.x0,
+        "psi_parametric": lambda t: pf.psi_parametric(0.0, t),
+        "theta": lambda t: pf.theta(0.0, t),
+        "theta_quadrature": lambda t: sr.theta_quadrature(0.0, t, f),
+    }
+
+
+TIME_EVALUATORS = (
+    "free_boundary", "latent_heat", "melt_temperature", "c", "c_of_t_general", "front_speed",
+    "x1", "h_of_t", "temperature", "temperature_gradient", "x_star", "x0", "psi_parametric",
+    "theta", "theta_quadrature",
+)
+#: The evaluators defined at t = 0 (S, L, Tm and C); the others take t > 0 only.
+DEFINED_AT_ZERO = ("free_boundary", "latent_heat", "melt_temperature", "c", "c_of_t_general")
+
+
+class TestTimeDomain:
+    """One time-domain check: DomainError outside t >= 0 (S, L, Tm, C) or t > 0."""
+
+    @pytest.mark.parametrize("t", [-1.0, np.array([1.0, -1.0])])
+    @pytest.mark.parametrize("name", TIME_EVALUATORS)
+    def test_negative_time_refused(self, baseline_psi, name, t):
+        with pytest.raises(sr.DomainError):
+            _time_evaluators(baseline_psi)[name](t)
+
+    @pytest.mark.parametrize("name", TIME_EVALUATORS)
+    def test_zero_time(self, baseline_psi, name):
+        evaluate = _time_evaluators(baseline_psi)[name]
+        if name in DEFINED_AT_ZERO:
+            assert evaluate(0.0) == 0.0
+        else:
+            with pytest.raises(sr.DomainError):
+                evaluate(0.0)
+
+    def test_jet_time_refused(self, baseline_psi):
+        """The check reads a jet's value."""
+        from stefan_reciprocal.similarity import _Jet
+
+        for evaluate in (baseline_psi.x1, baseline_psi.c, baseline_psi.stefan.free_boundary):
+            with pytest.raises(sr.DomainError):
+                evaluate(_Jet.in_t(-1.0))
 
 
 class TestJets:

@@ -295,11 +295,41 @@ class TestSuite:
             run_verification_suite(sr.StefanField.from_params(params), SMALL)
         assert ran == []
 
+    #: (y, t) checks per identity of the default suite at the baseline, 55 in
+    #: all with the monotonicity sample (81 with finite-difference stencils,
+    #: 191 with a quadrature call per sampled time, 254 with the Psi checks
+    #: re-inverting x*, 459 with a call per time slice, 1,143 with a check
+    #: per T, T_y and Theta).  The round trip makes 8 Newton evaluations.
+    DOMAIN_CHECKS = {
+        "heat-equation": 1, "burgers-equation": 1, "source-equation": 2,
+        "stefan-boundary-conditions": 3, "burgers-boundary-conditions": 5,
+        "psi-boundary-conditions": 9, "source-ratio-identity": 5, "reciprocal-identity": 2,
+        "theta-consistency": 2, "c-consistency": 0, "boundary-consistency": 1,
+        "front-recovery": 15, "inversion-roundtrip": 8,
+    }
+
+    @staticmethod
+    def _per_identity(monkeypatch, calls):
+        """{identity: calls appended while it ran}, filled as the suite runs."""
+        from stefan_reciprocal import verify
+
+        counts = {}
+
+        def attributed(check):
+            def run(*args):
+                before = len(calls)
+                report = check(*args)
+                counts[report.identity] = len(calls) - before
+                return report
+
+            return run
+
+        for name in dir(verify):
+            if name.endswith(("_residual", "_residuals")):
+                monkeypatch.setattr(verify, name, attributed(getattr(verify, name)))
+        return counts
+
     def test_one_domain_check_per_field_evaluation(self, baseline_field, monkeypatch):
-        """The default suite at the baseline checks (y, t) 54 times (81 with
-        finite-difference stencils, 191 with a quadrature call per sampled
-        time, 254 with the Psi checks re-inverting x*, 459 with a call per
-        time slice, 1,143 with a check per T, T_y and Theta)."""
         inner, calls = sr.StefanField._check_domain, []
 
         def counting(self, y, t):
@@ -307,8 +337,10 @@ class TestSuite:
             return inner(self, y, t)
 
         monkeypatch.setattr(sr.StefanField, "_check_domain", counting)
+        counts = self._per_identity(monkeypatch, calls)
         run_verification_suite(baseline_field)
-        assert len(calls) <= 54
+        assert counts == self.DOMAIN_CHECKS
+        assert len(calls) == sum(self.DOMAIN_CHECKS.values()) + 1 == 55
 
     def test_one_quadrature_call_per_integral(self, baseline_field, monkeypatch):
         """The default suite at the baseline integrates in 8 calls, each
@@ -328,27 +360,14 @@ class TestSuite:
 
     def test_only_front_recovery_and_roundtrip_invert(self, baseline_field, monkeypatch):
         """Every other identity reads x* and Psi on the forward map (y, t)."""
-        from stefan_reciprocal import verify
-
-        inner, calls, counts = sr.PsiField._invert_array, [], {}
+        inner, calls = sr.PsiField._invert_array, []
 
         def counting(self, *args):
             calls.append(args[1])
             return inner(self, *args)
 
-        def attributed(check):
-            def run(*args):
-                before = len(calls)
-                report = check(*args)
-                counts[report.identity] = len(calls) - before
-                return report
-
-            return run
-
         monkeypatch.setattr(sr.PsiField, "_invert_array", counting)
-        for name in dir(verify):
-            if name.endswith(("_residual", "_residuals")):
-                monkeypatch.setattr(verify, name, attributed(getattr(verify, name)))
+        counts = self._per_identity(monkeypatch, calls)
         run_verification_suite(baseline_field)
         assert len(counts) == 13
         inverting = {identity for identity, n in counts.items() if n}
@@ -418,10 +437,10 @@ def test_array_t_is_per_t_bit_for_bit(q, tm0):
     assert pf.h_of_t(times).tolist() == singles
 
 
-#: The 60-point scan of the ROADMAP: l0 = 1, default identities at 12x3.
+#: The 120-point scan of the ROADMAP: l0 = 1, default identities at 12x3.
 SCAN_Q = (1e-3, 0.1, 1.0, 10.0, 100.0)
 SCAN_TM0 = (-0.5, 0.0, 0.5, 0.99)
-SCAN_DELTA = (0.1, 1.0, 10.0)
+SCAN_DELTA = (0.1, 1.0, 10.0, 1e3, 1e6, 1e9)
 #: (q, tm0) where every identity passes at every delta of the scan.
 SCAN_PASSING = {
     (1e-3, 0.0), (1e-3, 0.5), (0.1, 0.0), (0.1, 0.5), (0.1, 0.99), (1.0, -0.5), (1.0, 0.0),
