@@ -351,12 +351,13 @@ class PsiField:
     def _invert_array(self, xs, t, x0v, x1v, s):
         """Vectorized Newton solve of x*(., t) = xs on [0, S(t)] with dx*/dy = 1/Psi.
 
-        Starts from the chord between (0, X0*) and (S, X1*); a step that is
-        not finite or leaves the bisection bracket [lo, hi] becomes its
-        midpoint.  Each point is frozen at the first y that meets the stopping
-        rule of :meth:`invert_x_star` and is not evaluated again, so its
-        result does not depend on the rest of the batch.  ``t`` and the
-        orientation values (:meth:`_orientation`) broadcast against ``xs``.
+        Starts from the chord between (0, X0*) and (S, X1*), clamped into
+        [0, S(t)]; a step that is not finite or leaves the bisection bracket
+        [lo, hi] becomes its midpoint.  Each point is frozen at the first y
+        that meets the stopping rule of :meth:`invert_x_star` and is not
+        evaluated again, so its result does not depend on the rest of the
+        batch.  ``t`` and the orientation values (:meth:`_orientation`)
+        broadcast against ``xs``.
         """
         sign = self.monotone_sign
         xs = np.asarray(xs, dtype=float)
@@ -369,7 +370,8 @@ class PsiField:
             )
             raise OutOfRange(f"target outside [{lo_b:.6g}, {hi_b:.6g}] at t={t_b}")
         target = sign * np.clip(xs, lo_x, hi_x)
-        y = s * (target - sign * x0v) / (sign * (x1v - x0v))
+        # s*a/b rounds up to an ulp above s at a = b; y stays in [0, S(t)]
+        y = np.clip(s * (target - sign * x0v) / (sign * (x1v - x0v)), 0.0, s)
         tol = INVERT_RTOL * (hi_x - lo_x)
         shape = np.broadcast_shapes(y.shape, np.shape(t))
         # flat arrays over the batch; the live ones are indexed by `live`
@@ -382,14 +384,15 @@ class PsiField:
             below = fm < target[live]
             lo = np.where(below, y, lo)
             hi = np.where(below, hi, y)
-            hit = (np.abs(fm - target[live]) <= tol[live]) | (hi - lo <= floor[live])
-            result[live[hit]] = y[hit]
-            live, y, lo, hi, fm, slope = (v[~hit] for v in (live, y, lo, hi, fm, slope))
-            if not live.size:
-                break
             with np.errstate(all="ignore"):
                 step = y - (fm - target[live]) / (sign * slope)
             inside = np.isfinite(step) & (step > lo) & (step < hi)
+            hit = (np.abs(fm - target[live]) <= tol[live]) | (hi - lo <= floor[live])
+            hit |= ~inside & (np.abs(step - y) <= floor[live])
+            result[live[hit]] = y[hit]
+            live, y, lo, hi, step, inside = (v[~hit] for v in (live, y, lo, hi, step, inside))
+            if not live.size:
+                break
             y = np.where(inside, step, 0.5 * (lo + hi))
         result[live] = y
         return result.reshape(shape)
@@ -397,13 +400,15 @@ class PsiField:
     def invert_x_star(self, xs, t):
         """Solve x*(y, t) = xs for y: Newton on dx*/dy = 1/Psi inside a bisection bracket.
 
-        A point is accepted once |x*(y,t) - xs| <= INVERT_RTOL*|X1* - X0*| or
-        its bracket is 16*eps*S(t) wide.  Both are relative to the map's own
-        scale, so the accepted y does not depend on delta (x* is proportional
-        to 1/delta).  ``t`` may be an array that broadcasts against ``xs``.
-        Raises NotMonotone if x* is not monotone in y (see
-        :attr:`monotone_sign`) and OutOfRange if xs is not finite or lies
-        outside the boundary interval.
+        A point is accepted once |x*(y,t) - xs| <= INVERT_RTOL*|X1* - X0*|,
+        once its bracket is 16*eps*S(t) wide, or once a Newton step that
+        leaves the bracket would move y by at most 16*eps*S(t): y is then at
+        rounding, and the bracket's far end need not have moved.  All three
+        are relative to the map's own scale, so the accepted y does not
+        depend on delta (x* is proportional to 1/delta).  ``t`` may be an
+        array that broadcasts against ``xs``.  Raises NotMonotone if x* is
+        not monotone in y (see :attr:`monotone_sign`) and OutOfRange if xs is
+        not finite or lies outside the boundary interval.
         """
         out = self._invert_array(xs, t, *self._orientation(t))
         return float(out) if np.ndim(xs) == 0 else out

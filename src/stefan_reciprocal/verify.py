@@ -332,13 +332,11 @@ def reciprocal_identity_residual(field: PsiField, grid: GridSpec = GridSpec()):
     return _reduce("reciprocal-identity", residual, 1e-6, grid=grid)
 
 
-def theta_consistency_residual(
-    field: PsiField, grid: GridSpec = GridSpec(), quad_tol: float = QUAD_TOL
-):
+def theta_consistency_residual(field: PsiField, grid: GridSpec = GridSpec()):
     """Closed-form Theta against the quadrature oracle on the grid."""
     t = grid.times()[:, None]
     y = grid.fractions() * field.stefan.free_boundary(t)
-    residual = field.theta(y, t) - theta_quadrature(y, t, field.stefan, quad_tol)
+    residual = field.theta(y, t) - theta_quadrature(y, t, field.stefan, QUAD_TOL)
     return _reduce("theta-consistency", residual, 1e-9, grid=grid)
 
 

@@ -13,7 +13,7 @@ from stefan_reciprocal import oracle, similarity, transform, verify
 from stefan_reciprocal.oracle import OracleConfig
 from stefan_reciprocal.verify import GridSpec
 
-OPTION_COUNT = 19
+OPTION_COUNT = 18
 
 
 def _options():

@@ -286,6 +286,25 @@ class TestInversion:
             assert np.all((y >= 0.0) & (y <= s))
             assert np.max(np.abs(pf.x_star(y, t) - xs)) <= tol
 
+    def test_in_domain_at_the_boundary_targets(self):
+        """X0*(t) and X1*(t) invert into [0, S(t)] at every t of T_SAMPLES, on
+        293 seeded random fields with q, l0 in [0.5, 2] and tm0/l0 in [0, 0.9]
+        on which x* is monotone.  At xs = X1* the chord start
+        s*(xs - X0*)/(X1* - X0*) can round an ulp above S(t) and is accepted at
+        its first evaluation; unclamped, 33 of these 879 (field, t) pairs did."""
+        rng = np.random.default_rng(20261019)
+        t = np.array(T_SAMPLES)[:, None]
+        fields = 0
+        while fields < 293:
+            q, l0, frac = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0), rng.uniform(0.0, 0.9)
+            try:
+                pf = sr.PsiField(sr.StefanField.from_params(sr.PhysicalParams(q, l0, frac * l0)))
+                y = pf.invert_x_star(np.column_stack((pf.x0(t[:, 0]), pf.x1(t[:, 0]))), t)
+            except sr.NotMonotone:
+                continue
+            fields += 1
+            assert np.all((y >= 0.0) & (y <= pf.stefan.free_boundary(t))), (q, l0, frac)
+
     def test_tol_refused(self, baseline_psi):
         """The stopping rule is fixed: invert_x_star takes no tolerance."""
         x, t = baseline_psi.x0(1.0), 1.0
