@@ -11,8 +11,6 @@ from .errors import (
     NotMonotone,
     OutOfRange,
     QuadratureFailure,
-    SingularDenominator,
-    SingularTheta,
     StabilityViolation,
     StefanError,
 )
@@ -67,8 +65,6 @@ __all__ = [
     "PsiField",
     "QuadratureFailure",
     "ResidualReport",
-    "SingularDenominator",
-    "SingularTheta",
     "StabilityViolation",
     "StefanError",
     "StefanField",

@@ -17,14 +17,6 @@ class DomainError(StefanError):
     """Evaluation requested outside the phase region 0 <= y <= S(t), t > 0."""
 
 
-class SingularTheta(StefanError):
-    """|Theta| fell below threshold; the parametric map is singular there."""
-
-
-class SingularDenominator(StefanError):
-    """The denominator T_y*Theta + T^2 vanished; Psi is singular there."""
-
-
 class QuadratureFailure(StefanError):
     """Adaptive quadrature missed its tolerance; ``interval`` indexes the worst integral."""
 
@@ -38,7 +30,7 @@ class OutOfRange(StefanError):
 
 
 class NotMonotone(StefanError):
-    """x*(., t) is not monotone on [0, S(t)]; inversion is ill-posed."""
+    """x*(., t) is not certified monotone on [0, S(t)]; the message says why."""
 
 
 class DegenerateDenominator(StefanError):

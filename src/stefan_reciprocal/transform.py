@@ -15,13 +15,19 @@ The paper solves the problem explicitly only for the sqrt(t) family, and
 :class:`PsiField` is a view of one such :class:`StefanField`:
 ``PsiField(field)`` is its only construction, and C and Theta are its
 closed-form methods.  One core, ``PsiField._parts``, checks (y, t) once and
-evaluates the field's profile once for x*, dx*/dy, Psi and Theta.  On this
-family x* = tau(eta)/(delta*sqrt(t)*theta(eta)) with eta = y/(2*sqrt(t)), and
-the sign of dx*/dy is that of D = T_y*Theta + T^2 = t*d(eta), so whether x*
-is monotone on [0, S(t)] does not depend on t: the first inversion decides
-it once per field and raises NotMonotone when it is not.  The quadratures
-:func:`theta_quadrature` and :func:`c_of_t_general`, which read the field's
-T, S, dS/dt, L and Tm, are the independent oracle for the closed forms.
+evaluates the field's profile once for x*, dx*/dy, Psi and Theta.  It does
+not check Theta: Theta > 0 on the phase region is a theorem.  In
+eta = y/(2*sqrt(t)), Theta/t has second derivative -4*T_y > 0, as T_y runs
+from -q to -l0*gamma, and A = (tm0/2 + l0*gamma^2)*exp(gamma^2) > 0 makes T
+convex and decreasing in y.  If tm0 >= 0, T >= Tm >= 0 gives Theta >= C(t).
+If tm0 < 0, T above its tangent at S gives Theta >= t*(gamma*(l0 - tm0) -
+tm0^2/(2*l0*gamma)), and A > 0 gives |tm0| < 2*l0*gamma^2.  So Theta >=
+C(t)*l0/(l0 + max(0, -tm0)) > 0, and Psi is IEEE +-inf only where
+D = T_y*Theta + T^2 is exactly 0.  D = t*d(eta) has the sign of dx*/dy, so
+whether x* is monotone on [0, S(t)] does not depend on t: the first
+inversion decides it once per field (:attr:`PsiField.monotone_sign`).  The
+quadratures :func:`theta_quadrature` and :func:`c_of_t_general`, which read
+the field's T, S, dS/dt, L and Tm, are the oracle for the closed forms.
 
 Every integral of the package goes through :func:`quad_batch`, an adaptive
 Gauss-Kronrod (G7/K15) rule written in numpy: it integrates a batch of
@@ -39,22 +45,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    DegenerateDenominator,
-    NotMonotone,
-    OutOfRange,
-    QuadratureFailure,
-    SingularDenominator,
-    SingularTheta,
-)
+from .errors import DegenerateDenominator, NotMonotone, OutOfRange, QuadratureFailure
 from .similarity import (SQRT_PI, GammaRoot, PhysicalParams, StefanField, _check_time, _floats,
-                         _scalar, _value)
+                         _scalar)
 
-#: Theta values below this fraction of C(t) count as a breakdown of the map.
-THETA_RTOL = 1e-13
-
-#: Sample count, at t = 1, of the monotonicity check run before the first inversion.
-MONOTONE_SAMPLES = 64
+#: Initial and most open cells of the monotonicity certificate on [0, S(1)].
+MONOTONE_CELLS = 32
+MONOTONE_MAX_CELLS = 4096
 
 #: An inverted point is accepted within this fraction of |X1*(t) - X0*(t)| of its target.
 INVERT_RTOL = 1e-13
@@ -232,10 +229,9 @@ class PsiField:
     (y,t) -> (x*, Psi), its inversion, the free boundaries, H(t) and the
     inverse-direction front recovery.  x*, dx*/dy, Psi and Theta read
     :meth:`_parts`, which raises DomainError for t <= 0 or y outside
-    [0, S(t)].  x* and the inversion raise SingularTheta where Theta breaks
-    down, psi_parametric raises SingularDenominator where T_y*Theta + T^2
-    vanishes, theta is unguarded, and the first inversion raises NotMonotone
-    (:attr:`monotone_sign`).  A test fake subclasses PsiField, overrides
+    [0, S(t)]; Theta > 0 there (module docstring), so no evaluation checks
+    it.  The first inversion raises NotMonotone (:attr:`monotone_sign`); the
+    forward map does not.  A test fake subclasses PsiField, overrides
     ``_parts`` and ``c``, and passes an object with the field's method names.
     """
 
@@ -270,13 +266,6 @@ class PsiField:
         ) * _floats(t)
         return temp, grad, theta
 
-    def _checked_parts(self, y, t):
-        """:meth:`_parts`; raises SingularTheta where Theta is below THETA_RTOL*|C(t)|."""
-        parts = self._parts(y, t)
-        if np.any(np.abs(_value(parts[2])) < THETA_RTOL * np.abs(self.c(_value(t)))):
-            raise SingularTheta("Theta below breakdown threshold; the transformation is singular")
-        return parts
-
     def c(self, t):
         """C(t) = gamma*(l0 - tm0)*t, linear in t for the sqrt(t) family."""
         p = self.stefan.params
@@ -288,7 +277,7 @@ class PsiField:
 
     def x_star(self, y, t):
         """Parametric coordinate x* = T / (delta * Theta)."""
-        temp, _, theta = self._checked_parts(y, t)
+        temp, _, theta = self._parts(y, t)
         return _scalar(temp / (self.delta * theta))
 
     def _x_and_slope(self, y, t):
@@ -296,7 +285,7 @@ class PsiField:
 
         The slope is Psi's formula inverted; reciprocal-identity checks it on jets.
         """
-        temp, grad, theta = self._checked_parts(y, t)
+        temp, grad, theta = self._parts(y, t)
         return (
             temp / (self.delta * theta),
             (grad * theta + temp * temp) / (self.delta * theta * theta),
@@ -305,12 +294,7 @@ class PsiField:
     def psi_parametric(self, y, t):
         """Psi = delta*Theta^2 / (T_y*Theta + T^2), parametrized by (y, t)."""
         temp, grad, theta = self._parts(y, t)
-        cross, square = grad * theta, temp * temp
-        den = cross + square
-        scale = np.maximum(1.0, np.maximum(np.abs(_value(cross)), _value(square)))
-        if np.any(np.abs(_value(den)) < 1e-14 * scale):
-            raise SingularDenominator("T_y*Theta + T^2 vanished; Psi is singular")
-        return _scalar(self.delta * theta * theta / den)
+        return _scalar(self.delta * theta * theta / (grad * theta + temp * temp))
 
     def x0(self, t):
         """Left parametric boundary X0*(t) = x*(0, t)."""
@@ -327,20 +311,46 @@ class PsiField:
     def monotone_sign(self) -> float:
         """+1.0 if x* increases in y on [0, S(t)] for every t, -1.0 if it decreases.
 
-        dx*/dy = D/(delta*Theta^2) with D = T_y*Theta + T^2, so x* is monotone
-        exactly where D keeps one sign.  On the sqrt(t) family D is t times a
-        function of eta = y/(2*sqrt(t)), so the sign of D at MONOTONE_SAMPLES
-        points at t = 1 decides it for every t; raises NotMonotone if D does
-        not keep one sign there, and SingularTheta where Theta breaks down.
+        dx*/dy = D/(delta*Theta^2) and D = t*d(eta), so a certificate that D
+        keeps one sign on y in [0, 2*gamma] at t = 1 holds for every t.  On a
+        cell [a, b], T_yy = A*exp(-y^2/4) > 0 falls, T and T_y are monotone
+        and Theta > 0 is convex, so |D_y| = |T_yy*Theta + T*T_y| <= lip =
+        A*exp(-a^2/4)*max Theta + max|T|*max|T_y|, maxima over the two ends,
+        and D has no zero there if |D(a)| + |D(b)| > lip*(b - a) + 2*margin.
+        margin, 64*eps times the size of D's terms, bounds the rounding of D
+        and, as no cell is wider than 2*gamma/MONOTONE_CELLS, of lip*(b - a).
+        Open cells are halved.  Raises NotMonotone where a computed D changes
+        sign, and where a cell stays undecided: halved to rounding, or one of
+        more than MONOTONE_MAX_CELLS open.
         """
-        y = np.linspace(0.0, self.stefan.free_boundary(1.0), MONOTONE_SAMPLES)
-        temp, grad, theta = self._checked_parts(y, 1.0)
-        d = grad * theta + temp * temp
-        if np.all(d > 0):
-            return 1.0
-        if np.all(d < 0):
-            return -1.0
-        raise NotMonotone("x*(., t) is not monotone on [0, S(t)], for every t")
+        p, g, a = self.stefan.params, self.stefan.gamma.gamma, self.stefan.amplitude
+        size_t, size_ty = a * (2.0 + 2.0 * SQRT_PI * g) + 2.0 * p.q * g, a * SQRT_PI + p.q
+        size_theta = (g * (p.l0 + abs(p.tm0)) + 4.0 * p.q * g * g
+                      + 2.0 * a * (SQRT_PI * (1.0 + 2.0 * g * g) + 2.0 * g))
+        margin = 64.0 * _EPS * (size_ty * size_theta + size_t * size_t)
+
+        def at(y):
+            """(y, |T|, |T_y|, Theta, D) at t = 1, one row per point."""
+            temp, grad, theta = self._parts(y, 1.0)
+            return np.stack((y, np.abs(temp), np.abs(grad), theta, grad * theta + temp * temp))
+
+        new = at(np.linspace(0.0, 2.0 * g, MONOTONE_CELLS + 1))
+        sign, left, right = np.sign(new[4, 0]), new[:, :-1], new[:, 1:]
+        while np.all(np.sign(new[4]) == sign):
+            lip = (a * np.exp(-0.25 * left[0] ** 2) * np.maximum(left[3], right[3])
+                   + np.maximum(left[1], right[1]) * np.maximum(left[2], right[2]))
+            open_ = np.abs(left[4]) + np.abs(right[4]) <= lip * (right[0] - left[0]) + 2.0 * margin
+            if not open_.any():
+                return float(sign)
+            left, right = left[:, open_], right[:, open_]
+            mid = 0.5 * (left[0] + right[0])
+            if mid.size > MONOTONE_MAX_CELLS or np.any((mid <= left[0]) | (mid >= right[0])):
+                raise NotMonotone("D = T_y*Theta + T^2 stays undecided near 0: "
+                                  "x*(., t) is not certified monotone on [0, S(t)]")
+            new = at(mid)
+            left, right = np.hstack((left, new)), np.hstack((new, right))
+        raise NotMonotone("D = T_y*Theta + T^2 changes sign: "
+                          "x*(., t) is not monotone on [0, S(t)], for every t")
 
     def _orientation(self, t):
         """(x*(0, t), x*(S(t), t), S(t)), shaped like t."""

@@ -1,19 +1,34 @@
-"""The option count that ROADMAP.md tracks, pinned so a new option is a deliberate change.
+"""The option count that ROADMAP.md tracks and the package's exports, pinned
+so that a new option or a changed export is a deliberate change.
 
 An option is a keyword parameter with a default of a public function or
 method of ``similarity``, ``transform``, ``verify`` or ``oracle``, or a field
 of ``GridSpec`` or ``OracleConfig``.  When an option is added or removed,
-update ``OPTION_COUNT`` here and the count in ROADMAP.md together.
+update ``OPTION_COUNT`` here and the count in ROADMAP.md together.  When an
+export is added or removed, update ``EXPORTS`` and say so in README.md.
 """
 
 import dataclasses
 import inspect
 
+import stefan_reciprocal
 from stefan_reciprocal import oracle, similarity, transform, verify
 from stefan_reciprocal.oracle import OracleConfig
 from stefan_reciprocal.verify import GridSpec
 
 OPTION_COUNT = 18
+
+EXPORTS = (
+    "BoundaryCoefficients", "DegenerateDenominator", "DomainError", "GammaRoot", "GridSpec",
+    "InvalidParameters", "NonmonotoneFront", "NoSignChange", "NotMonotone", "OracleConfig",
+    "OracleResult", "OutOfRange", "PhysicalParams", "PsiField", "QuadratureFailure",
+    "ResidualReport", "StabilityViolation", "StefanError", "StefanField",
+    "burgers_bc_residuals", "burgers_residual", "c_of_t_general", "check_physical_condition",
+    "compare_to_closed_form", "compute_boundary_coefficients", "eval_F", "eval_G",
+    "evolution_residual", "h_ratio_residual", "heat_residual", "physical_margin",
+    "psi_bc_residuals", "reciprocal_identity_residual", "run_verification_suite",
+    "solve_gamma", "solve_gammas", "solve_oracle", "stefan_bc_residuals", "theta_quadrature",
+)
 
 
 def _options():
@@ -50,3 +65,8 @@ def test_option_count():
     names = _options()
     assert len(names) == len(set(names))
     assert len(names) == OPTION_COUNT, names
+
+
+def test_exports():
+    assert tuple(stefan_reciprocal.__all__) == EXPORTS
+    assert all(hasattr(stefan_reciprocal, name) for name in EXPORTS)

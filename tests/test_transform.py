@@ -5,6 +5,8 @@ from types import SimpleNamespace
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import stefan_reciprocal as sr
 from stefan_reciprocal import transform
@@ -16,6 +18,32 @@ C0_BASELINE = 1.1906543169306761504
 C1_BASELINE = 2.1069845546379560961
 PSI_AT_X1_T1 = 0.40993957305072940341
 PSI_AT_X0_T1 = 2.3943051790790440424
+
+
+@st.composite
+def admissible_params(draw):
+    """(q, l0, tm0) across the admissible region, tm0 < 0 included.
+
+    q is log-uniform on [1e-3, 1e3] and l0 one of 0.01, 1 and 100.  G - F
+    changes sign on (0, q/l0) only if F(q/l0) > 0, that is tm0 > -2*q^2/l0,
+    so a negative tm0 is log-uniform on 0.999*min(1e3, 2*q^2/l0)*[1e-6, 1];
+    a positive one is uniform on [0, 0.999*l0].
+    """
+    q = 10.0 ** draw(st.floats(-3.0, 3.0))
+    l0 = draw(st.sampled_from((0.01, 1.0, 100.0)))
+    if draw(st.booleans()):
+        tm0 = -0.999 * min(1e3, 2.0 * q * q / l0) * 10.0 ** draw(st.floats(-6.0, 0.0))
+    else:
+        tm0 = l0 * draw(st.floats(0.0, 0.999))
+    return q, l0, tm0
+
+
+def _psi_or_reject(q, l0, tm0):
+    """The PsiField at (q, l0, tm0); hypothesis rejects a draw without a root."""
+    try:
+        return sr.PsiField(sr.StefanField.from_params(sr.PhysicalParams(q, l0, tm0)))
+    except sr.NoSignChange:
+        assume(False)
 
 
 class TestCFunction:
@@ -72,6 +100,24 @@ class TestTheta:
             s = pf.stefan.free_boundary(t)
             y = np.linspace(0.0, s, 501)
             assert np.all(np.asarray(pf.theta(y, t)) > 0)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(admissible_params())
+    def test_bounded_below_over_admissible_region(self, params):
+        """Theta >= C(t)*l0/(l0 + max(0, -tm0)) > 0 on [0, S(t)], the transform module's theorem.
+
+        Checked at t = 1 (Theta is t times a function of eta) on 20,001
+        points, less a rounding allowance of 16*eps times the magnitude of
+        the terms that Theta is summed from.
+        """
+        pf = _psi_or_reject(*params)
+        p, g, a = pf.stefan.params, pf.stefan.gamma.gamma, pf.stefan.amplitude
+        theta = pf.theta(np.linspace(0.0, 2.0 * g, 20_001), 1.0)
+        bound = pf.c(1.0) * p.l0 / (p.l0 + max(0.0, -p.tm0))
+        terms = (g * (p.l0 + abs(p.tm0)) + 4.0 * p.q * g * g
+                 + 2.0 * a * (math.sqrt(math.pi) * (1.0 + 2.0 * g * g) + 2.0 * g))
+        assert bound > 0.0
+        assert np.min(theta) >= bound - 16.0 * np.finfo(float).eps * terms, params
 
 
 class TestXStar:
@@ -384,30 +430,56 @@ class TestInversion:
 
 
 class TestOrientation:
-    def test_sampled_once_per_field(self, baseline_field):
+    def test_decided_once_per_field(self, baseline_field, monkeypatch):
+        decisions = []
+        decide = transform.PsiField.monotone_sign.func
+        monkeypatch.setattr(
+            transform.PsiField.monotone_sign, "func", lambda pf: decisions.append(pf) or decide(pf)
+        )
         pf = sr.PsiField(baseline_field)
-        inner, sampled_at = pf._parts, []
-
-        def counting(y, t):
-            if np.shape(y)[:1] == (transform.MONOTONE_SAMPLES,):
-                sampled_at.append(t)
-            return inner(y, t)
-
-        pf._parts = counting
         for t in (0.25, 1.0, 4.0):
             pf.invert_x_star(0.5 * (pf.x0(t) + pf.x1(t)), t)
             pf.s_from_psi(t)
         ts = np.array([0.5, 2.0])
         pf.invert_x_star(pf.x_star(0.3 * pf.stefan.free_boundary(ts), ts), ts)
-        assert sampled_at == [1.0]
+        assert decisions == [pf]
+        other = sr.PsiField(baseline_field)
+        other.s_from_psi(1.0)
+        assert decisions == [pf, other]
+
+    def test_undecided_cell_is_refused(self, monkeypatch):
+        """At (100, 0.99) one cell stays open after the first pass; with no
+        room for open cells the field is refused as undecided, not sampled."""
+        params = sr.PhysicalParams(q=100.0, l0=1.0, tm0=0.99)
+        assert sr.PsiField(sr.StefanField.from_params(params)).monotone_sign == 1.0
+        monkeypatch.setattr(transform, "MONOTONE_MAX_CELLS", 0)
+        with pytest.raises(sr.NotMonotone, match="undecided"):
+            sr.PsiField(sr.StefanField.from_params(params)).monotone_sign
 
     @staticmethod
-    def _d_sign(pf, t, n=transform.MONOTONE_SAMPLES):
+    def _d_sign(pf, t, n=20_001):
         """Sign of D = T_y*Theta + T^2 (dx*/dy = D/(delta*Theta^2)) at n samples, or None."""
         y = np.linspace(0.0, pf.stefan.free_boundary(t), n)
         temp, grad, theta = pf._parts(y, t)
         d = grad * theta + temp * temp
         return 1.0 if np.all(d > 0) else -1.0 if np.all(d < 0) else None
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(admissible_params(), st.floats(-6.0, 6.0))
+    def test_certificate_matches_dense_samples(self, params, log_scale):
+        """The certificate's verdict is the sign of D at 20,001 points, at t = 1.
+
+        The verdict is also the same for (q, l0, tm0) times a common scale s in
+        [1e-6, 1e6], under which gamma is unchanged and D scales by s^2.
+        """
+        sign = self._d_sign(_psi_or_reject(*params), 1.0)
+        for scale in (1.0, 10.0 ** log_scale):
+            pf = _psi_or_reject(*(scale * v for v in params))
+            if sign is None:
+                with pytest.raises(sr.NotMonotone, match="changes sign"):
+                    pf.monotone_sign
+            else:
+                assert pf.monotone_sign == sign, (params, scale)
 
     @pytest.mark.parametrize("q, tm0", [(1.0, 0.5), (1.0, 0.0), (1.7, 0.3), (10.0, 0.0)])
     def test_sign_does_not_depend_on_t(self, q, tm0):
@@ -427,13 +499,13 @@ class TestOrientation:
         [(1.0, 0.22), (1.3, 0.18), (1.9, 0.48), (2.0, 0.04), (2.1, 0.02), (2.2, 0.0), (3.6, 0.56)],
     )
     def test_refused_where_x_star_samples_miss_the_turn(self, q, tm0):
-        """D changes sign between samples where every sampled x* difference has one sign."""
+        """Refused where D changes sign, though x* at 64 samples moves one way only."""
         pf = sr.PsiField(sr.StefanField.from_params(sr.PhysicalParams(q=q, l0=1.0, tm0=tm0)))
-        y = np.linspace(0.0, pf.stefan.free_boundary(1.0), transform.MONOTONE_SAMPLES)
+        y = np.linspace(0.0, pf.stefan.free_boundary(1.0), 64)
         diffs = np.diff(pf.x_star(y, 1.0))
         assert np.all(diffs > 0) or np.all(diffs < 0)
-        assert self._d_sign(pf, 1.0, 20_001) is None
-        with pytest.raises(sr.NotMonotone):
+        assert self._d_sign(pf, 1.0) is None
+        with pytest.raises(sr.NotMonotone, match="changes sign"):
             pf.monotone_sign
 
 
@@ -681,31 +753,11 @@ def _singular_theta_callables():
 
 
 class TestSingularities:
-    def test_singular_theta(self):
-        pf = _fake_psi(**_singular_theta_callables())
-        crossing = pf.stefan.free_boundary(1.0) - 0.1  # Theta(y,1) = 1 + 10*(y - S)
-        with pytest.raises(sr.SingularTheta):
-            pf.x_star(crossing, 1.0)
-
     def test_not_monotone(self):
-        pf = _fake_psi(
-            T=lambda y, t: 1.0 + 0.5 * np.sin(6.0 * y),
-            T_y=lambda y, t: 3.0 * np.cos(6.0 * y),
-            S=lambda t: t,
-            S_dot=lambda t: 1.0 + 0.0 * t,
-            L=lambda t: 3.0 + 0.0 * t,
-            Tm=lambda t: 0.0 * t,
-        )
+        """D changes sign on a real field, so its first inversion is refused."""
+        pf = sr.PsiField(sr.StefanField.from_params(sr.PhysicalParams(q=1.7, l0=1.0, tm0=0.3)))
         with pytest.raises(sr.NotMonotone):
-            pf.invert_x_star(0.3, 1.0)
-
-    def test_singular_denominator(self):
-        # T_y*Theta + T^2 = 0 when T = 0 and T_y = 0 at a point
-        callables = _singular_theta_callables()
-        callables.update(T=lambda y, t: 0.0 * y, T_y=lambda y, t: 0.0 * y)
-        pf = _fake_psi(**callables)
-        with pytest.raises(sr.SingularDenominator):
-            pf.psi_parametric(0.5, 1.0)
+            pf.invert_x_star(0.5 * (pf.x0(1.0) + pf.x1(1.0)), 1.0)
 
     def test_degenerate_denominator_guard(self, baseline_field):
         with pytest.raises(sr.DegenerateDenominator):
@@ -763,7 +815,7 @@ class TestQuadrature:
         assert abs(value - 2.0) <= 1e-12 * 2.0
 
     def test_singular_theta_handle_c_is_exact(self):
-        # C(1) = 1 for the fake field of TestSingularities.test_singular_theta
+        # C(1) = 1 for this fake field, whose Theta(y, 1) = 1 + 10*(y - S) crosses 0
         pf = _fake_psi(**_singular_theta_callables())
         assert abs(pf.c(1.0) - 1.0) <= 1e-13
 

@@ -468,6 +468,22 @@ def test_scan_regression_floor():
                     assert [r.identity for r in reports if not r.passed] == [], params
 
 
+@pytest.mark.parametrize("s", [1e-6, 1e-3, 0.1])
+def test_scaled_scan_passes(s):
+    """The SCAN_PASSING pairs with q, l0 and tm0 all multiplied by s pass at delta = 1.
+
+    gamma, x* and Psi do not depend on s; T, Theta and C scale by s and D by
+    s^2.  A per-call guard on D with an absolute floor refused 20 of these
+    33 points.  The identities' absolute tolerances still loosen as s falls,
+    so this does not show that their residuals are scale-free.
+    """
+    grid = GridSpec(n_space=12, n_time=3)
+    for q, tm0 in sorted(SCAN_PASSING):
+        params = sr.PhysicalParams(q=s * q, l0=s, tm0=s * tm0)
+        reports = run_verification_suite(sr.StefanField.from_params(params), grid)
+        assert [r.identity for r in reports if not r.passed] == [], params
+
+
 def test_small_flux_passes_on_default_grid():
     """At q = 1e-3, tm0 = 0.5 every identity passes on the 50x5 grid too.
 
