@@ -1,93 +1,77 @@
 """Explicit solution and verification of a moving-boundary heat problem
 with sqrt(t)-dependent latent heat, and its reciprocal transformation to a
-source-term evolution equation with two free boundaries."""
+source-term evolution equation with two free boundaries.
 
-from .errors import (
-    DegenerateDenominator,
-    DomainError,
-    InvalidParameters,
-    NonmonotoneFront,
-    NoSignChange,
-    NotMonotone,
-    OutOfRange,
-    QuadratureFailure,
-    StabilityViolation,
-    StefanError,
-)
-from .oracle import OracleConfig, OracleResult, compare_to_closed_form
-from .oracle import solve as solve_oracle
-from .similarity import (
-    GammaRoot,
-    PhysicalParams,
-    StefanField,
-    check_physical_condition,
-    eval_F,
-    eval_G,
-    physical_margin,
-    solve_gamma,
-    solve_gammas,
-)
-from .transform import (
-    BoundaryCoefficients,
-    PsiField,
-    c_of_t_general,
-    compute_boundary_coefficients,
-    theta_quadrature,
-)
-from .verify import (
-    GridSpec,
-    ResidualReport,
-    burgers_bc_residuals,
-    burgers_residual,
-    evolution_residual,
-    h_ratio_residual,
-    heat_residual,
-    psi_bc_residuals,
-    reciprocal_identity_residual,
-    run_verification_suite,
-    stefan_bc_residuals,
-)
+The exports load lazily (PEP 562): ``import stefan_reciprocal`` imports no
+submodule, and the first access to an export imports the one module that
+defines it.  So a caller that uses only the similarity solution never loads
+the reciprocal map, the identity checks or the oracle.
+"""
 
-__all__ = [
-    "BoundaryCoefficients",
-    "DegenerateDenominator",
-    "DomainError",
-    "GammaRoot",
-    "GridSpec",
-    "InvalidParameters",
-    "NonmonotoneFront",
-    "NoSignChange",
-    "NotMonotone",
-    "OracleConfig",
-    "OracleResult",
-    "OutOfRange",
-    "PhysicalParams",
-    "PsiField",
-    "QuadratureFailure",
-    "ResidualReport",
-    "StabilityViolation",
-    "StefanError",
-    "StefanField",
-    "burgers_bc_residuals",
-    "burgers_residual",
-    "c_of_t_general",
-    "check_physical_condition",
-    "compare_to_closed_form",
-    "compute_boundary_coefficients",
-    "eval_F",
-    "eval_G",
-    "evolution_residual",
-    "h_ratio_residual",
-    "heat_residual",
-    "physical_margin",
-    "psi_bc_residuals",
-    "reciprocal_identity_residual",
-    "run_verification_suite",
-    "solve_gamma",
-    "solve_gammas",
-    "solve_oracle",
-    "stefan_bc_residuals",
-    "theta_quadrature",
-]
+import importlib
+
+#: Each export and its module, as ``module`` or, where the export is renamed,
+#: ``module.attribute``; in the order of ``__all__``.
+_EXPORTS = {
+    "BoundaryCoefficients": "transform",
+    "DegenerateDenominator": "errors",
+    "DomainError": "errors",
+    "GammaRoot": "similarity",
+    "GridSpec": "verify",
+    "InvalidParameters": "errors",
+    "NonmonotoneFront": "errors",
+    "NoSignChange": "errors",
+    "NotMonotone": "errors",
+    "OracleConfig": "oracle",
+    "OracleResult": "oracle",
+    "OutOfRange": "errors",
+    "PhysicalParams": "similarity",
+    "PsiField": "transform",
+    "QuadratureFailure": "errors",
+    "ResidualReport": "verify",
+    "StabilityViolation": "errors",
+    "StefanError": "errors",
+    "StefanField": "similarity",
+    "burgers_bc_residuals": "verify",
+    "burgers_residual": "verify",
+    "c_of_t_general": "transform",
+    "check_physical_condition": "similarity",
+    "compare_to_closed_form": "oracle",
+    "compute_boundary_coefficients": "transform",
+    "eval_F": "similarity",
+    "eval_G": "similarity",
+    "evolution_residual": "verify",
+    "h_ratio_residual": "verify",
+    "heat_residual": "verify",
+    "physical_margin": "similarity",
+    "psi_bc_residuals": "verify",
+    "reciprocal_identity_residual": "verify",
+    "run_verification_suite": "verify",
+    "solve_gamma": "similarity",
+    "solve_gammas": "similarity",
+    "solve_oracle": "oracle.solve",
+    "stefan_bc_residuals": "verify",
+    "theta_quadrature": "transform",
+}
+
+_SUBMODULES = ("cli", "errors", "oracle", "similarity", "transform", "verify")
+
+__all__ = list(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """Import the module behind an export or a submodule on first access."""
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module, _, attr = _EXPORTS[name].partition(".")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), attr or name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -7,6 +7,10 @@ in y, malformed flags);
 
 Output is deterministic: floats are printed with 17 significant digits and
 sweep cells are written in parameter order.
+
+A subcommand imports the layers it uses when it runs: gamma and sweep need
+only similarity, eval adds transform, verify adds verify, and oracle adds
+oracle (whose report class comes from verify).
 """
 
 from __future__ import annotations
@@ -20,13 +24,13 @@ import sys
 
 import numpy as np
 
-from . import oracle as oracle_mod
 from .errors import InvalidParameters, NotMonotone, StefanError
 from .similarity import PhysicalParams, StefanField, physical_margin, solve_gamma, solve_gammas
-from .transform import PsiField
-from .verify import GridSpec, run_verification_suite
 
 DEFAULTS = {"q": 1.0, "l0": 1.0, "tm0": 0.5, "delta": 1.0}
+
+#: The OracleConfig.seed_mode of each --seed value.
+SEED_MODES = {"closed": "closed_form", "linear": "linear_profile"}
 
 
 def fmt(value) -> str:
@@ -101,20 +105,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--t-range", type=str, default="0.25:4:16")
     p_eval.add_argument("--n", type=int, default=101)
 
+    # A verify or oracle flag that is not given stays unset (SUPPRESS), and
+    # GridSpec or OracleConfig supplies its default: see _grid_spec and _oracle_config.
+    unset = argparse.SUPPRESS
     p_verify = sub.add_parser("verify", help="run the identity verification suite")
     add_common(p_verify)
-    p_verify.add_argument("--grid", type=str, default=f"{GridSpec.n_space},{GridSpec.n_time}")
-    p_verify.add_argument("--margin", type=float, default=GridSpec.margin)
+    p_verify.add_argument("--grid", type=str, default=unset)
+    p_verify.add_argument("--margin", type=float, default=unset)
 
     p_oracle = sub.add_parser("oracle", help="front-fixing cross-check")
     add_common(p_oracle)
-    config = oracle_mod.OracleConfig
-    p_oracle.add_argument("--n-xi", type=int, default=config.n_xi)
-    p_oracle.add_argument("--t0", type=float, default=config.t0)
-    p_oracle.add_argument("--t-end", type=float, default=config.t_end)
-    p_oracle.add_argument("--dt", type=float, default=config.dt)
-    p_oracle.add_argument("--seed", choices=["closed", "linear"], default="closed")
-    p_oracle.add_argument("--s0", type=float, default=config.s0)
+    p_oracle.add_argument("--n-xi", type=int, default=unset)
+    p_oracle.add_argument("--t0", type=float, default=unset)
+    p_oracle.add_argument("--t-end", type=float, default=unset)
+    p_oracle.add_argument("--dt", type=float, default=unset)
+    p_oracle.add_argument("--seed", choices=list(SEED_MODES), default=unset)
+    p_oracle.add_argument("--s0", type=float, default=unset)
 
     p_sweep = sub.add_parser("sweep", help="gamma over a parameter grid")
     add_common(p_sweep)
@@ -215,6 +221,8 @@ def _emit_rows(sink, header, rows, as_json):
 
 
 def cmd_eval(args) -> int:
+    from .transform import PsiField
+
     cfg = _merge_config(args)
     params = _params(cfg)
     field = StefanField.from_params(params)
@@ -267,16 +275,28 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _grid_spec(args):
+    """The GridSpec of --grid and --margin, with GridSpec's default for a flag not given."""
+    from .verify import GridSpec
+
+    given = {}
+    if hasattr(args, "grid"):
+        try:
+            given["n_space"], given["n_time"] = (int(v) for v in args.grid.split(","))
+        except ValueError as exc:
+            raise InvalidParameters(f"--grid expects n_space,n_time: {exc}") from exc
+    if hasattr(args, "margin"):
+        given["margin"] = args.margin
+    return GridSpec(**given)
+
+
 def cmd_verify(args) -> int:
+    from .verify import run_verification_suite
+
     cfg = _merge_config(args)
     params = _params(cfg)
     field = StefanField.from_params(params)
-    try:
-        n_space, n_time = (int(v) for v in args.grid.split(","))
-    except ValueError as exc:
-        raise InvalidParameters(f"--grid expects n_space,n_time: {exc}") from exc
-    grid = GridSpec(n_space=n_space, n_time=n_time, margin=args.margin)
-    reports = run_verification_suite(field, grid=grid)
+    reports = run_verification_suite(field, grid=_grid_spec(args))
     sink = _Sink(args.out)
     for rep in reports:
         if args.json:
@@ -291,19 +311,23 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 2
 
 
+def _oracle_config(args):
+    """The OracleConfig of the oracle flags, with OracleConfig's default for a flag not given."""
+    from .oracle import OracleConfig
+
+    given = {k: getattr(args, k) for k in ("n_xi", "t0", "t_end", "dt", "s0") if hasattr(args, k)}
+    if hasattr(args, "seed"):
+        given["seed_mode"] = SEED_MODES[args.seed]
+    return OracleConfig(**given)
+
+
 def cmd_oracle(args) -> int:
+    from . import oracle
+
     cfg = _merge_config(args)
     field = StefanField.from_params(_params(cfg))
-    config = oracle_mod.OracleConfig(
-        n_xi=args.n_xi,
-        t0=args.t0,
-        t_end=args.t_end,
-        dt=args.dt,
-        seed_mode="closed_form" if args.seed == "closed" else "linear_profile",
-        s0=args.s0,
-    )
-    result = oracle_mod.solve(config, field)
-    report = oracle_mod.compare_to_closed_form(result, field)
+    result = oracle.solve(_oracle_config(args), field)
+    report = oracle.compare_to_closed_form(result, field)
     if args.out:
         result.to_csv(args.out)
     sink = _Sink(None)

@@ -194,7 +194,7 @@ def solve(config: OracleConfig, field: StefanField) -> OracleResult:
     snap_at = set(np.round(np.linspace(0, steps, N_SNAPSHOTS)).astype(int).tolist())
 
     times, fronts, snaps = [config.t0], [front], [u.copy()]
-    t = config.t0
+    t, sqrt_t = config.t0, math.sqrt(config.t0)
     max_cfl = 0.0
     violations = 0
     # One band buffer, so that the sub- and super-diagonal take one fill
@@ -209,61 +209,63 @@ def solve(config: OracleConfig, field: StefanField) -> OracleResult:
     # The last BLOCK steps' temperatures and end times, checked together
     rows, row_t = np.empty((BLOCK, n + 1)), np.empty(BLOCK)
     bounds = (u.min(), u.max())
+    item, sqrt = u.item, math.sqrt
 
     try:
-        for k in range(steps):
-            grad_front = (3.0 * u.item(n) - 4.0 * u.item(n - 1) + u.item(n - 2)) / two_dxi
-            s_dot = -grad_front / (front * l0 * math.sqrt(t))
-            cfl = abs(s_dot) / front * dt / dxi
-            max_cfl = max(max_cfl, cfl)
-            if not cfl <= 1.0:
-                raise StabilityViolation(
-                    f"advective CFL {cfl:.3f} > 1 at t={t:.6g}; reduce dt"
-                )
-            front_new = front + dt * s_dot
-            if front_new <= front:
-                raise NonmonotoneFront(f"front stalled at t={t:.6g}")
+        for start in range(0, steps, BLOCK):
+            for k in range(start, min(start + BLOCK, steps)):
+                grad_front = (3.0 * item(n) - 4.0 * item(n - 1) + item(n - 2)) / two_dxi
+                s_dot = -grad_front / (front * l0 * sqrt_t)
+                cfl = abs(s_dot) / front * dt / dxi
+                if cfl > max_cfl:
+                    max_cfl = cfl
+                if not cfl <= 1.0:
+                    raise StabilityViolation(
+                        f"advective CFL {cfl:.3f} > 1 at t={t:.6g}; reduce dt"
+                    )
+                front_new = front + dt * s_dot
+                if front_new <= front:
+                    raise NonmonotoneFront(f"front stalled at t={t:.6g}")
 
-            # The centred difference reads u before the step writes to it.  The
-            # advection term keeps the association order of
-            # dt * (xi*s_dot/front) * (u[2:] - u[:-2]) / (2*dxi).
-            np.subtract(up, down, out=du)
-            np.multiply(xi_inner, s_dot, out=advect)
-            advect /= front
-            np.multiply(dt, advect, out=advect)
-            advect *= du
-            advect /= two_dxi
-            inner += advect
+                # The centred difference reads u before the step writes to it.  The
+                # advection term keeps the association order of
+                # dt * (xi*s_dot/front) * (u[2:] - u[:-2]) / (2*dxi).
+                np.subtract(up, down, du)
+                np.multiply(xi_inner, s_dot, advect)
+                np.true_divide(advect, front, advect)
+                np.multiply(dt, advect, advect)
+                np.multiply(advect, du, advect)
+                np.true_divide(advect, two_dxi, advect)
+                np.add(inner, advect, inner)
 
-            t_new = t + dt
-            dirichlet = tm0 * math.sqrt(t_new)
-            r = dt / (front_new * front_new * dxi * dxi)
-            diag.fill(1.0 + 2.0 * r)
-            off_diag.fill(-r)
-            upper[0] = -2.0 * r
-            u[0] += 2.0 * r * dxi * q * front_new
-            u[n - 1] += r * dirichlet
-            info = dgtsv(lower, diag, upper, head, 1, 1, 1, 1)[4]
-            if info != 0:
-                raise StefanError(
-                    f"tridiagonal solve failed (gtsv info={info}) at t={t_new:.6g}"
-                )
-            u[n] = dirichlet
+                t_new = t + dt
+                sqrt_t = sqrt(t_new)
+                dirichlet = tm0 * sqrt_t
+                r = dt / (front_new * front_new * dxi * dxi)
+                diag.fill(1.0 + 2.0 * r)
+                off_diag.fill(-r)
+                upper[0] = -2.0 * r
+                u[0] = item(0) + 2.0 * r * dxi * q * front_new
+                u[n - 1] = item(n - 1) + r * dirichlet
+                info = dgtsv(lower, diag, upper, head, 1, 1, 1, 1)[4]
+                if info != 0:
+                    raise StefanError(
+                        f"tridiagonal solve failed (gtsv info={info}) at t={t_new:.6g}"
+                    )
+                u[n] = dirichlet
 
-            j = k % BLOCK
-            rows[j] = u
-            row_t[j] = t_new
-            if j == BLOCK - 1 or k == steps - 1:
-                count, bounds = _check_steps(rows[: j + 1], row_t[: j + 1], bounds)
-                violations += count
-            front, t = front_new, t_new
-            if k + 1 in snap_at:
-                times.append(t)
-                fronts.append(front)
-                snaps.append(u.copy())
+                rows[k - start] = u
+                row_t[k - start] = t_new
+                front, t = front_new, t_new
+                if k + 1 in snap_at:
+                    times.append(t)
+                    fronts.append(front)
+                    snaps.append(u.copy())
+            count, bounds = _check_steps(rows[: k + 1 - start], row_t[: k + 1 - start], bounds)
+            violations += count
     except StefanError:
         # A non-finite step earlier in the block is the first fault.
-        _check_steps(rows[: k % BLOCK], row_t[: k % BLOCK], bounds)
+        _check_steps(rows[: k - start], row_t[: k - start], bounds)
         raise
 
     if violations:

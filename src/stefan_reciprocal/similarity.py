@@ -140,6 +140,16 @@ def _scalar(out):
     return out if isinstance(out, _Jet) or out.ndim else float(out)
 
 
+def _libm(fn, x):
+    """libm's ``fn`` (math.erf, math.exp, ...) of every element of ``x``, in ``x``'s shape.
+
+    numpy has no erf, and its exp and log differ from libm's in the last bit
+    on some arguments.
+    """
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
 def _erf(x):
     """Error function: libm's math.erf of every element, in ``x``'s shape.
 
@@ -148,8 +158,7 @@ def _erf(x):
     if isinstance(x, _Jet):
         d = 2.0 / SQRT_PI * np.exp(-x.v * x.v)
         return x.chain(_erf(x.v), d, -2.0 * x.v * d)
-    x = np.asarray(x, dtype=float)
-    return np.fromiter(map(math.erf, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    return _libm(math.erf, x)
 
 
 def _check_reals(obj, names):
@@ -193,7 +202,11 @@ class PhysicalParams:
 
 @dataclass(frozen=True)
 class GammaRoot:
-    """Root of G(gamma) = F(gamma) with solver metadata."""
+    """Root of G(gamma) = F(gamma) with solver metadata.
+
+    ``residual`` is |G(gamma) - F(gamma)|: inf where F overflows at gamma,
+    and nan where F is nan there (see :func:`eval_F`).
+    """
 
     gamma: float
     residual: float
@@ -210,10 +223,11 @@ def eval_G(x, params: PhysicalParams):
 def eval_F(x, params: PhysicalParams):
     """Right side of the root equation: (tm0/2 + l0*x^2)*exp(x^2)*sqrt(pi)*erf(x).
 
-    Overflows to +inf for large x, which bracketed root finding tolerates.
+    Overflows to +-inf for large x, and is nan where exp(x^2) overflows and
+    tm0/2 + l0*x^2 is exactly 0; bracketed root finding tolerates both.
     """
     x = np.asarray(x, dtype=float)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         out = (params.tm0 / 2.0 + params.l0 * x * x) * np.exp(x * x) * SQRT_PI * _erf(x)
     return _scalar(out)
 

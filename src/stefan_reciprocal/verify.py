@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidParameters, QuadratureFailure
-from .similarity import StefanField, _check_reals, _Jet
+from .similarity import StefanField, _check_reals, _Jet, _libm
 from .transform import (
     QUAD_TOL,
     PsiField,
@@ -44,10 +44,6 @@ from .transform import (
 #: Times at which the boundary and consistency identities are sampled.
 T_SAMPLES = (0.25, 1.0, 4.0)
 _TIMES = np.array(T_SAMPLES)
-
-#: libm's exp and log on arrays: numpy's differ from them in the last bit on some arguments.
-_exp = np.vectorize(math.exp, otypes=[float])
-_log = np.vectorize(math.log, otypes=[float])
 
 #: Lower end of the improper time integrals, which scale like 1/t near 0.
 T0 = 1e-8
@@ -157,7 +153,7 @@ def _from_t0(rate, t, quad_tol: float, limit: int = 200):
 
     ``rate`` receives an array of tau.  A QuadratureFailure names its t.
     """
-    lo, hi = math.log(T0), _log(t)
+    lo, hi = math.log(T0), _libm(math.log, t)
     try:
         return quad_batch(lambda u, _: rate(np.exp(u)) * np.exp(u), lo, hi, quad_tol, limit)
     except QuadratureFailure as exc:
@@ -236,7 +232,7 @@ def burgers_bc_values(field: PsiField, t) -> dict:
         "b6": _rel(c.t, (lat - tm) * s.t),
         "b7": _rel(front.y - d * front.v * front.v, -lat * s.t / (d * c.v)),
         "b8": _rel(front.v, tm / (d * c.v)),
-        "b9": _rel(face.y - d * face.v * face.v, -q * _exp(exponent) / (d * c.v)),
+        "b9": _rel(face.y - d * face.v * face.v, -q * _libm(math.exp, exponent) / (d * c.v)),
     }
 
 
@@ -303,7 +299,8 @@ def h_ratio_value(field: PsiField, t):
         lambda u, k: field.x_star(u, times[k]), 0.0, field.stefan.free_boundary(times), QUAD_TOL
     )
     h_integral = _from_t0(field.h_of_t, t, 1e-9)
-    return abs(_exp(h_integral) - _exp(log_p[:-1].reshape(np.shape(t)) - log_p[-1]))
+    p_ratio = _libm(math.exp, log_p[:-1].reshape(np.shape(t)) - log_p[-1])
+    return abs(_libm(math.exp, h_integral) - p_ratio)
 
 
 def psi_bc_residuals(field: PsiField):

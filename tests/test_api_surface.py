@@ -10,6 +10,11 @@ export is added or removed, update ``EXPORTS`` and say so in README.md.
 
 import dataclasses
 import inspect
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import stefan_reciprocal
 from stefan_reciprocal import oracle, similarity, transform, verify
@@ -29,6 +34,8 @@ EXPORTS = (
     "psi_bc_residuals", "reciprocal_identity_residual", "run_verification_suite",
     "solve_gamma", "solve_gammas", "solve_oracle", "stefan_bc_residuals", "theta_quadrature",
 )
+
+SUBMODULES = ("cli", "errors", "oracle", "similarity", "transform", "verify")
 
 
 def _options():
@@ -70,3 +77,30 @@ def test_option_count():
 def test_exports():
     assert tuple(stefan_reciprocal.__all__) == EXPORTS
     assert all(hasattr(stefan_reciprocal, name) for name in EXPORTS)
+
+
+def test_exports_resolve_from_a_fresh_import():
+    """``import stefan_reciprocal`` loads no submodule; then every export resolves
+    to the object its module defines, and every submodule to itself."""
+    script = (
+        "import json, sys\n"
+        "import stefan_reciprocal as pkg\n"
+        "before = sorted(m for m in sys.modules if m.startswith('stefan_reciprocal.'))\n"
+        "def defined(name):\n"
+        "    value = getattr(pkg, name)\n"
+        "    return value is getattr(sys.modules[value.__module__], value.__name__)\n"
+        "wrong = [n for n in json.loads(sys.argv[1]) if not defined(n)]\n"
+        "subs = [getattr(pkg, m) is sys.modules['stefan_reciprocal.' + m]\n"
+        "        for m in json.loads(sys.argv[2])]\n"
+        "print(json.dumps([before, wrong, subs, hasattr(pkg, 'no_such_export')]))\n"
+    )
+    src = str(Path(stefan_reciprocal.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    res = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(EXPORTS), json.dumps(SUBMODULES)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    before, wrong, subs, bogus = json.loads(res.stdout.splitlines()[-1])
+    assert before == [] and wrong == [] and not bogus
+    assert subs == [True] * len(SUBMODULES)
+    assert set(EXPORTS) | set(SUBMODULES) <= set(dir(stefan_reciprocal))

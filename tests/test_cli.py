@@ -144,18 +144,22 @@ class TestVerify:
         assert "not monotone" in err
 
     def test_defaults_are_the_dataclass_defaults(self):
-        from stefan_reciprocal.cli import build_parser
+        """A flag not given is unset, so GridSpec and OracleConfig supply every default."""
+        from stefan_reciprocal.cli import _grid_spec, _oracle_config, build_parser
         from stefan_reciprocal.oracle import OracleConfig
         from stefan_reciprocal.verify import GridSpec
 
-        args = build_parser().parse_args(["verify"])
-        grid, config = GridSpec(), OracleConfig()
-        assert args.grid == f"{grid.n_space},{grid.n_time}"
-        assert args.margin == grid.margin
-        args = build_parser().parse_args(["oracle"])
-        assert (args.n_xi, args.t0, args.t_end, args.dt, args.s0) == (
-            config.n_xi, config.t0, config.t_end, config.dt, config.s0
-        )
+        parse = build_parser().parse_args
+        assert _grid_spec(parse(["verify"])) == GridSpec()
+        assert _oracle_config(parse(["oracle"])) == OracleConfig()
+        grid = _grid_spec(parse(["verify", "--grid", "9,2", "--margin", "0.1"]))
+        assert grid == GridSpec(n_space=9, n_time=2, margin=0.1)
+        config = _oracle_config(parse([
+            "oracle", "--n-xi", "64", "--t0", "0.2", "--t-end", "0.5", "--dt", "1e-3",
+            "--seed", "linear", "--s0", "0.1",
+        ]))
+        assert config == OracleConfig(n_xi=64, t0=0.2, t_end=0.5, dt=1e-3,
+                                      seed_mode="linear_profile", s0=0.1)
 
 
 class TestOracle:
@@ -476,6 +480,44 @@ def test_scipy_loads_only_for_oracle():
     codes, seen = json.loads(res.stdout.splitlines()[-1])
     assert codes == [0] * (len(fields) + 4)
     assert seen == {"import": [], "commands": [], "oracle": ["scipy.linalg._flapack"]}
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (None, []),
+        (["gamma"], []),
+        (["sweep", "--q-range", "0.5:2:3"], []),
+        (["eval", "--field", "psi", "--n", "5"], ["transform"]),
+        (["verify", "--grid", "8,1"], ["transform", "verify"]),
+        # oracle's comparison report comes from verify, which reads transform
+        (["oracle", "--n-xi", "32", "--dt", "1e-3", "--t-end", "0.3"],
+         ["oracle", "transform", "verify"]),
+    ],
+    ids=["import", "gamma", "sweep", "eval", "verify", "oracle"],
+)
+def test_command_loads_only_its_layers(argv, modules):
+    """In a fresh interpreter, importing the CLI loads the package, cli, errors
+    and similarity (``argv`` None); each subcommand adds only its ``modules``."""
+    script = (
+        "import json, sys\n"
+        "import stefan_reciprocal.cli as cli\n"
+        "argv = json.loads(sys.argv[1])\n"
+        "code = 0 if argv is None else cli.main([*argv, '--out', sys.argv[2]])\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('stefan_reciprocal'))\n"
+        "print(json.dumps([code, loaded]))\n"
+    )
+    src = str(Path(stefan_reciprocal.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    res = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argv), os.devnull],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    code, loaded = json.loads(res.stdout.splitlines()[-1])
+    names = ["cli", "errors", "similarity", *modules]
+    assert code == 0
+    assert loaded == sorted(["stefan_reciprocal", *(f"stefan_reciprocal.{m}" for m in names)])
 
 
 def test_negative_values_in_exponent_notation(capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stefan_reciprocal as sr
-from stefan_reciprocal.similarity import _erf
+from stefan_reciprocal.similarity import _erf, _libm
 
 mp.mp.dps = 40
 
@@ -160,6 +160,18 @@ class TestErf:
             for v in x[::997]:
                 _erf(float(v))
 
+
+@pytest.mark.parametrize("fn", [math.exp, math.log])
+def test_libm_is_math_element_for_element(fn):
+    """_libm(fn, x) gives np.vectorize(fn)'s bits and shape, a 0-d input included."""
+    x = np.linspace(0.01, 700.0, 24).reshape(4, 6)
+    reference = np.vectorize(fn, otypes=[float])
+    for arg in (x, x[:1, :0], np.asarray(2.5)):
+        got = _libm(fn, arg)
+        assert got.shape == np.shape(arg)
+        assert_same_bits(got, reference(arg))
+
+
 class TestSolveGamma:
     def test_regression_tm0_zero(self):
         root = sr.solve_gamma(sr.PhysicalParams(q=1.0, l0=1.0, tm0=0.0))
@@ -198,6 +210,17 @@ class TestSolveGamma:
             assert root.bracket_hi - root.bracket_lo <= 1e-14
             assert root.residual <= 1e-12
             _assert_at_rounding([root])
+
+    def test_no_warning_where_f_is_zero_times_inf(self):
+        """Here tm0/2 + l0*x^2 vanishes where exp(x^2) overflows, so F is nan at
+        the top of the bracket; the solve warns of nothing and gamma keeps its bits."""
+        params = sr.PhysicalParams(q=1.0, l0=0.01, tm0=-199.8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            root = sr.solve_gamma(params)
+            assert sr.solve_gammas([params]) == [root]
+        assert root.gamma.hex() == "0x1.8fccc98584fe6p+6"
+        assert root.residual == math.inf  # F overflows to -inf at gamma
 
     def test_no_sign_change(self):
         with pytest.raises(sr.NoSignChange):
