@@ -1,5 +1,13 @@
 """Command-line surface: gamma | eval | verify | oracle | sweep.
 
+Every invocation takes one path.  `main` parses argv and merges the
+parameters once (DEFAULTS, then --config, then the flags); the subcommand,
+a function of the arguments and that merged config, returns its output
+lines and exit code; `main` writes the lines once, newline-terminated, to
+the file named by --out or else to stdout.  oracle is the exception: its
+--out names the CSV of its snapshots (t,xi,y,T_num,S_num), which it writes
+itself, and its summary lines still go to stdout.
+
 Exit codes: 0 success (and all identities passing for `verify`);
 1 invalid input (parameter invariants, parameters whose x* is not monotone
 in y, malformed flags);
@@ -21,6 +29,7 @@ import json
 import math
 import re
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -31,6 +40,21 @@ DEFAULTS = {"q": 1.0, "l0": 1.0, "tm0": 0.5, "delta": 1.0}
 
 #: The OracleConfig.seed_mode of each --seed value.
 SEED_MODES = {"closed": "closed_form", "linear": "linear_profile"}
+
+#: eval's fields in --field order: (header, sampled on y in [0, S(t)] at --t rather
+#: than over --t-range, columns of the StefanField f and PsiField p at the samples).
+FIELDS = {
+    "T": (("y", "T"), True, lambda f, p, y, t: (y, f.temperature(y, t))),
+    "Ty": (("y", "Ty"), True, lambda f, p, y, t: (y, f.temperature_gradient(y, t))),
+    "S": (("t", "S"), False, lambda f, p, t: (t, f.free_boundary(t))),
+    "xstar": (("y", "xstar"), True, lambda f, p, y, t: (y, p.x_star(y, t))),
+    "psi": (("xstar", "psi"), True,
+            lambda f, p, y, t: (p.x_star(y, t), p.psi_parametric(y, t))),
+    "theta": (("y", "theta"), True, lambda f, p, y, t: (y, p.theta(y, t))),
+    "H": (("t", "H"), False, lambda f, p, t: (t, p.h_of_t(t))),
+    "boundaries": (("t", "S", "X0", "X1"), False,
+                   lambda f, p, t: (t, f.free_boundary(t), p.x0(t), p.x1(t))),
+}
 
 
 def fmt(value) -> str:
@@ -96,11 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="tabulate fields")
     add_common(p_eval)
-    p_eval.add_argument(
-        "--field",
-        required=True,
-        choices=["T", "Ty", "S", "xstar", "psi", "theta", "H", "boundaries"],
-    )
+    p_eval.add_argument("--field", required=True, choices=list(FIELDS))
     p_eval.add_argument("--t", type=float, default=1.0)
     p_eval.add_argument("--t-range", type=str, default="0.25:4:16")
     p_eval.add_argument("--n", type=int, default=101)
@@ -154,125 +174,52 @@ def _merge_config(args) -> dict:
     return merged
 
 
-def _params(cfg) -> PhysicalParams:
-    return PhysicalParams(q=cfg["q"], l0=cfg["l0"], tm0=cfg["tm0"], delta=cfg["delta"])
+def _rows(header, rows, as_json) -> list:
+    """A table as CSV lines under its header, or as one JSON object per row."""
+    if as_json:
+        return [json.dumps({k: float(v) for k, v in zip(header, row)}, sort_keys=True)
+                for row in rows]
+    return [",".join(header), *(",".join(fmt(v) for v in row) for row in rows)]
 
 
-class _Sink:
-    """stdout or --out file with deterministic newline handling."""
-
-    def __init__(self, path):
-        self.path = path
-        self.lines = []
-
-    def write(self, line: str):
-        self.lines.append(line)
-
-    def flush(self):
-        text = "\n".join(self.lines) + "\n" if self.lines else ""
-        if self.path:
-            with open(self.path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-
-
-def cmd_gamma(args) -> int:
-    cfg = _merge_config(args)
-    params = _params(cfg)
+def cmd_gamma(args, cfg):
+    params = PhysicalParams(**cfg)
     root = solve_gamma(params)
     margin = physical_margin(params, root.gamma)
-    sink = _Sink(args.out)
     if args.json:
-        sink.write(
-            json.dumps(
-                {
-                    "gamma": root.gamma,
-                    "residual": root.residual,
-                    "bracket_lo": root.bracket_lo,
-                    "bracket_hi": root.bracket_hi,
-                    "iterations": root.iterations,
-                    "margin": margin,
-                    "physical_condition": margin > 0,
-                },
-                sort_keys=True,
-            )
-        )
-    else:
-        sink.write(f"gamma = {fmt(root.gamma)}")
-        sink.write(f"residual = {fmt(root.residual)}")
-        sink.write(f"bracket = [{fmt(root.bracket_lo)}, {fmt(root.bracket_hi)}]")
-        sink.write(f"iterations = {root.iterations}")
-        sink.write(f"margin = {fmt(margin)}")
-    sink.flush()
-    return 0
+        record = {**asdict(root), "margin": margin, "physical_condition": margin > 0}
+        return [json.dumps(record, sort_keys=True)], 0
+    return [
+        f"gamma = {fmt(root.gamma)}",
+        f"residual = {fmt(root.residual)}",
+        f"bracket = [{fmt(root.bracket_lo)}, {fmt(root.bracket_hi)}]",
+        f"iterations = {root.iterations}",
+        f"margin = {fmt(margin)}",
+    ], 0
 
 
-def _emit_rows(sink, header, rows, as_json):
-    if as_json:
-        for row in rows:
-            sink.write(
-                json.dumps({k: float(v) for k, v in zip(header, row)}, sort_keys=True)
-            )
-    else:
-        sink.write(",".join(header))
-        for row in rows:
-            sink.write(",".join(fmt(v) for v in row))
-
-
-def cmd_eval(args) -> int:
+def cmd_eval(args, cfg):
     from .transform import PsiField
 
-    cfg = _merge_config(args)
-    params = _params(cfg)
-    field = StefanField.from_params(params)
+    field = StefanField.from_params(PhysicalParams(**cfg))
     psi_field = PsiField(field)
+    header, on_y, columns = FIELDS[args.field]
     t = args.t
     if not math.isfinite(t):
         raise InvalidParameters(f"t must be finite, got {t}")
     if args.n < 1:
         raise InvalidParameters(f"n must be >= 1, got {args.n}")
-    if t <= 0 and args.field not in ("S", "boundaries", "H"):
-        raise InvalidParameters("t must be > 0")
-    sink = _Sink(args.out)
-
-    if args.field in ("T", "Ty", "xstar", "theta", "psi"):
+    if on_y:
+        if t <= 0:
+            raise InvalidParameters("t must be > 0")
         y = np.linspace(0.0, field.free_boundary(t), args.n)
-        if args.field == "T":
-            header, cols = ["y", "T"], (y, field.temperature(y, t))
-        elif args.field == "Ty":
-            header, cols = ["y", "Ty"], (y, field.temperature_gradient(y, t))
-        elif args.field == "xstar":
-            header, cols = ["y", "xstar"], (y, psi_field.x_star(y, t))
-        elif args.field == "theta":
-            header, cols = ["y", "theta"], (y, psi_field.theta(y, t))
-        else:
-            xs = psi_field.x_star(y, t)
-            header, cols = ["xstar", "psi"], (xs, psi_field.psi_parametric(y, t))
-        rows = np.column_stack(cols)
+        cols = columns(field, psi_field, y, t)
     else:
         t_values = _parse_range(args.t_range)
         if np.any(t_values <= 0):
             raise InvalidParameters("t-range must be positive")
-        if args.field == "S":
-            header = ["t", "S"]
-            rows = np.column_stack((t_values, field.free_boundary(t_values)))
-        elif args.field == "H":
-            header = ["t", "H"]
-            rows = np.column_stack((t_values, psi_field.h_of_t(t_values)))
-        else:
-            header = ["t", "S", "X0", "X1"]
-            rows = np.column_stack(
-                (
-                    t_values,
-                    field.free_boundary(t_values),
-                    psi_field.x0(t_values),
-                    psi_field.x1(t_values),
-                )
-            )
-    _emit_rows(sink, header, rows, args.json)
-    sink.flush()
-    return 0
+        cols = columns(field, psi_field, t_values)
+    return _rows(header, np.column_stack(cols), args.json), 0
 
 
 def _grid_spec(args):
@@ -290,25 +237,20 @@ def _grid_spec(args):
     return GridSpec(**given)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, cfg):
     from .verify import run_verification_suite
 
-    cfg = _merge_config(args)
-    params = _params(cfg)
-    field = StefanField.from_params(params)
+    field = StefanField.from_params(PhysicalParams(**cfg))
     reports = run_verification_suite(field, grid=_grid_spec(args))
-    sink = _Sink(args.out)
-    for rep in reports:
-        if args.json:
-            sink.write(rep.to_json())
-        else:
-            status = "pass" if rep.passed else "FAIL"
-            sink.write(
-                f"{rep.identity}: max_abs={fmt(rep.max_abs)} l2={fmt(rep.l2)} "
-                f"tol={fmt(rep.tolerance)} [{status}]"
-            )
-    sink.flush()
-    return 0 if all(r.passed for r in reports) else 2
+    if args.json:
+        lines = [rep.to_json() for rep in reports]
+    else:
+        lines = [
+            f"{rep.identity}: max_abs={fmt(rep.max_abs)} l2={fmt(rep.l2)} "
+            f"tol={fmt(rep.tolerance)} [{'pass' if rep.passed else 'FAIL'}]"
+            for rep in reports
+        ]
+    return lines, 0 if all(r.passed for r in reports) else 2
 
 
 def _oracle_config(args):
@@ -321,16 +263,15 @@ def _oracle_config(args):
     return OracleConfig(**given)
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args, cfg):
+    """The summary lines; --out names the snapshot CSV, written here."""
     from . import oracle
 
-    cfg = _merge_config(args)
-    field = StefanField.from_params(_params(cfg))
+    field = StefanField.from_params(PhysicalParams(**cfg))
     result = oracle.solve(_oracle_config(args), field)
     report = oracle.compare_to_closed_form(result, field)
     if args.out:
         result.to_csv(args.out)
-    sink = _Sink(None)
     summary = {
         "gamma_estimate": result.gamma_estimate,
         "gamma_exact": field.gamma.gamma,
@@ -340,16 +281,12 @@ def cmd_oracle(args) -> int:
         **report.details,
     }
     if args.json:
-        sink.write(json.dumps(summary, sort_keys=True))
-    else:
-        for key in sorted(summary):
-            sink.write(f"{key} = {fmt(summary[key])}")
-    sink.flush()
-    return 0
+        return [json.dumps(summary, sort_keys=True)], 0
+    return [f"{key} = {fmt(summary[key])}" for key in sorted(summary)], 0
 
 
-def cmd_sweep(args) -> int:
-    cfg = _merge_config(args)
+def cmd_sweep(args, cfg):
+    # the base parameters are not checked: a range may override them
     q_values = _parse_range(args.q_range) if args.q_range else [cfg["q"]]
     l0_values = _parse_range(args.l0_range) if args.l0_range else [cfg["l0"]]
     tm0_values = _parse_range(args.tm0_range) if args.tm0_range else [cfg["tm0"]]
@@ -365,10 +302,7 @@ def cmd_sweep(args) -> int:
         raise invalid
     rows = [(p.q, p.l0, p.tm0, r.gamma, r.residual, physical_margin(p, r.gamma))
             for p, r in zip(params, roots)]
-    sink = _Sink(args.out)
-    _emit_rows(sink, ["q", "l0", "tm0", "gamma", "residual", "margin"], rows, args.json)
-    sink.flush()
-    return 0
+    return _rows(["q", "l0", "tm0", "gamma", "residual", "margin"], rows, args.json), 0
 
 
 COMMANDS = {
@@ -381,13 +315,20 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return COMMANDS[args.command](args)
+        lines, code = COMMANDS[args.command](args, _merge_config(args))
+        text = "".join(line + "\n" for line in lines)
+        # oracle's --out is its snapshot CSV, so its summary goes to stdout
+        if args.out and args.command != "oracle":
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
     except (InvalidParameters, NotMonotone) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

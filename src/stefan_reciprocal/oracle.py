@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameters, NonmonotoneFront, StabilityViolation, StefanError
-from .similarity import StefanField, _check_reals
+from .similarity import StefanField, _check_ints, _check_reals
 from .verify import ResidualReport, _reduce
 
 SEED_MODES = ("closed_form", "linear_profile")
@@ -59,8 +59,7 @@ class OracleConfig:
 
     def __post_init__(self):
         _check_reals(self, ("t0", "t_end", "dt", "s0"))
-        if not isinstance(self.n_xi, int) or isinstance(self.n_xi, bool):
-            raise InvalidParameters(f"n_xi must be an int, got {self.n_xi!r}")
+        _check_ints(self, ("n_xi",))
         if self.n_xi < 32:
             raise InvalidParameters("n_xi must be >= 32")
         if not (self.t0 > 0 and self.t_end > self.t0):

@@ -171,6 +171,14 @@ def _check_reals(obj, names):
             raise InvalidParameters(f"{name} must be finite, got {value}")
 
 
+def _check_ints(obj, names):
+    """Refuse a field of ``obj`` that is a bool or not an int."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise InvalidParameters(f"{name} must be an int, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
     """Problem constants.
@@ -237,11 +245,9 @@ def _g_minus_f(x, params):
     return eval_G(x, params) - eval_F(x, params)
 
 
-def _bisect(cells, params):
-    """The GammaRoot fields of every cell, as arrays of the cells' shape.
+def _bisect(params):
+    """The GammaRoot fields of every PhysicalParams in the list ``params``, as arrays.
 
-    ``cells`` has fields q, l0 and tm0: floats for one cell, or float arrays
-    of one shape; ``params`` lists the cells' PhysicalParams in flat order.
     Each bracket starts at eps and q/l0 - eps with eps = 1e-14*q/l0, so
     G - F is never evaluated outside the open interval, and is halved while
     its midpoint lies strictly inside it: until its ends are adjacent
@@ -249,6 +255,8 @@ def _bisect(cells, params):
     bracket closes on that point.  gamma is the last midpoint, an end of the
     bracket.  All cells share one G - F evaluation per halving.
     """
+    cells = SimpleNamespace(**{k: np.array([getattr(p, k) for p in params], dtype=float)
+                               for k in ("q", "l0", "tm0")})
     upper = cells.q / cells.l0
     eps = 1e-14 * upper
     lo, hi = eps, upper - eps
@@ -256,7 +264,7 @@ def _bisect(cells, params):
     none = (f_lo != 0.0) & (np.sign(f_lo) == np.sign(f_hi))
     if np.any(none):
         i = int(np.argmax(none))
-        p, a, b = params[i], np.ravel(lo)[i], np.ravel(hi)[i]
+        p, a, b = params[i], lo[i], hi[i]
         raise NoSignChange(
             f"G - F does not change sign on ({a:.3g}, {b:.3g}); "
             f"no admissible gamma for q={p.q}, l0={p.l0}, tm0={p.tm0}"
@@ -265,7 +273,7 @@ def _bisect(cells, params):
     at_lo, at_hi = f_lo == 0.0, (f_hi == 0.0) & (f_lo != 0.0)
     hi, f_hi = np.where(at_lo, lo, hi), np.where(at_lo, f_lo, f_hi)
     lo = np.where(at_hi, hi, lo)
-    iterations = np.zeros(np.shape(lo), dtype=int)
+    iterations = np.zeros(lo.shape, dtype=int)
     while True:
         mid = 0.5 * (lo + hi)
         inside = (lo < mid) & (mid < hi)
@@ -294,7 +302,7 @@ def solve_gamma(params: PhysicalParams) -> GammaRoot:
     Raises NoSignChange when G - F is single-signed on the bracket, which
     signals inadmissible data (e.g. strongly negative tm0).
     """
-    return GammaRoot(*(v.tolist() for v in _bisect(params, [params])))
+    return solve_gammas([params])[0]
 
 
 def solve_gammas(params: list[PhysicalParams]) -> list[GammaRoot]:
@@ -302,10 +310,7 @@ def solve_gammas(params: list[PhysicalParams]) -> list[GammaRoot]:
 
     Raises as solve_gamma does, for the first cell in order without a sign change.
     """
-    cells = SimpleNamespace(**{k: np.array([getattr(p, k) for p in params], dtype=float)
-                               for k in ("q", "l0", "tm0")})
-    fields = _bisect(cells, params)
-    return [GammaRoot(*root) for root in zip(*(v.tolist() for v in fields))]
+    return [GammaRoot(*root) for root in zip(*(v.tolist() for v in _bisect(params)))]
 
 
 def physical_margin(params: PhysicalParams, gamma: float) -> float:

@@ -421,7 +421,7 @@ class PsiField:
         not finite or lies outside the boundary interval.
         """
         out = self._invert_array(xs, t, *self._orientation(t))
-        return float(out) if np.ndim(xs) == 0 else out
+        return _scalar(out)
 
     # -- derived identities ---------------------------------------------------
 
@@ -454,7 +454,7 @@ class PsiField:
             + d / psi0
             - d * d * x0v * x0v
         )
-        return float(out) if np.ndim(out) == 0 else out
+        return _scalar(out)
 
     def s_from_psi(self, t):
         """Recover S(t) as the directed integral of Psi over [X0*(t), X1*(t)].

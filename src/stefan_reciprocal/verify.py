@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidParameters, QuadratureFailure
-from .similarity import StefanField, _check_reals, _Jet, _libm
+from .similarity import StefanField, _check_ints, _check_reals, _Jet, _libm
 from .transform import (
     QUAD_TOL,
     PsiField,
@@ -62,10 +62,7 @@ class GridSpec:
     margin: float = 0.02
 
     def __post_init__(self):
-        for name in ("n_space", "n_time"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise InvalidParameters(f"{name} must be an int, got {value!r}")
+        _check_ints(self, ("n_space", "n_time"))
         _check_reals(self, ("margin",))
         if self.n_space < 8:
             raise InvalidParameters("n_space must be >= 8")

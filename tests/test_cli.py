@@ -110,6 +110,19 @@ class TestEval:
             t, h = (float(v) for v in line.split(","))
             assert abs(h) <= 1e-9  # identically zero for this family
 
+    def test_field_choices_in_order(self, capsys):
+        """--field offers the eight fields, and its usage error lists them, in one order."""
+        from stefan_reciprocal.cli import FIELDS
+
+        fields = ["T", "Ty", "S", "xstar", "psi", "theta", "H", "boundaries"]
+        assert list(FIELDS) == fields
+        code, out, err = run(capsys, "eval", "--field", "Q")
+        assert code == 1 and out == ""
+        line = err.splitlines()[-1]
+        assert line.startswith("stefan-reciprocal eval: error: argument --field: invalid choice: ")
+        listed = line.split("(choose from ")[1].rstrip(")").split(", ")
+        assert [name.strip("'") for name in listed] == fields
+
 
 class TestVerify:
     def test_small_grid_passes(self, capsys):
@@ -174,13 +187,12 @@ class TestOracle:
         assert payload["max_principle_violations"] == 0
 
     def test_csv_export(self, capsys, tmp_path):
+        """--out names the snapshot CSV; the summary goes to stdout as without it."""
+        argv = ["oracle", "--n-xi", "32", "--dt", "1e-3", "--t-end", "0.3"]
         out_path = tmp_path / "oracle.csv"
-        code, _, _ = run(
-            capsys,
-            "oracle", "--n-xi", "32", "--dt", "1e-3", "--t-end", "0.3",
-            "--out", str(out_path),
-        )
+        code, out, _ = run(capsys, *argv, "--out", str(out_path))
         assert code == 0
+        assert (code, out, "") == run(capsys, *argv) and "gamma_estimate = " in out
         lines = out_path.read_text().splitlines()
         assert lines[0] == "t,xi,y,T_num,S_num"
         assert len(lines) > 32
@@ -273,6 +285,15 @@ class TestSweep:
     def test_fails_at_first_failing_cell(self, capsys, argv, code, message):
         assert run(capsys, "sweep", *argv) == (code, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "argv", [["--tm0", "5", "--tm0-range", "0:0.5:3"], ["--q", "-1", "--q-range", "1:2:3"]]
+    )
+    def test_range_overrides_an_invalid_base(self, capsys, argv):
+        """A base value that a range replaces is never checked."""
+        code, out, err = run(capsys, "sweep", *argv)
+        assert code == 0 and err == ""
+        assert len(out.splitlines()) == 1 + 3
+
 
 class TestConfigPrecedence:
     def test_config_file_overrides_defaults(self, capsys, tmp_path):
@@ -340,6 +361,27 @@ class TestDeterminism:
             _, out, _ = run(capsys, "sweep", "--q-range", "0.5:2:6")
             outputs.append(out)
         assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gamma"],
+        ["eval", "--field", "theta", "--n", "7"],
+        ["eval", "--field", "boundaries", "--t-range", "1:2:3"],
+        ["verify", "--grid", "8,1"],
+        ["sweep", "--q-range", "0.5:2:3"],
+    ],
+    ids=["gamma", "eval-y", "eval-t", "verify", "sweep"],
+)
+@pytest.mark.parametrize("fmt_flag", [[], ["--json"]], ids=["text", "json"])
+def test_out_file_holds_the_stdout_bytes(capsys, tmp_path, argv, fmt_flag):
+    """--out writes exactly what the same argv prints without it."""
+    path = tmp_path / "out.txt"
+    code, out, _ = run(capsys, *argv, *fmt_flag)
+    assert code == 0
+    assert run(capsys, *argv, *fmt_flag, "--out", str(path)) == (0, "", "")
+    assert path.read_bytes() == out.encode()
 
 
 @pytest.mark.parametrize(

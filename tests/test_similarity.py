@@ -233,7 +233,7 @@ class TestSolveGamma:
         original = similarity.eval_F
 
         def spy(x, params):
-            seen.append(float(x))
+            seen.extend(np.ravel(x).tolist())
             return original(x, params)
 
         monkeypatch.setattr(similarity, "eval_F", spy)

@@ -165,6 +165,15 @@ class TestXStar:
         assert back.shape == ts.shape
         assert np.max(np.abs(back - y) / baseline_psi.stefan.free_boundary(ts)) <= 1e-9
 
+    def test_scalar_target_array_times(self, baseline_psi):
+        """A scalar target broadcasts against an array of t, as each time alone."""
+        ts = np.array([1.0, 1.5])
+        xs = baseline_psi.x_star(0.3 * baseline_psi.stefan.free_boundary(1.0), 1.0)
+        back = baseline_psi.invert_x_star(xs, ts)
+        assert back.shape == ts.shape
+        assert back.tolist() == [baseline_psi.invert_x_star(xs, t) for t in ts]
+        assert back[0] == pytest.approx(0.3 * baseline_psi.stefan.free_boundary(1.0), rel=1e-9)
+
     def test_similarity_scaling(self, baseline_psi, baseline_field):
         fracs = np.linspace(0.0, 1.0, 9)
         scaled = []

@@ -49,6 +49,18 @@ class TestGridSpec:
                 GridSpec(margin=margin)
         assert GridSpec(margin=np.float64(0.1)).margin == 0.1
 
+    @pytest.mark.parametrize(
+        "cls, kwargs, message",
+        [(GridSpec, {"n_space": 12.5}, "n_space must be an int, got 12.5"),
+         (GridSpec, {"n_time": True}, "n_time must be an int, got True"),
+         (sr.OracleConfig, {"n_xi": "64"}, "n_xi must be an int, got '64'")],
+    )
+    def test_int_field_messages(self, cls, kwargs, message):
+        """GridSpec and OracleConfig word a count that is not an int alike."""
+        with pytest.raises(sr.InvalidParameters) as info:
+            cls(**kwargs)
+        assert str(info.value) == message
+
     def test_report_record_schema(self, baseline_field):
         report = stefan_bc_residuals(baseline_field)
         record = report.as_record()
