@@ -16,9 +16,9 @@ in y, malformed flags);
 Output is deterministic: floats are printed with 17 significant digits and
 sweep cells are written in parameter order.
 
-A subcommand imports the layers it uses when it runs: gamma and sweep need
-only similarity, eval adds transform, verify adds verify, and oracle adds
-oracle (whose report class comes from verify).
+A subcommand imports the layers it uses when it runs: gamma, sweep and eval's
+StefanField fields need only similarity, its PsiField fields add transform,
+verify adds verify, and oracle adds oracle (whose report class comes from verify).
 """
 
 from __future__ import annotations
@@ -41,19 +41,19 @@ DEFAULTS = {"q": 1.0, "l0": 1.0, "tm0": 0.5, "delta": 1.0}
 #: The OracleConfig.seed_mode of each --seed value.
 SEED_MODES = {"closed": "closed_form", "linear": "linear_profile"}
 
-#: eval's fields in --field order: (header, sampled on y in [0, S(t)] at --t rather
-#: than over --t-range, columns of the StefanField f and PsiField p at the samples).
+#: eval's fields in --field order: (header, sampled on y in [0, S(t)] at --t rather than
+#: over --t-range, read through a PsiField not the StefanField, columns of it at the samples).
 FIELDS = {
-    "T": (("y", "T"), True, lambda f, p, y, t: (y, f.temperature(y, t))),
-    "Ty": (("y", "Ty"), True, lambda f, p, y, t: (y, f.temperature_gradient(y, t))),
-    "S": (("t", "S"), False, lambda f, p, t: (t, f.free_boundary(t))),
-    "xstar": (("y", "xstar"), True, lambda f, p, y, t: (y, p.x_star(y, t))),
-    "psi": (("xstar", "psi"), True,
-            lambda f, p, y, t: (p.x_star(y, t), p.psi_parametric(y, t))),
-    "theta": (("y", "theta"), True, lambda f, p, y, t: (y, p.theta(y, t))),
-    "H": (("t", "H"), False, lambda f, p, t: (t, p.h_of_t(t))),
-    "boundaries": (("t", "S", "X0", "X1"), False,
-                   lambda f, p, t: (t, f.free_boundary(t), p.x0(t), p.x1(t))),
+    "T": (("y", "T"), True, False, lambda f, y, t: (y, f.temperature(y, t))),
+    "Ty": (("y", "Ty"), True, False, lambda f, y, t: (y, f.temperature_gradient(y, t))),
+    "S": (("t", "S"), False, False, lambda f, t: (t, f.free_boundary(t))),
+    "xstar": (("y", "xstar"), True, True, lambda p, y, t: (y, p.x_star(y, t))),
+    "psi": (("xstar", "psi"), True, True,
+            lambda p, y, t: (p.x_star(y, t), p.psi_parametric(y, t))),
+    "theta": (("y", "theta"), True, True, lambda p, y, t: (y, p.theta(y, t))),
+    "H": (("t", "H"), False, True, lambda p, t: (t, p.h_of_t(t))),
+    "boundaries": (("t", "S", "X0", "X1"), False, True,
+                   lambda p, t: (t, p.stefan.free_boundary(t), p.x0(t), p.x1(t))),
 }
 
 
@@ -199,11 +199,12 @@ def cmd_gamma(args, cfg):
 
 
 def cmd_eval(args, cfg):
-    from .transform import PsiField
-
     field = StefanField.from_params(PhysicalParams(**cfg))
-    psi_field = PsiField(field)
-    header, on_y, columns = FIELDS[args.field]
+    header, on_y, on_psi, columns = FIELDS[args.field]
+    source = field
+    if on_psi:
+        from .transform import PsiField
+        source = PsiField(field)
     t = args.t
     if not math.isfinite(t):
         raise InvalidParameters(f"t must be finite, got {t}")
@@ -213,12 +214,12 @@ def cmd_eval(args, cfg):
         if t <= 0:
             raise InvalidParameters("t must be > 0")
         y = np.linspace(0.0, field.free_boundary(t), args.n)
-        cols = columns(field, psi_field, y, t)
+        cols = columns(source, y, t)
     else:
         t_values = _parse_range(args.t_range)
         if np.any(t_values <= 0):
             raise InvalidParameters("t-range must be positive")
-        cols = columns(field, psi_field, t_values)
+        cols = columns(source, t_values)
     return _rows(header, np.column_stack(cols), args.json), 0
 
 

@@ -8,8 +8,13 @@ heat equation into an advection-diffusion equation on the unit interval:
 with u_xi(0,t) = -q*S(t) (flux face), u(1,t) = tm0*sqrt(t) (melt face) and
 the front advanced by the energy balance dS/dt = -u_xi(1,t)/(S*l0*sqrt(t)).
 
-Diffusion is integrated implicitly (tridiagonal solve, unconditionally
-stable); the advective front coupling is explicit with its CFL-like bound
+Diffusion is integrated implicitly (backward Euler, unconditionally
+stable).  With r = dt/(S*dxi)^2 its rows are -r, 1 + 2r, -r; the flux-face
+row, whose ghost node gives 1 + 2r, -2r, is halved to 0.5 + r, -r, so the
+system is symmetric and strictly diagonally dominant with a positive
+diagonal, hence positive definite for every r > 0, and LAPACK ptsv solves
+it.  The advective front coupling is explicit, one coefficient
+dt*(dS/dt)/S per step times the fixed xi/(2*dxi), with its CFL-like bound
 checked every step.  The march starts at t0 > 0 because the immobilized
 system is singular at S(0) = 0.  Two seeding modes separate consistency
 checking (closed_form) from independence (linear_profile, which satisfies
@@ -128,8 +133,8 @@ def _check_steps(rows, times, bounds):
 
 
 @functools.cache
-def _dgtsv():
-    """LAPACK dgtsv, loaded from scipy's f2py extension ``scipy.linalg._flapack``.
+def _dptsv():
+    """LAPACK dptsv, loaded from scipy's f2py extension ``scipy.linalg._flapack``.
 
     Importing ``scipy.linalg`` takes ~0.3 s, loading this one file ~10 ms.
     ``find_spec("scipy")`` locates scipy without running its ``__init__``.
@@ -147,14 +152,14 @@ def _dgtsv():
         ]
         path = next(filter(os.path.isfile, paths), None)
         if path is None:
-            from scipy.linalg.lapack import dgtsv
+            from scipy.linalg.lapack import dptsv
 
-            return dgtsv
+            return dptsv
         loader = importlib.machinery.ExtensionFileLoader(name, path)
         module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
         loader.exec_module(module)
         sys.modules[name] = module
-    return sys.modules[name].dgtsv
+    return sys.modules[name].dptsv
 
 
 def solve(config: OracleConfig, field: StefanField) -> OracleResult:
@@ -163,17 +168,18 @@ def solve(config: OracleConfig, field: StefanField) -> OracleResult:
     q, l0 and tm0 come from ``field.params``; the closed_form seed is
     ``field``'s own temperature, at its gamma.  The march keeps one
     temperature array u of n_xi + 1 values.  Each step adds the advection
-    term to u, then LAPACK gtsv (``_dgtsv``) overwrites the first n_xi
-    values of u with the implicit solve, and u[n_xi] takes the melt-face
-    value.  The diagonals (views of one band buffer) and the advection term
-    live in preallocated arrays that are refilled, so a step allocates no
-    array.
+    term xi_h*(dt*s_dot/S)*(u[2:] - u[:-2]), xi_h = xi/(2*dxi), to the
+    interior, then LAPACK ptsv (``_dptsv``) overwrites u[:n_xi] with the
+    implicit solve, whose flux-face row 0.5 + r, -r | 0.5*u[0] + r*dxi*q*S
+    is exactly half of the unhalved row (module docstring), and u[n_xi]
+    takes the melt-face value.  The diagonals and the advection term are
+    preallocated and refilled, so a step allocates no array.
 
     Finiteness and the discrete maximum principle are checked on blocks of
     BLOCK steps' copies of u, at the end of the march, and before any march
     error is raised, so the first non-finite step is the one reported.
     """
-    dgtsv = _dgtsv()
+    dptsv = _dptsv()
     n = config.n_xi
     dxi = 1.0 / n
     two_dxi = 2.0 * dxi
@@ -196,14 +202,10 @@ def solve(config: OracleConfig, field: StefanField) -> OracleResult:
     t, sqrt_t = config.t0, math.sqrt(config.t0)
     max_cfl = 0.0
     violations = 0
-    # One band buffer, so that the sub- and super-diagonal take one fill
-    band = np.empty(3 * n - 2)
-    lower, upper, diag = band[: n - 1], band[n - 1 : 2 * n - 2], band[2 * n - 2 :]
-    off_diag = band[: 2 * n - 2]
-    advect = np.empty(n - 1)
-    du = np.empty(n - 1)
-    xi_inner = xi[1:n]
-    # gtsv's right-hand side and solution, the interior, the centred-difference pair
+    diag, off_diag = np.empty(n), np.empty(n - 1)
+    advect, du = np.empty(n - 1), np.empty(n - 1)
+    xi_h = xi[1:n] / two_dxi
+    # ptsv's right-hand side and solution, the interior, the centred-difference pair
     head, inner, up, down = u[:n], u[1:n], u[2:], u[: n - 1]
     # The last BLOCK steps' temperatures and end times, checked together
     rows, row_t = np.empty((BLOCK, n + 1)), np.empty(BLOCK)
@@ -226,15 +228,10 @@ def solve(config: OracleConfig, field: StefanField) -> OracleResult:
                 if front_new <= front:
                     raise NonmonotoneFront(f"front stalled at t={t:.6g}")
 
-                # The centred difference reads u before the step writes to it.  The
-                # advection term keeps the association order of
-                # dt * (xi*s_dot/front) * (u[2:] - u[:-2]) / (2*dxi).
+                # The centred difference reads u before the step writes to it.
                 np.subtract(up, down, du)
-                np.multiply(xi_inner, s_dot, advect)
-                np.true_divide(advect, front, advect)
-                np.multiply(dt, advect, advect)
+                np.multiply(xi_h, dt * s_dot / front, advect)
                 np.multiply(advect, du, advect)
-                np.true_divide(advect, two_dxi, advect)
                 np.add(inner, advect, inner)
 
                 t_new = t + dt
@@ -242,14 +239,14 @@ def solve(config: OracleConfig, field: StefanField) -> OracleResult:
                 dirichlet = tm0 * sqrt_t
                 r = dt / (front_new * front_new * dxi * dxi)
                 diag.fill(1.0 + 2.0 * r)
+                diag[0] = 0.5 + r
                 off_diag.fill(-r)
-                upper[0] = -2.0 * r
-                u[0] = item(0) + 2.0 * r * dxi * q * front_new
+                u[0] = 0.5 * item(0) + r * dxi * q * front_new
                 u[n - 1] = item(n - 1) + r * dirichlet
-                info = dgtsv(lower, diag, upper, head, 1, 1, 1, 1)[4]
+                info = dptsv(diag, off_diag, head, 1, 1, 1)[3]
                 if info != 0:
                     raise StefanError(
-                        f"tridiagonal solve failed (gtsv info={info}) at t={t_new:.6g}"
+                        f"tridiagonal solve failed (ptsv info={info}) at t={t_new:.6g}"
                     )
                 u[n] = dirichlet
 

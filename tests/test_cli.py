@@ -443,12 +443,12 @@ class TestBitIdentity:
             # the oracle-march workload's shapes, shortened
             (["oracle", "--q", "1.1", "--tm0", "0.3", "--n-xi", "256", "--t-end", "0.2",
               "--dt", "2e-4", "--json"], 0,
-             "e9563994ff14f0c55fb223b10325b9b99178df25543cfefe993203ffb4a57065"),
+             "8ae78067b6d49a2d8833404db1a6f463c9d2ba62331ad03f7fb680398a06b66e"),
             (["oracle", "--n-xi", "128", "--t0", "0.02", "--t-end", "0.05", "--dt", "4e-5",
               "--seed", "linear", "--s0", "0.05"], 0,
-             "e873c62b1d89041fad512174f22623486cf2f88b8d2f34b6cac1d3798e5a2ce7"),
+             "41a89cc5896356fccb1723176ee1f8028ee2fe2526c12a48307b1721bede4343"),
             (["oracle", "--n-xi", "1024", "--t-end", "0.12", "--dt", "5e-5", "--json"], 0,
-             "f753ff8e5361e841fb310bc7cebcc889c62c235b93bc9c13daa43cded8cd51b0"),
+             "9e7d45926835ba432568916594da37dd01a0f1e1f324b3ed8e184691b2af9cc7"),
             (["sweep", "--q-range", "0.5:1.5:7", "--tm0-range", "0:0.9:6"], 0,
              "9a7f249cfa3f3ceb5bffc129fff9d15376b5d1b6733b23f62a3f6c11b9842200"),
             (["sweep", "--q-range", "0.6:1.4:5", "--l0-range", "0.8:1.6:4",
@@ -494,7 +494,7 @@ def test_scipy_submodules_load_only_on_demand():
 
 def test_scipy_loads_only_for_oracle():
     """No command but oracle imports any part of scipy: erf is the package's
-    own.  oracle loads scipy's LAPACK extension for dgtsv and nothing else of
+    own.  oracle loads scipy's LAPACK extension for dptsv and nothing else of
     scipy: not its __init__, not scipy.linalg, not scipy.special."""
     fields = ["T", "Ty", "S", "xstar", "psi", "theta", "H", "boundaries"]
     script = (
@@ -531,12 +531,14 @@ def test_scipy_loads_only_for_oracle():
         (["gamma"], []),
         (["sweep", "--q-range", "0.5:2:3"], []),
         (["eval", "--field", "psi", "--n", "5"], ["transform"]),
+        # T, Ty and S read only the StefanField
+        (["eval", "--field", "T", "--n", "5"], []),
         (["verify", "--grid", "8,1"], ["transform", "verify"]),
         # oracle's comparison report comes from verify, which reads transform
         (["oracle", "--n-xi", "32", "--dt", "1e-3", "--t-end", "0.3"],
          ["oracle", "transform", "verify"]),
     ],
-    ids=["import", "gamma", "sweep", "eval", "verify", "oracle"],
+    ids=["import", "gamma", "sweep", "eval", "eval-T", "verify", "oracle"],
 )
 def test_command_loads_only_its_layers(argv, modules):
     """In a fresh interpreter, importing the CLI loads the package, cli, errors
