@@ -4,8 +4,9 @@ source-term evolution equation with two free boundaries.
 
 The exports load lazily (PEP 562): ``import stefan_reciprocal`` imports no
 submodule, and the first access to an export imports the one module that
-defines it.  So a caller that uses only the similarity solution never loads
-the reciprocal map, the identity checks or the oracle.
+defines it.  So a caller that solves only for gamma loads neither numpy nor
+the closed-form fields, and one that uses only the similarity solution never
+loads the reciprocal map, the identity checks or the oracle.
 """
 
 import importlib
@@ -16,7 +17,7 @@ _EXPORTS = {
     "BoundaryCoefficients": "transform",
     "DegenerateDenominator": "errors",
     "DomainError": "errors",
-    "GammaRoot": "similarity",
+    "GammaRoot": "roots",
     "GridSpec": "verify",
     "InvalidParameters": "errors",
     "NonmonotoneFront": "errors",
@@ -25,7 +26,7 @@ _EXPORTS = {
     "OracleConfig": "oracle",
     "OracleResult": "oracle",
     "OutOfRange": "errors",
-    "PhysicalParams": "similarity",
+    "PhysicalParams": "roots",
     "PsiField": "transform",
     "QuadratureFailure": "errors",
     "ResidualReport": "verify",
@@ -35,26 +36,25 @@ _EXPORTS = {
     "burgers_bc_residuals": "verify",
     "burgers_residual": "verify",
     "c_of_t_general": "transform",
-    "check_physical_condition": "similarity",
     "compare_to_closed_form": "oracle",
     "compute_boundary_coefficients": "transform",
-    "eval_F": "similarity",
-    "eval_G": "similarity",
+    "eval_F": "roots",
+    "eval_G": "roots",
     "evolution_residual": "verify",
     "h_ratio_residual": "verify",
     "heat_residual": "verify",
-    "physical_margin": "similarity",
+    "physical_margin": "roots",
     "psi_bc_residuals": "verify",
     "reciprocal_identity_residual": "verify",
     "run_verification_suite": "verify",
-    "solve_gamma": "similarity",
-    "solve_gammas": "similarity",
+    "solve_gamma": "roots",
+    "solve_gammas": "roots",
     "solve_oracle": "oracle.solve",
     "stefan_bc_residuals": "verify",
     "theta_quadrature": "transform",
 }
 
-_SUBMODULES = ("cli", "errors", "oracle", "similarity", "transform", "verify")
+_SUBMODULES = ("cli", "errors", "oracle", "roots", "similarity", "transform", "verify")
 
 __all__ = list(_EXPORTS)
 

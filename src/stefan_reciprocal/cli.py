@@ -16,8 +16,9 @@ in y, malformed flags);
 Output is deterministic: floats are printed with 17 significant digits and
 sweep cells are written in parameter order.
 
-A subcommand imports the layers it uses when it runs: gamma, sweep and eval's
-StefanField fields need only similarity, its PsiField fields add transform,
+A subcommand imports the layers it uses when it runs.  gamma and sweep need
+only roots, which imports no numpy, so they run without it; eval's StefanField
+fields add similarity (and with it numpy), its PsiField fields add transform,
 verify adds verify, and oracle adds oracle (whose report class comes from verify).
 """
 
@@ -31,10 +32,8 @@ import re
 import sys
 from dataclasses import asdict
 
-import numpy as np
-
 from .errors import InvalidParameters, NotMonotone, StefanError
-from .similarity import PhysicalParams, StefanField, physical_margin, solve_gamma, solve_gammas
+from .roots import PhysicalParams, physical_margin, solve_gamma, solve_gammas
 
 DEFAULTS = {"q": 1.0, "l0": 1.0, "tm0": 0.5, "delta": 1.0}
 
@@ -84,8 +83,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _parse_range(text: str):
-    """Parse lo:hi:n into a linspace."""
+def _parse_range(text: str) -> list:
+    """Parse lo:hi:n into a list with the bits of np.linspace(lo, hi, n)."""
     parts = text.split(":")
     if len(parts) != 3:
         raise InvalidParameters(f"expected lo:hi:n, got {text!r}")
@@ -99,7 +98,14 @@ def _parse_range(text: str):
         raise InvalidParameters(f"range bounds must be finite, got {text!r}")
     if n < 1:
         raise InvalidParameters("range count must be >= 1")
-    return np.linspace(lo, hi, n)
+    # numpy's arithmetic: lo + i*step, or lo + (i/div)*delta where the step
+    # underflows to 0, with the last element set to hi
+    div, delta = max(n - 1, 1), hi - lo
+    step = delta / div
+    values = [i * step + lo if step else i / div * delta + lo for i in range(n)]
+    if n > 1:
+        values[-1] = hi
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -199,6 +205,10 @@ def cmd_gamma(args, cfg):
 
 
 def cmd_eval(args, cfg):
+    import numpy as np
+
+    from .similarity import StefanField
+
     field = StefanField.from_params(PhysicalParams(**cfg))
     header, on_y, on_psi, columns = FIELDS[args.field]
     source = field
@@ -216,7 +226,7 @@ def cmd_eval(args, cfg):
         y = np.linspace(0.0, field.free_boundary(t), args.n)
         cols = columns(source, y, t)
     else:
-        t_values = _parse_range(args.t_range)
+        t_values = np.array(_parse_range(args.t_range))
         if np.any(t_values <= 0):
             raise InvalidParameters("t-range must be positive")
         cols = columns(source, t_values)
@@ -239,6 +249,7 @@ def _grid_spec(args):
 
 
 def cmd_verify(args, cfg):
+    from .similarity import StefanField
     from .verify import run_verification_suite
 
     field = StefanField.from_params(PhysicalParams(**cfg))
@@ -267,6 +278,7 @@ def _oracle_config(args):
 def cmd_oracle(args, cfg):
     """The summary lines; --out names the snapshot CSV, written here."""
     from . import oracle
+    from .similarity import StefanField
 
     field = StefanField.from_params(PhysicalParams(**cfg))
     result = oracle.solve(_oracle_config(args), field)

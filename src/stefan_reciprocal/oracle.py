@@ -38,7 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameters, NonmonotoneFront, StabilityViolation, StefanError
-from .similarity import StefanField, _check_ints, _check_reals
+from .roots import _check_ints, _check_reals
+from .similarity import StefanField
 from .verify import ResidualReport, _reduce
 
 SEED_MODES = ("closed_form", "linear_profile")

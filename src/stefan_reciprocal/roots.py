@@ -1,0 +1,163 @@
+"""The problem's parameters and the front coefficient gamma, without numpy.
+
+The front of the similarity solution is S(t) = 2*gamma*sqrt(t), where gamma
+is the root on (0, q/l0) of G(gamma) = F(gamma) with
+
+    G(x) = q - l0*x
+    F(x) = (tm0/2 + l0*x^2) * exp(x^2) * sqrt(pi) * erf(x).
+
+Everything here is scalar libm arithmetic (math.exp, math.erf) on floats, and
+the module imports only the standard library and ``errors``, so the `gamma`
+and `sweep` subcommands run without importing numpy.
+"""
+
+from __future__ import annotations
+
+import math
+import numbers
+from dataclasses import dataclass
+
+from .errors import InvalidParameters, NoSignChange
+
+SQRT_PI = math.sqrt(math.pi)
+
+
+def _check_reals(obj, names):
+    """Refuse a field of ``obj`` that is a bool, not a real number, or not finite."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise InvalidParameters(f"{name} must be a real number, got {value!r}")
+        if not math.isfinite(value):
+            raise InvalidParameters(f"{name} must be finite, got {value}")
+
+
+def _check_ints(obj, names):
+    """Refuse a field of ``obj`` that is a bool or not an int."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise InvalidParameters(f"{name} must be an int, got {value!r}")
+
+
+@dataclass(frozen=True)
+class PhysicalParams:
+    """Problem constants.
+
+    q: flux magnitude at the fixed face (> 0)
+    l0: latent-heat coefficient, L(t) = l0*sqrt(t) (> 0)
+    tm0: melt-temperature coefficient, Tm(t) = tm0*sqrt(t) (< l0)
+    delta: transformation constant (> 0)
+    """
+
+    q: float
+    l0: float
+    tm0: float = 0.0
+    delta: float = 1.0
+
+    def __post_init__(self):
+        _check_reals(self, ("q", "l0", "tm0", "delta"))
+        if not (self.q > 0):
+            raise InvalidParameters(f"q must be > 0, got {self.q}")
+        if not (self.l0 > 0):
+            raise InvalidParameters(f"l0 must be > 0, got {self.l0}")
+        if not (self.delta > 0):
+            raise InvalidParameters(f"delta must be > 0, got {self.delta}")
+        if not (self.l0 > self.tm0):
+            raise InvalidParameters(
+                f"requires l0 > tm0, got l0={self.l0}, tm0={self.tm0}"
+            )
+
+
+@dataclass(frozen=True)
+class GammaRoot:
+    """Root of G(gamma) = F(gamma) with solver metadata.
+
+    ``residual`` is |G(gamma) - F(gamma)|: inf where F overflows at gamma,
+    and nan where F is nan there (see :func:`eval_F`).
+    """
+
+    gamma: float
+    residual: float
+    bracket_lo: float
+    bracket_hi: float
+    iterations: int
+
+
+def eval_G(x: float, params: PhysicalParams) -> float:
+    """Left side of the root equation: q - l0*x, strictly decreasing."""
+    return params.q - params.l0 * x
+
+
+def eval_F(x: float, params: PhysicalParams) -> float:
+    """Right side of the root equation: (tm0/2 + l0*x^2)*exp(x^2)*sqrt(pi)*erf(x).
+
+    IEEE arithmetic on a float x: +-inf where exp(x^2) overflows, and nan where
+    that overflow meets tm0/2 + l0*x^2 == 0; bracketed root finding tolerates both.
+    """
+    try:
+        growth = math.exp(x * x)
+    except OverflowError:
+        growth = math.inf
+    return (params.tm0 / 2.0 + params.l0 * x * x) * growth * SQRT_PI * math.erf(x)
+
+
+def _same_sign(a, b):
+    """Both > 0 or both < 0; False where either is 0 or nan."""
+    return (a > 0.0 and b > 0.0) or (a < 0.0 and b < 0.0)
+
+
+def solve_gamma(params: PhysicalParams) -> GammaRoot:
+    """Solve G(gamma) = F(gamma) by bisection on (0, q/l0) to adjacent doubles.
+
+    The bracket endpoints start at eps and q/l0 - eps with
+    eps = 1e-14*q/l0, so the function is never evaluated outside the open
+    interval.  Bisection halves the bracket until its midpoint is no longer
+    strictly inside it, which leaves bracket_lo and bracket_hi adjacent
+    doubles and gamma the one of them that the midpoint rounds to; where
+    G - F is exactly 0 at an end or a midpoint, the bracket closes on that
+    point and the residual is 0.  The result is deterministic for fixed inputs.
+
+    Raises NoSignChange when G - F is single-signed on the bracket, which
+    signals inadmissible data (e.g. strongly negative tm0).
+    """
+    upper = float(params.q) / float(params.l0)
+    eps = 1e-14 * upper
+    lo, hi = eps, upper - eps
+    f_lo = eval_G(lo, params) - eval_F(lo, params)
+    f_hi = eval_G(hi, params) - eval_F(hi, params)
+    if _same_sign(f_lo, f_hi):
+        raise NoSignChange(
+            f"G - F does not change sign on ({lo:.3g}, {hi:.3g}); "
+            f"no admissible gamma for q={params.q}, l0={params.l0}, tm0={params.tm0}"
+        )
+    # a zero at an end closes the bracket on that end
+    if f_lo == 0.0:
+        hi, f_hi = lo, f_lo
+    elif f_hi == 0.0:
+        lo = hi
+    iterations = 0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        f_mid = eval_G(mid, params) - eval_F(mid, params)
+        iterations += 1
+        if f_mid == 0.0:
+            lo = hi = mid
+            f_lo = f_hi = f_mid
+        elif _same_sign(f_mid, f_lo):
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
+    return GammaRoot(mid, float(abs(f_hi if mid == hi else f_lo)), lo, hi, iterations)
+
+
+def solve_gammas(params: list[PhysicalParams]) -> list[GammaRoot]:
+    """:func:`solve_gamma` of every PhysicalParams in ``params``, cell by cell in order.
+
+    Raises as solve_gamma does, for the first cell without a sign change.
+    """
+    return [solve_gamma(p) for p in params]
+
+
+def physical_margin(params: PhysicalParams, gamma: float) -> float:
+    """Margin q - l0*gamma - sqrt(pi)*(tm0/2)*erf(gamma) of the melting condition."""
+    return params.q - params.l0 * gamma - SQRT_PI * (params.tm0 / 2.0) * math.erf(gamma)

@@ -13,21 +13,21 @@ and the temperature is
 
     T(y,t) = A*(2*sqrt(t)*exp(-y^2/4t) + sqrt(pi)*y*erf(y/2sqrt(t))) - q*y,
     A = (q - L0*gamma) / (sqrt(pi)*erf(gamma)).
+
+The parameters and the root solve live in :mod:`.roots`, which needs no
+numpy; this module holds the closed-form fields on arrays and jets.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import DomainError, InvalidParameters, NoSignChange
-
-SQRT_PI = math.sqrt(math.pi)
+from .errors import DomainError
+from .roots import SQRT_PI, GammaRoot, PhysicalParams, solve_gamma
 
 #: Relative slack allowed before a coordinate counts as outside [0, S(t)].
 DOMAIN_RTOL = 1e-9
@@ -159,168 +159,6 @@ def _erf(x):
         d = 2.0 / SQRT_PI * np.exp(-x.v * x.v)
         return x.chain(_erf(x.v), d, -2.0 * x.v * d)
     return _libm(math.erf, x)
-
-
-def _check_reals(obj, names):
-    """Refuse a field of ``obj`` that is a bool, not a real number, or not finite."""
-    for name in names:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise InvalidParameters(f"{name} must be a real number, got {value!r}")
-        if not math.isfinite(value):
-            raise InvalidParameters(f"{name} must be finite, got {value}")
-
-
-def _check_ints(obj, names):
-    """Refuse a field of ``obj`` that is a bool or not an int."""
-    for name in names:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise InvalidParameters(f"{name} must be an int, got {value!r}")
-
-
-@dataclass(frozen=True)
-class PhysicalParams:
-    """Problem constants.
-
-    q: flux magnitude at the fixed face (> 0)
-    l0: latent-heat coefficient, L(t) = l0*sqrt(t) (> 0)
-    tm0: melt-temperature coefficient, Tm(t) = tm0*sqrt(t) (< l0)
-    delta: transformation constant (> 0)
-    """
-
-    q: float
-    l0: float
-    tm0: float = 0.0
-    delta: float = 1.0
-
-    def __post_init__(self):
-        _check_reals(self, ("q", "l0", "tm0", "delta"))
-        if not (self.q > 0):
-            raise InvalidParameters(f"q must be > 0, got {self.q}")
-        if not (self.l0 > 0):
-            raise InvalidParameters(f"l0 must be > 0, got {self.l0}")
-        if not (self.delta > 0):
-            raise InvalidParameters(f"delta must be > 0, got {self.delta}")
-        if not (self.l0 > self.tm0):
-            raise InvalidParameters(
-                f"requires l0 > tm0, got l0={self.l0}, tm0={self.tm0}"
-            )
-
-
-@dataclass(frozen=True)
-class GammaRoot:
-    """Root of G(gamma) = F(gamma) with solver metadata.
-
-    ``residual`` is |G(gamma) - F(gamma)|: inf where F overflows at gamma,
-    and nan where F is nan there (see :func:`eval_F`).
-    """
-
-    gamma: float
-    residual: float
-    bracket_lo: float
-    bracket_hi: float
-    iterations: int
-
-
-def eval_G(x, params: PhysicalParams):
-    """Left side of the root equation: q - l0*x, strictly decreasing."""
-    return _scalar(params.q - params.l0 * np.asarray(x, dtype=float))
-
-
-def eval_F(x, params: PhysicalParams):
-    """Right side of the root equation: (tm0/2 + l0*x^2)*exp(x^2)*sqrt(pi)*erf(x).
-
-    Overflows to +-inf for large x, and is nan where exp(x^2) overflows and
-    tm0/2 + l0*x^2 is exactly 0; bracketed root finding tolerates both.
-    """
-    x = np.asarray(x, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = (params.tm0 / 2.0 + params.l0 * x * x) * np.exp(x * x) * SQRT_PI * _erf(x)
-    return _scalar(out)
-
-
-def _g_minus_f(x, params):
-    """G(x) - F(x); the fields of ``params`` may be arrays that broadcast against x."""
-    return eval_G(x, params) - eval_F(x, params)
-
-
-def _bisect(params):
-    """The GammaRoot fields of every PhysicalParams in the list ``params``, as arrays.
-
-    Each bracket starts at eps and q/l0 - eps with eps = 1e-14*q/l0, so
-    G - F is never evaluated outside the open interval, and is halved while
-    its midpoint lies strictly inside it: until its ends are adjacent
-    doubles, or until G - F is exactly 0 at an end or a midpoint, where the
-    bracket closes on that point.  gamma is the last midpoint, an end of the
-    bracket.  All cells share one G - F evaluation per halving.
-    """
-    cells = SimpleNamespace(**{k: np.array([getattr(p, k) for p in params], dtype=float)
-                               for k in ("q", "l0", "tm0")})
-    upper = cells.q / cells.l0
-    eps = 1e-14 * upper
-    lo, hi = eps, upper - eps
-    f_lo, f_hi = _g_minus_f(lo, cells), _g_minus_f(hi, cells)
-    none = (f_lo != 0.0) & (np.sign(f_lo) == np.sign(f_hi))
-    if np.any(none):
-        i = int(np.argmax(none))
-        p, a, b = params[i], lo[i], hi[i]
-        raise NoSignChange(
-            f"G - F does not change sign on ({a:.3g}, {b:.3g}); "
-            f"no admissible gamma for q={p.q}, l0={p.l0}, tm0={p.tm0}"
-        )
-    # a zero at an end closes the bracket on that end
-    at_lo, at_hi = f_lo == 0.0, (f_hi == 0.0) & (f_lo != 0.0)
-    hi, f_hi = np.where(at_lo, lo, hi), np.where(at_lo, f_lo, f_hi)
-    lo = np.where(at_hi, hi, lo)
-    iterations = np.zeros(lo.shape, dtype=int)
-    while True:
-        mid = 0.5 * (lo + hi)
-        inside = (lo < mid) & (mid < hi)
-        if not inside.any():
-            break
-        f_mid = _g_minus_f(mid, cells)
-        iterations += inside
-        same, zero = np.sign(f_mid) == np.sign(f_lo), f_mid == 0.0
-        up, down = inside & (same | zero), inside & ~same
-        lo, f_lo = np.where(up, mid, lo), np.where(up, f_mid, f_lo)
-        hi, f_hi = np.where(down, mid, hi), np.where(down, f_mid, f_hi)
-    return mid, np.abs(np.where(mid == hi, f_hi, f_lo)), lo, hi, iterations
-
-
-def solve_gamma(params: PhysicalParams) -> GammaRoot:
-    """Solve G(gamma) = F(gamma) by bisection on (0, q/l0) to adjacent doubles.
-
-    The bracket endpoints start at eps and q/l0 - eps with
-    eps = 1e-14*q/l0, so the function is never evaluated outside the open
-    interval.  Bisection halves the bracket until its midpoint is no longer
-    strictly inside it, which leaves bracket_lo and bracket_hi adjacent
-    doubles and gamma the one of them that the midpoint rounds to; where
-    G - F is exactly 0 at an end or a midpoint, the bracket closes on that
-    point and the residual is 0.  The result is deterministic for fixed inputs.
-
-    Raises NoSignChange when G - F is single-signed on the bracket, which
-    signals inadmissible data (e.g. strongly negative tm0).
-    """
-    return solve_gammas([params])[0]
-
-
-def solve_gammas(params: list[PhysicalParams]) -> list[GammaRoot]:
-    """:func:`solve_gamma` of every PhysicalParams in ``params``, by one array bisection.
-
-    Raises as solve_gamma does, for the first cell in order without a sign change.
-    """
-    return [GammaRoot(*root) for root in zip(*(v.tolist() for v in _bisect(params)))]
-
-
-def physical_margin(params: PhysicalParams, gamma: float) -> float:
-    """Margin q - l0*gamma - sqrt(pi)*(tm0/2)*erf(gamma) of the melting condition."""
-    return params.q - params.l0 * gamma - SQRT_PI * (params.tm0 / 2.0) * math.erf(gamma)
-
-
-def check_physical_condition(params: PhysicalParams, gamma: float) -> bool:
-    """True iff the front coefficient satisfies the melting (positivity) condition."""
-    return physical_margin(params, gamma) > 0.0
 
 
 @dataclass(frozen=True)

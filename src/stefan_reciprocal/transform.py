@@ -46,8 +46,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateDenominator, NotMonotone, OutOfRange, QuadratureFailure
-from .similarity import (SQRT_PI, GammaRoot, PhysicalParams, StefanField, _check_time, _floats,
-                         _scalar)
+from .roots import SQRT_PI, GammaRoot, PhysicalParams
+from .similarity import StefanField, _check_time, _floats, _scalar
 
 #: Initial and most open cells of the monotonicity certificate on [0, S(1)].
 MONOTONE_CELLS = 32

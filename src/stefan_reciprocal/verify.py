@@ -31,7 +31,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidParameters, QuadratureFailure
-from .similarity import StefanField, _check_ints, _check_reals, _Jet, _libm
+from .roots import _check_ints, _check_reals
+from .similarity import StefanField, _Jet, _libm
 from .transform import (
     QUAD_TOL,
     PsiField,

@@ -2,7 +2,7 @@
 so that a new option or a changed export is a deliberate change.
 
 An option is a keyword parameter with a default of a public function or
-method of ``similarity``, ``transform``, ``verify`` or ``oracle``, or a field
+method of ``roots``, ``similarity``, ``transform``, ``verify`` or ``oracle``, or a field
 of ``GridSpec`` or ``OracleConfig``.  When an option is added or removed,
 update ``OPTION_COUNT`` here and the count in ROADMAP.md together.  When an
 export is added or removed, update ``EXPORTS`` and say so in README.md.
@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 import stefan_reciprocal
-from stefan_reciprocal import oracle, similarity, transform, verify
+from stefan_reciprocal import oracle, roots, similarity, transform, verify
 from stefan_reciprocal.oracle import OracleConfig
 from stefan_reciprocal.verify import GridSpec
 
@@ -28,14 +28,14 @@ EXPORTS = (
     "InvalidParameters", "NonmonotoneFront", "NoSignChange", "NotMonotone", "OracleConfig",
     "OracleResult", "OutOfRange", "PhysicalParams", "PsiField", "QuadratureFailure",
     "ResidualReport", "StabilityViolation", "StefanError", "StefanField",
-    "burgers_bc_residuals", "burgers_residual", "c_of_t_general", "check_physical_condition",
-    "compare_to_closed_form", "compute_boundary_coefficients", "eval_F", "eval_G",
-    "evolution_residual", "h_ratio_residual", "heat_residual", "physical_margin",
-    "psi_bc_residuals", "reciprocal_identity_residual", "run_verification_suite",
-    "solve_gamma", "solve_gammas", "solve_oracle", "stefan_bc_residuals", "theta_quadrature",
+    "burgers_bc_residuals", "burgers_residual", "c_of_t_general", "compare_to_closed_form",
+    "compute_boundary_coefficients", "eval_F", "eval_G", "evolution_residual",
+    "h_ratio_residual", "heat_residual", "physical_margin", "psi_bc_residuals",
+    "reciprocal_identity_residual", "run_verification_suite", "solve_gamma", "solve_gammas",
+    "solve_oracle", "stefan_bc_residuals", "theta_quadrature",
 )
 
-SUBMODULES = ("cli", "errors", "oracle", "similarity", "transform", "verify")
+SUBMODULES = ("cli", "errors", "oracle", "roots", "similarity", "transform", "verify")
 
 
 def _options():
@@ -44,7 +44,7 @@ def _options():
         for cls in (GridSpec, OracleConfig)
         for f in dataclasses.fields(cls)
     ]
-    for mod in (similarity, transform, verify, oracle):
+    for mod in (roots, similarity, transform, verify, oracle):
         for name, obj in vars(mod).items():
             if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
                 continue

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,9 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import stefan_reciprocal
-from stefan_reciprocal.cli import main
+from stefan_reciprocal.cli import _parse_range, main
 
 GAMMA_BASELINE = 0.47461192717277908806
 
@@ -240,25 +243,25 @@ class TestSweep:
         assert len(out.splitlines()) == 2
 
     def test_one_evaluation_per_halving(self, capsys, monkeypatch):
-        """A 20x20 sweep evaluates G - F for all its cells at once, in 44
-        calls, not in the 17,599 of per-cell solves."""
-        from stefan_reciprocal import similarity
+        """Each cell of a 20x20 sweep evaluates G - F once at each end of its
+        bracket and once per halving: iterations + 2 times."""
+        from stefan_reciprocal import roots
 
-        erf, calls = similarity._erf, [0]
+        eval_f, calls = roots.eval_F, {}
 
-        def counted(x):
-            calls[0] += 1
-            return erf(x)
+        def counted(x, params):
+            cell = (params.q, params.l0, params.tm0)
+            calls[cell] = calls.get(cell, 0) + 1
+            return eval_f(x, params)
 
-        monkeypatch.setattr(similarity, "_erf", counted)
+        monkeypatch.setattr(roots, "eval_F", counted)
         code, out, _ = run(capsys, "sweep", "--q-range", "0.9:1.6:20", "--tm0-range", "0:0.6:20")
         monkeypatch.undo()
         assert code == 0
-        cells = [[float(v) for v in line.split(",")[:3]] for line in out.splitlines()[1:]]
-        assert len(cells) == 400
+        cells = [tuple(float(v) for v in line.split(",")[:3]) for line in out.splitlines()[1:]]
+        assert len(cells) == len(set(cells)) == 400
         solve, params = stefan_reciprocal.solve_gamma, stefan_reciprocal.PhysicalParams
-        most = max(solve(params(*cell)).iterations for cell in cells)
-        assert calls[0] <= 2 + most
+        assert calls == {cell: solve(params(*cell)).iterations + 2 for cell in cells}
 
     @pytest.mark.parametrize(
         "argv, code, message",
@@ -453,11 +456,11 @@ class TestBitIdentity:
              "9a7f249cfa3f3ceb5bffc129fff9d15376b5d1b6733b23f62a3f6c11b9842200"),
             (["sweep", "--q-range", "0.6:1.4:5", "--l0-range", "0.8:1.6:4",
               "--tm0-range", "0:0.6:3", "--json"], 0,
-             "12fbc4698ba5fcb0a2038c292fae877ad6ad5b3716f5fa48539bffdb793883d3"),
+             "6911963407df263dbc587e729bebbfaba7649f44b1ea2f8da50dc16ae63e2e05"),
             # bisection midpoints above 1; tm0 < 0
             (["sweep", "--q-range", "0.6:4:8", "--l0-range", "0.7:1.3:3",
               "--tm0-range", "-0.4:0.45:5"], 0,
-             "6e45060ef3e88739421bac3e8d8321381e0e72d96a716d73901877b79147af63"),
+             "db099b760b0bbed6ee5f907bc73691200ebbfc8f586c5c92a1ffe9a7bdd74c74"),
         ],
     )
     def test_pinned_stdout(self, capsys, argv, code, digest):
@@ -525,31 +528,33 @@ def test_scipy_loads_only_for_oracle():
 
 
 @pytest.mark.parametrize(
-    "argv, modules",
+    "argv, code, modules, numpy",
     [
-        (None, []),
-        (["gamma"], []),
-        (["sweep", "--q-range", "0.5:2:3"], []),
-        (["eval", "--field", "psi", "--n", "5"], ["transform"]),
+        (None, 0, [], False),
+        (["gamma"], 0, [], False),
+        (["sweep", "--q-range", "0.5:2:3"], 0, [], False),
+        (["gamma", "--bogus"], 1, [], False),
+        (["eval", "--field", "psi", "--n", "5"], 0, ["similarity", "transform"], True),
         # T, Ty and S read only the StefanField
-        (["eval", "--field", "T", "--n", "5"], []),
-        (["verify", "--grid", "8,1"], ["transform", "verify"]),
+        (["eval", "--field", "T", "--n", "5"], 0, ["similarity"], True),
+        (["verify", "--grid", "8,1"], 0, ["similarity", "transform", "verify"], True),
         # oracle's comparison report comes from verify, which reads transform
-        (["oracle", "--n-xi", "32", "--dt", "1e-3", "--t-end", "0.3"],
-         ["oracle", "transform", "verify"]),
+        (["oracle", "--n-xi", "32", "--dt", "1e-3", "--t-end", "0.3"], 0,
+         ["oracle", "similarity", "transform", "verify"], True),
     ],
-    ids=["import", "gamma", "sweep", "eval", "eval-T", "verify", "oracle"],
+    ids=["import", "gamma", "sweep", "usage-error", "eval", "eval-T", "verify", "oracle"],
 )
-def test_command_loads_only_its_layers(argv, modules):
+def test_command_loads_only_its_layers(argv, code, modules, numpy):
     """In a fresh interpreter, importing the CLI loads the package, cli, errors
-    and similarity (``argv`` None); each subcommand adds only its ``modules``."""
+    and roots, and no numpy (``argv`` None); gamma, sweep and a usage error add
+    nothing, and every other subcommand adds numpy and only its ``modules``."""
     script = (
         "import json, sys\n"
         "import stefan_reciprocal.cli as cli\n"
         "argv = json.loads(sys.argv[1])\n"
         "code = 0 if argv is None else cli.main([*argv, '--out', sys.argv[2]])\n"
         "loaded = sorted(m for m in sys.modules if m.startswith('stefan_reciprocal'))\n"
-        "print(json.dumps([code, loaded]))\n"
+        "print(json.dumps([code, loaded, 'numpy' in sys.modules]))\n"
     )
     src = str(Path(stefan_reciprocal.__file__).resolve().parents[1])
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
@@ -558,10 +563,60 @@ def test_command_loads_only_its_layers(argv, modules):
         [sys.executable, "-c", script, json.dumps(argv), os.devnull],
         capture_output=True, text=True, env=env, check=True,
     )
-    code, loaded = json.loads(res.stdout.splitlines()[-1])
-    names = ["cli", "errors", "similarity", *modules]
-    assert code == 0
+    got_code, loaded, numpy_loaded = json.loads(res.stdout.splitlines()[-1])
+    names = ["cli", "errors", "roots", *modules]
+    assert got_code == code
     assert loaded == sorted(["stefan_reciprocal", *(f"stefan_reciprocal.{m}" for m in names)])
+    assert numpy_loaded is numpy
+
+
+def test_gamma_and_sweep_run_without_numpy(capsys):
+    """With numpy made unimportable, gamma and sweep print what they print
+    with it."""
+    argvs = [["gamma"], ["gamma", "--json"],
+             ["sweep", "--q-range", "0.5:2:3", "--tm0-range", "0:0.6:3"]]
+    script = (
+        "import io, json, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import stefan_reciprocal.cli as cli\n"
+        "outs = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    sys.stdout = io.StringIO()\n"
+        "    code = cli.main(argv)\n"
+        "    outs.append([code, sys.stdout.getvalue()])\n"
+        "sys.stdout = sys.__stdout__\n"
+        "print(json.dumps(outs))\n"
+    )
+    src = str(Path(stefan_reciprocal.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    res = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argvs)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    expected = [[code, out] for code, out, _ in (run(capsys, *argv) for argv in argvs)]
+    assert all(code == 0 and out for code, out in expected)
+    assert json.loads(res.stdout) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(lo=st.floats(allow_nan=False, allow_infinity=False),
+       hi=st.floats(allow_nan=False, allow_infinity=False), n=st.integers(1, 500))
+@example(lo=-0.0, hi=0.0, n=1)
+@example(lo=-0.0, hi=-0.0, n=4)
+@example(lo=2.5, hi=2.5, n=3)
+@example(lo=3.0, hi=-2.0, n=7)
+@example(lo=-1e-3, hi=-7.5, n=500)
+@example(lo=0.0, hi=5e-324, n=4)  # the step underflows to 0, but not (2/3)*delta
+@example(lo=-0.0, hi=-1.0, n=3)  # -0.0*step + lo keeps lo's sign
+@example(lo=0.25, hi=4.0, n=16)
+def test_parse_range_has_linspace_bits(lo, hi, n):
+    """lo:hi:n gives np.linspace(lo, hi, n) to the last bit, without numpy."""
+    assume(math.isfinite(hi - lo))
+    got = _parse_range(f"{lo!r}:{hi!r}:{n}")
+    with np.errstate(over="ignore"):  # i*step may round past the largest double, as in floats
+        expected = np.linspace(lo, hi, n).tolist()
+    assert [v.hex() for v in got] == [v.hex() for v in expected]
 
 
 def test_negative_values_in_exponent_notation(capsys):

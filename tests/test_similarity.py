@@ -1,4 +1,5 @@
 import math
+import random
 import warnings
 
 import mpmath as mp
@@ -61,12 +62,22 @@ def test_eval_f_overflow_returns_inf(baseline_params):
     assert sr.eval_F(40.0, baseline_params) == math.inf
 
 
-def test_eval_vectorized(baseline_params):
-    xs = np.array([0.0, 0.5, 1.0])
-    f_vals = sr.eval_F(xs, baseline_params)
-    g_vals = sr.eval_G(xs, baseline_params)
-    assert f_vals.shape == g_vals.shape == (3,)
-    assert f_vals[0] == 0.0 and g_vals[0] == 1.0
+def test_eval_elementwise(baseline_params):
+    """eval_F and eval_G take one float and give one float, in libm's arithmetic."""
+    p = baseline_params
+    for x in (0.0, 0.5, 1.0):
+        f, g = sr.eval_F(x, p), sr.eval_G(x, p)
+        assert type(f) is float and type(g) is float
+        assert f == (p.tm0 / 2.0 + p.l0 * x * x) * math.exp(x * x) * math.sqrt(math.pi) * math.erf(x)
+        assert g == p.q - p.l0 * x
+    assert sr.eval_F(0.0, p) == 0.0 and sr.eval_G(0.0, p) == 1.0
+
+
+def test_eval_f_nan_where_overflow_meets_zero():
+    """Where exp(x^2) overflows F is +-inf, and nan where tm0/2 + l0*x^2 is exactly 0."""
+    p = sr.PhysicalParams(q=1.0, l0=1.0, tm0=-2.0 * 900.0)
+    assert math.isnan(sr.eval_F(30.0, p))
+    assert sr.eval_F(-40.0, sr.PhysicalParams(q=1.0, l0=1.0)) == -math.inf
 
 
 def _erf_inputs():
@@ -227,19 +238,35 @@ class TestSolveGamma:
             sr.solve_gamma(sr.PhysicalParams(q=1.0, l0=1.0, tm0=-100.0))
 
     def test_never_evaluates_outside_bracket(self, baseline_params, monkeypatch):
-        from stefan_reciprocal import similarity
+        from stefan_reciprocal import roots
 
         seen = []
-        original = similarity.eval_F
+        original = roots.eval_F
 
         def spy(x, params):
-            seen.extend(np.ravel(x).tolist())
+            seen.append(x)
             return original(x, params)
 
-        monkeypatch.setattr(similarity, "eval_F", spy)
-        similarity.solve_gamma(baseline_params)
+        monkeypatch.setattr(roots, "eval_F", spy)
+        roots.solve_gamma(baseline_params)
         upper = baseline_params.q / baseline_params.l0
         assert seen and all(0.0 < x < upper for x in seen)
+
+    def test_within_two_ulp_of_mpmath_root(self):
+        """On 100 seeded admissible cells of the box q in [1e-3, 1e3] (log-uniform),
+        l0 in [0.1, 10], tm0/l0 in [-0.9, 0.99], gamma is within 2 ulp of a 50-digit
+        bisection root of G - F on (0, q/l0)."""
+        rng = random.Random(20261020)
+        checked = 0
+        while checked < 100:
+            q, l0 = 10.0 ** rng.uniform(-3.0, 3.0), rng.uniform(0.1, 10.0)
+            params = sr.PhysicalParams(q=q, l0=l0, tm0=rng.uniform(-0.9, 0.99) * l0)
+            try:
+                gamma = sr.solve_gamma(params).gamma
+            except sr.NoSignChange:
+                continue
+            assert abs(gamma - _mp_gamma(params)) <= 2 * math.ulp(gamma), params
+            checked += 1
 
     def test_invalid_tol(self, baseline_params):
         """There is no root tolerance to pass."""
@@ -247,6 +274,24 @@ class TestSolveGamma:
             sr.solve_gamma(baseline_params, tol=1e-12)
         with pytest.raises(TypeError):
             sr.StefanField.from_params(baseline_params, 1e-12)
+
+
+def _mp_gamma(params):
+    """The root of G - F on (0, q/l0) by bisection at 50 digits, as a float."""
+    with mp.workdps(50):
+        q, l0, tm0 = mp.mpf(params.q), mp.mpf(params.l0), mp.mpf(params.tm0)
+
+        def g_minus_f(x):
+            return q - l0 * x - (tm0 / 2 + l0 * x * x) * mp.exp(x * x) * mp.sqrt(mp.pi) * mp.erf(x)
+
+        lo, hi = mp.mpf(0), q / l0  # G - F is q > 0 at 0, and < 0 at q/l0 on an admissible cell
+        while hi - lo > hi * mp.mpf("1e-40"):
+            mid = (lo + hi) / 2
+            if g_minus_f(mid) > 0:
+                lo = mid
+            else:
+                hi = mid
+        return float((lo + hi) / 2)
 
 
 def _root_bits(root):
@@ -303,7 +348,7 @@ def _tol_bracket(p, tol):
 
 
 class TestSolveGammas:
-    """The array bisection gives every cell the bits of solve_gamma alone."""
+    """solve_gammas gives every cell the bits of solve_gamma alone."""
 
     @pytest.mark.parametrize("tol", [1e-12, 1e-6, 1e-300])
     def test_matches_scalar_solve_bit_for_bit(self, tol):
@@ -519,7 +564,7 @@ class TestFreeBoundary:
 
 class TestPhysicalCondition:
     def test_solved_root_satisfies(self, baseline_params, baseline_field):
-        assert sr.check_physical_condition(baseline_params, baseline_field.gamma.gamma)
+        assert sr.physical_margin(baseline_params, baseline_field.gamma.gamma) > 0.0
 
     def test_margin_regression(self, baseline_params, baseline_field):
         margin = sr.physical_margin(baseline_params, baseline_field.gamma.gamma)
@@ -527,7 +572,7 @@ class TestPhysicalCondition:
 
     def test_endpoint_fails_for_positive_tm0(self, baseline_params):
         artificial = baseline_params.q / baseline_params.l0
-        assert not sr.check_physical_condition(baseline_params, artificial)
+        assert not sr.physical_margin(baseline_params, artificial) > 0.0
 
 
 @settings(max_examples=40, deadline=None)
