@@ -15,7 +15,6 @@ import importlib
 #: ``module.attribute``; in the order of ``__all__``.
 _EXPORTS = {
     "BoundaryCoefficients": "transform",
-    "DegenerateDenominator": "errors",
     "DomainError": "errors",
     "GammaRoot": "roots",
     "GridSpec": "verify",

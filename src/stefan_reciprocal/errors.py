@@ -33,10 +33,6 @@ class NotMonotone(StefanError):
     """x*(., t) is not certified monotone on [0, S(t)]; the message says why."""
 
 
-class DegenerateDenominator(StefanError):
-    """A boundary-coefficient denominator vanished."""
-
-
 class StabilityViolation(StefanError):
     """Time step exceeds the advection stability bound of the marching scheme."""
 

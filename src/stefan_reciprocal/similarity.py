@@ -29,9 +29,6 @@ import numpy as np
 from .errors import DomainError
 from .roots import SQRT_PI, GammaRoot, PhysicalParams, solve_gamma
 
-#: Relative slack allowed before a coordinate counts as outside [0, S(t)].
-DOMAIN_RTOL = 1e-9
-
 class _Jet:
     """Truncated Taylor jet (u, u_y, u_yy, u_t) of a quantity at a point (y, t).
 
@@ -128,9 +125,10 @@ def _check_time(t, positive=False):
     """``t`` as :func:`_floats` gives it; DomainError unless t >= 0, or t > 0 if ``positive``.
 
     S, L, Tm and C take t >= 0; dS/dt, X1*, H and the fields take t > 0.
+    Every element must be inside, so a NaN is refused.
     """
     t = _floats(t)
-    if np.any(_value(t) <= 0) if positive else np.any(_value(t) < 0):
+    if not np.all(_value(t) > 0 if positive else _value(t) >= 0):
         raise DomainError("t must be > 0" if positive else "t must be >= 0")
     return t
 
@@ -200,10 +198,9 @@ class StefanField:
     # -- fields -----------------------------------------------------------
 
     def _check_domain(self, y, t):
-        y, t = _value(y), _value(_check_time(t, positive=True))
-        s = 2.0 * self.gamma.gamma * np.sqrt(t)
-        slack = DOMAIN_RTOL * s
-        if np.any(y < -slack) or np.any(y > s + slack):
+        """DomainError unless every t > 0 and 0 <= y <= S(t), where monotone_sign certifies x*."""
+        y, t = _value(_floats(y)), _value(_check_time(t, positive=True))
+        if not np.all((y >= 0.0) & (y <= 2.0 * self.gamma.gamma * np.sqrt(t))):
             raise DomainError("y outside [0, S(t)]")
 
     def profile(self, y, t):

@@ -45,7 +45,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateDenominator, NotMonotone, OutOfRange, QuadratureFailure
+from .errors import InvalidParameters, NotMonotone, OutOfRange, QuadratureFailure
 from .roots import SQRT_PI, GammaRoot, PhysicalParams
 from .similarity import StefanField, _check_time, _floats, _scalar
 
@@ -201,25 +201,16 @@ class BoundaryCoefficients:
 def compute_boundary_coefficients(params: PhysicalParams, gamma) -> BoundaryCoefficients:
     """Closed-form (C0, C1) of the sqrt(t) family.
 
-    gamma may be a float or a GammaRoot.
+    gamma may be a float or a GammaRoot; InvalidParameters unless it lies in
+    (0, q/l0), where A > 0.  C0 = 2*A/q, as x*(0, t) = 2*A*sqrt(t)/(delta*q*t)
+    by the face identity Theta(0, t) = q*t.
     """
     g = gamma.gamma if isinstance(gamma, GammaRoot) else float(gamma)
+    if not 0.0 < g < params.q / params.l0:
+        raise InvalidParameters(f"gamma must be finite and in (0, q/l0), got {g!r}")
     amp = (params.q - params.l0 * g) / (SQRT_PI * math.erf(g))
     c1 = params.tm0 / (g * (params.l0 - params.tm0))
-    den = (
-        g * (params.l0 - params.tm0)
-        - 2.0 * params.q * g * g
-        + 2.0
-        * amp
-        * (
-            SQRT_PI / 2.0 * math.erf(g)
-            + SQRT_PI * g * g * math.erf(g)
-            + g * math.exp(-g * g)
-        )
-    )
-    if not math.isfinite(den) or abs(den) < 1e-13 * max(1.0, params.q):
-        raise DegenerateDenominator(f"C0 denominator degenerate: {den!r}")
-    return BoundaryCoefficients(c0=2.0 * amp / den, c1=c1)
+    return BoundaryCoefficients(c0=2.0 * amp / params.q, c1=c1)
 
 
 class PsiField:

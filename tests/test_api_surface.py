@@ -24,10 +24,10 @@ from stefan_reciprocal.verify import GridSpec
 OPTION_COUNT = 18
 
 EXPORTS = (
-    "BoundaryCoefficients", "DegenerateDenominator", "DomainError", "GammaRoot", "GridSpec",
-    "InvalidParameters", "NonmonotoneFront", "NoSignChange", "NotMonotone", "OracleConfig",
-    "OracleResult", "OutOfRange", "PhysicalParams", "PsiField", "QuadratureFailure",
-    "ResidualReport", "StabilityViolation", "StefanError", "StefanField",
+    "BoundaryCoefficients", "DomainError", "GammaRoot", "GridSpec", "InvalidParameters",
+    "NonmonotoneFront", "NoSignChange", "NotMonotone", "OracleConfig", "OracleResult",
+    "OutOfRange", "PhysicalParams", "PsiField", "QuadratureFailure", "ResidualReport",
+    "StabilityViolation", "StefanError", "StefanField",
     "burgers_bc_residuals", "burgers_residual", "c_of_t_general", "compare_to_closed_form",
     "compute_boundary_coefficients", "eval_F", "eval_G", "evolution_residual",
     "h_ratio_residual", "heat_residual", "physical_margin", "psi_bc_residuals",

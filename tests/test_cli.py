@@ -439,10 +439,10 @@ class TestBitIdentity:
             (["verify", "--grid", "12,3", "--json", "--tm0", "0.5"], 0,
              "aa862752ba1d3b3e23a6abcd9d226eb6bb0564aa8e9198805403eb639fb1ab7f"),
             (["verify", "--grid", "12,3", "--json", "--tm0", "0"], 0,
-             "e5c641775a1f5a5c13b6c9cd631e193050d5a6cf6edd7daddd06c4ed263395b4"),
+             "7651c26dddc23868c8f389b41e216048643878a0759155f8e8260e73d6e79943"),
             # an inversion bracket reaches 16*eps*S(t) before the residual rule here
             (["verify", "--grid", "12,3", "--json", "--q", "100", "--tm0", "0.99"], 0,
-             "10e00b4e3b8db20947359b5832eb8638d04c1a23b7c4c532e80443e7e0b8bd69"),
+             "1cc7e17ad23426c36f38b0d32359e6ad80b54365c80e1e17d90e73cd3c8789b7"),
             # the oracle-march workload's shapes, shortened
             (["oracle", "--q", "1.1", "--tm0", "0.3", "--n-xi", "256", "--t-end", "0.2",
               "--dt", "2e-4", "--json"], 0,

@@ -273,6 +273,34 @@ class TestBoundaryCoefficients:
         )
         assert baseline_psi.x1(1.0) * d == pytest.approx(coeffs.c1, rel=1e-15)
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf, 0.0, -0.3, "q/l0", 1.5])
+    def test_refuses_gamma_outside_root_bracket(self, baseline_field, gamma):
+        """gamma must be finite and in (0, q/l0), where A > 0; the root's float and
+        GammaRoot give the same coefficients."""
+        p, root = baseline_field.params, baseline_field.gamma
+        gamma = p.q / p.l0 if gamma == "q/l0" else gamma
+        with pytest.raises(sr.InvalidParameters, match="gamma"):
+            sr.compute_boundary_coefficients(p, gamma)
+        assert sr.compute_boundary_coefficients(p, root) == sr.compute_boundary_coefficients(
+            p, root.gamma
+        )
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.floats(-3.0, 3.0), st.floats(0.1, 10.0), st.floats(-0.9, 0.99))
+    def test_c0_is_two_a_over_q(self, log_q, l0, tm0_ratio):
+        """C0 = 2A/q bit for bit, and the face identity Theta(0, t) = q*t it rests on
+        holds within 1e-12 relative at every t of T_SAMPLES, over q in [1e-3, 1e3]
+        (log-uniform), l0 in [0.1, 10] and tm0/l0 in [-0.9, 0.99]."""
+        p = sr.PhysicalParams(q=10.0**log_q, l0=l0, tm0=tm0_ratio * l0)
+        try:
+            field = sr.StefanField.from_params(p)
+        except sr.NoSignChange:
+            assume(False)
+        assert sr.compute_boundary_coefficients(p, field.gamma).c0 == 2.0 * field.amplitude / p.q
+        pf = sr.PsiField(field)
+        for t in T_SAMPLES:
+            assert abs(pf.theta(0.0, t) / (p.q * t) - 1.0) <= 1e-12, (p, t)
+
 
 def _with_delta(field, delta):
     """A PsiField of ``field``'s solution under the transformation constant ``delta``."""
@@ -544,6 +572,47 @@ class TestCore:
                 getattr(baseline_psi, method)(y, t)
 
 
+class TestCheckedDomain:
+    """The fields accept exactly 0 <= y <= S(t), t > 0, element by element; NaN is outside."""
+
+    METHODS = ("temperature", "temperature_gradient", "x_star", "theta", "psi_parametric")
+
+    @staticmethod
+    def _method(pf, name):
+        return getattr(pf.stefan if name.startswith("temperature") else pf, name)
+
+    @pytest.mark.parametrize("t", [0.25, 1.0, 4.0])
+    @pytest.mark.parametrize("name", METHODS)
+    def test_accepts_closed_interval(self, baseline_psi, name, t):
+        evaluate, s = self._method(baseline_psi, name), baseline_psi.stefan.free_boundary(t)
+        for y in (0.0, -0.0, s):
+            assert math.isfinite(evaluate(y, t))
+        assert np.all(np.isfinite(evaluate(np.array([0.0, -0.0, s]), t)))
+
+    @pytest.mark.parametrize("t", [0.25, 1.0, 4.0])
+    @pytest.mark.parametrize("name", METHODS)
+    def test_refuses_outside(self, baseline_psi, name, t):
+        evaluate, s = self._method(baseline_psi, name), baseline_psi.stefan.free_boundary(t)
+        inside = np.array([0.0, 0.5 * s, s])
+        for bad in (np.nextafter(s, np.inf), -5e-324, math.nan):
+            with pytest.raises(sr.DomainError):
+                evaluate(bad, t)
+            for i in range(inside.size):
+                y = inside.copy()
+                y[i] = bad
+                with pytest.raises(sr.DomainError):
+                    evaluate(y, t)
+        with pytest.raises(sr.DomainError):
+            evaluate(0.0, math.nan)
+        with pytest.raises(sr.DomainError):
+            evaluate(inside, np.array([t, math.nan, t]))
+
+    def test_nan_time_refused(self, baseline_psi):
+        for evaluate in (baseline_psi.stefan.free_boundary, baseline_psi.c):
+            with pytest.raises(sr.DomainError):
+                evaluate(math.nan)
+
+
 def _time_evaluators(pf):
     """Every evaluator of a time, by name, as a function of t alone (y = 0)."""
     f = pf.stefan
@@ -767,13 +836,6 @@ class TestSingularities:
         pf = sr.PsiField(sr.StefanField.from_params(sr.PhysicalParams(q=1.7, l0=1.0, tm0=0.3)))
         with pytest.raises(sr.NotMonotone):
             pf.invert_x_star(0.5 * (pf.x0(1.0) + pf.x1(1.0)), 1.0)
-
-    def test_degenerate_denominator_guard(self, baseline_field):
-        with pytest.raises(sr.DegenerateDenominator):
-            # an absurd gamma makes the closed-form denominator blow up / lose meaning
-            sr.compute_boundary_coefficients(
-                baseline_field.params, float("nan")
-            )
 
 
 class TestQuadrature:
