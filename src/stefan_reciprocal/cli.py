@@ -11,15 +11,17 @@ itself, and its summary lines still go to stdout.
 Exit codes: 0 success (and all identities passing for `verify`);
 1 invalid input (parameter invariants, parameters whose x* is not monotone
 in y, malformed flags);
-2 numerical failure (no sign change, quadrature failure, instability).
+2 numerical failure (no sign change, quadrature failure, instability, an eval
+table with a value that is not finite).
 
 Output is deterministic: floats are printed with 17 significant digits and
 sweep cells are written in parameter order.
 
 A subcommand imports the layers it uses when it runs.  gamma and sweep need
-only roots, which imports no numpy, so they run without it; eval's StefanField
-fields add similarity (and with it numpy), its PsiField fields add transform,
-verify adds verify, and oracle adds oracle (whose report class comes from verify).
+only roots, whose records are namedtuples, so they load neither numpy nor
+dataclasses and inspect; eval's StefanField fields add similarity (and with it
+numpy), its PsiField fields add transform, verify adds verify, and oracle adds
+oracle (whose report class comes from verify).
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict
 
 from .errors import InvalidParameters, NotMonotone, StefanError
 from .roots import PhysicalParams, physical_margin, solve_gamma, solve_gammas
@@ -193,7 +194,7 @@ def cmd_gamma(args, cfg):
     root = solve_gamma(params)
     margin = physical_margin(params, root.gamma)
     if args.json:
-        record = {**asdict(root), "margin": margin, "physical_condition": margin > 0}
+        record = {**root._asdict(), "margin": margin, "physical_condition": margin > 0}
         return [json.dumps(record, sort_keys=True)], 0
     return [
         f"gamma = {fmt(root.gamma)}",
@@ -224,13 +225,17 @@ def cmd_eval(args, cfg):
         if t <= 0:
             raise InvalidParameters("t must be > 0")
         y = np.linspace(0.0, field.free_boundary(t), args.n)
-        cols = columns(source, y, t)
+        table = np.column_stack(columns(source, y, t))
     else:
         t_values = np.array(_parse_range(args.t_range))
         if np.any(t_values <= 0):
             raise InvalidParameters("t-range must be positive")
-        cols = columns(source, t_values)
-    return _rows(header, np.column_stack(cols), args.json), 0
+        table = np.column_stack(columns(source, t_values))
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
+    if bad.size:
+        at = f"t={fmt(t)}, y={fmt(y[bad[0]])}" if on_y else f"t={fmt(t_values[bad[0]])}"
+        raise StefanError(f"{args.field} is not finite at {at}")
+    return _rows(header, table, args.json), 0
 
 
 def _grid_spec(args):

@@ -7,15 +7,17 @@ is the root on (0, q/l0) of G(gamma) = F(gamma) with
     F(x) = (tm0/2 + l0*x^2) * exp(x^2) * sqrt(pi) * erf(x).
 
 Everything here is scalar libm arithmetic (math.exp, math.erf) on floats, and
-the module imports only the standard library and ``errors``, so the `gamma`
-and `sweep` subcommands run without importing numpy.
+the module imports only ``errors`` and the standard library's math, numbers
+and collections, so the `gamma` and `sweep` subcommands run without importing
+numpy, dataclasses or inspect.  The two records are immutable namedtuples:
+equal to the plain tuple of their fields, with ``_replace`` and ``_asdict``.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InvalidParameters, NoSignChange
 
@@ -40,8 +42,7 @@ def _check_ints(obj, names):
             raise InvalidParameters(f"{name} must be an int, got {value!r}")
 
 
-@dataclass(frozen=True)
-class PhysicalParams:
+class PhysicalParams(namedtuple("PhysicalParams", "q l0 tm0 delta")):
     """Problem constants.
 
     q: flux magnitude at the fixed face (> 0)
@@ -50,38 +51,32 @@ class PhysicalParams:
     delta: transformation constant (> 0)
     """
 
-    q: float
-    l0: float
-    tm0: float = 0.0
-    delta: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_reals(self, ("q", "l0", "tm0", "delta"))
-        if not (self.q > 0):
-            raise InvalidParameters(f"q must be > 0, got {self.q}")
-        if not (self.l0 > 0):
-            raise InvalidParameters(f"l0 must be > 0, got {self.l0}")
-        if not (self.delta > 0):
-            raise InvalidParameters(f"delta must be > 0, got {self.delta}")
-        if not (self.l0 > self.tm0):
-            raise InvalidParameters(
-                f"requires l0 > tm0, got l0={self.l0}, tm0={self.tm0}"
-            )
+    def __new__(cls, q, l0, tm0=0.0, delta=1.0):
+        self = super().__new__(cls, q, l0, tm0, delta)
+        _check_reals(self, cls._fields)
+        for name, value in (("q", q), ("l0", l0), ("delta", delta)):
+            if not (value > 0):
+                raise InvalidParameters(f"{name} must be > 0, got {value}")
+        if not (l0 > tm0):
+            raise InvalidParameters(f"requires l0 > tm0, got l0={l0}, tm0={tm0}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        """Through ``__new__``, so that ``_make`` and ``_replace`` check the values too."""
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class GammaRoot:
+class GammaRoot(namedtuple("GammaRoot", "gamma residual bracket_lo bracket_hi iterations")):
     """Root of G(gamma) = F(gamma) with solver metadata.
 
     ``residual`` is |G(gamma) - F(gamma)|: inf where F overflows at gamma,
     and nan where F is nan there (see :func:`eval_F`).
     """
 
-    gamma: float
-    residual: float
-    bracket_lo: float
-    bracket_hi: float
-    iterations: int
+    __slots__ = ()
 
 
 def eval_G(x: float, params: PhysicalParams) -> float:

@@ -113,6 +113,31 @@ class TestEval:
             t, h = (float(v) for v in line.split(","))
             assert abs(h) <= 1e-9  # identically zero for this family
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--field", "H", "--t-range", "1e-150:1e-150:1"], "H is not finite at t=1e-150"),
+            (["--field", "H", "--t-range", "1e-150:1e-150:1", "--json"],
+             "H is not finite at t=1e-150"),
+            (["--field", "H", "--t-range", "1e-200:1e-200:1"],
+             "H is not finite at t=9.9999999999999998e-201"),
+            (["--field", "H", "--t-range", "1e250:1e250:1"],
+             "H is not finite at t=9.9999999999999992e+249"),
+            # the first row is finite, the second is not
+            (["--field", "H", "--t-range", "1:1e250:3"],
+             "H is not finite at t=4.9999999999999996e+249"),
+            (["--field", "psi", "--t", "1e300", "--n", "3"],
+             "psi is not finite at t=1.0000000000000001e+300, y=0"),
+        ],
+        ids=["H-underflow", "H-underflow-json", "H-nan-small-t", "H-nan-large-t",
+             "H-second-row", "psi-inf"],
+    )
+    def test_refuses_non_finite_values(self, capsys, argv, message):
+        """A table that holds an inf or a nan is refused whole: exit 2, nothing on
+        stdout, and the field and the first such row's t (and y) on stderr."""
+        with np.errstate(all="ignore"):
+            assert run(capsys, "eval", *argv) == (2, "", f"error: {message}\n")
+
     def test_field_choices_in_order(self, capsys):
         """--field offers the eight fields, and its usage error lists them, in one order."""
         from stefan_reciprocal.cli import FIELDS
@@ -546,15 +571,17 @@ def test_scipy_loads_only_for_oracle():
 )
 def test_command_loads_only_its_layers(argv, code, modules, numpy):
     """In a fresh interpreter, importing the CLI loads the package, cli, errors
-    and roots, and no numpy (``argv`` None); gamma, sweep and a usage error add
-    nothing, and every other subcommand adds numpy and only its ``modules``."""
+    and roots, and neither numpy nor dataclasses and inspect (``argv`` None);
+    gamma, sweep and a usage error add nothing, and every other subcommand adds
+    numpy (which imports inspect) and only its ``modules``."""
     script = (
         "import json, sys\n"
         "import stefan_reciprocal.cli as cli\n"
         "argv = json.loads(sys.argv[1])\n"
         "code = 0 if argv is None else cli.main([*argv, '--out', sys.argv[2]])\n"
         "loaded = sorted(m for m in sys.modules if m.startswith('stefan_reciprocal'))\n"
-        "print(json.dumps([code, loaded, 'numpy' in sys.modules]))\n"
+        "stdlib = [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
+        "print(json.dumps([code, loaded, 'numpy' in sys.modules, stdlib]))\n"
     )
     src = str(Path(stefan_reciprocal.__file__).resolve().parents[1])
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
@@ -563,21 +590,23 @@ def test_command_loads_only_its_layers(argv, code, modules, numpy):
         [sys.executable, "-c", script, json.dumps(argv), os.devnull],
         capture_output=True, text=True, env=env, check=True,
     )
-    got_code, loaded, numpy_loaded = json.loads(res.stdout.splitlines()[-1])
+    got_code, loaded, numpy_loaded, stdlib = json.loads(res.stdout.splitlines()[-1])
     names = ["cli", "errors", "roots", *modules]
     assert got_code == code
     assert loaded == sorted(["stefan_reciprocal", *(f"stefan_reciprocal.{m}" for m in names)])
     assert numpy_loaded is numpy
+    assert stdlib == (["dataclasses", "inspect"] if numpy else [])
 
 
 def test_gamma_and_sweep_run_without_numpy(capsys):
-    """With numpy made unimportable, gamma and sweep print what they print
-    with it."""
+    """With numpy, dataclasses and inspect made unimportable, gamma and sweep
+    print what they print with them."""
     argvs = [["gamma"], ["gamma", "--json"],
              ["sweep", "--q-range", "0.5:2:3", "--tm0-range", "0:0.6:3"]]
     script = (
         "import io, json, sys\n"
-        "sys.modules['numpy'] = None\n"
+        "for name in ('numpy', 'dataclasses', 'inspect'):\n"
+        "    sys.modules[name] = None\n"
         "import stefan_reciprocal.cli as cli\n"
         "outs = []\n"
         "for argv in json.loads(sys.argv[1]):\n"

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 import warnings
 
@@ -419,30 +420,80 @@ class TestSolveGammas:
             sr.solve_gammas([baseline_params], tol)
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"q": 0.0, "l0": 1.0},
-        {"q": -1.0, "l0": 1.0},
-        {"q": 1.0, "l0": 0.0},
-        {"q": 1.0, "l0": 1.0, "delta": 0.0},
-        {"q": 1.0, "l0": 1.0, "tm0": 1.0},
-        {"q": 1.0, "l0": 1.0, "tm0": 1.5},
-        {"q": math.inf, "l0": 1.0},
-        {"q": 1.0, "l0": math.inf},
-        {"q": 1.0, "l0": 1.0, "tm0": -math.inf},
-        {"q": 1.0, "l0": 1.0, "tm0": math.nan},
-        {"q": 1.0, "l0": 1.0, "delta": math.inf},
-        {"q": True, "l0": 2.0},
-        {"q": 1.0, "l0": "2.0"},
-        {"q": 1.0, "l0": 2.0, "tm0": None},
-        {"q": 1.0, "l0": 2.0, "delta": np.True_},
-        {"q": 1.0, "l0": 2.0, "tm0": 0.5 + 0j},
-    ],
-)
+INVALID_PARAMS = [
+    {"q": 0.0, "l0": 1.0},
+    {"q": -1.0, "l0": 1.0},
+    {"q": 1.0, "l0": 0.0},
+    {"q": 1.0, "l0": 1.0, "delta": 0.0},
+    {"q": 1.0, "l0": 1.0, "tm0": 1.0},
+    {"q": 1.0, "l0": 1.0, "tm0": 1.5},
+    {"q": math.inf, "l0": 1.0},
+    {"q": 1.0, "l0": math.inf},
+    {"q": 1.0, "l0": 1.0, "tm0": -math.inf},
+    {"q": 1.0, "l0": 1.0, "tm0": math.nan},
+    {"q": 1.0, "l0": 1.0, "delta": math.inf},
+    {"q": True, "l0": 2.0},
+    {"q": 1.0, "l0": "2.0"},
+    {"q": 1.0, "l0": 2.0, "tm0": None},
+    {"q": 1.0, "l0": 2.0, "delta": np.True_},
+    {"q": 1.0, "l0": 2.0, "tm0": 0.5 + 0j},
+]
+
+
+@pytest.mark.parametrize("kwargs", INVALID_PARAMS)
 def test_params_validation(kwargs):
     with pytest.raises(sr.InvalidParameters, match="|".join(kwargs)):
         sr.PhysicalParams(**kwargs)
+
+
+#: The ways of making a PhysicalParams from its four field values other than
+#: by keyword, which test_params_validation covers.
+PARAMS_BUILDERS = {
+    "positional": lambda values: sr.PhysicalParams(*values),
+    "_replace": lambda values: sr.PhysicalParams(1.0, 2.0)._replace(
+        **dict(zip(sr.PhysicalParams._fields, values))
+    ),
+    "_make": lambda values: sr.PhysicalParams._make(iter(values)),
+    # tuple.__new__ skips the checks; unpickling goes through __new__ and runs them
+    "pickle": lambda values: pickle.loads(
+        pickle.dumps(tuple.__new__(sr.PhysicalParams, values))
+    ),
+}
+
+
+@pytest.mark.parametrize("how", list(PARAMS_BUILDERS))
+@pytest.mark.parametrize("kwargs", INVALID_PARAMS)
+def test_params_validation_on_every_construction(kwargs, how):
+    values = [{"tm0": 0.0, "delta": 1.0, **kwargs}[name] for name in sr.PhysicalParams._fields]
+    with pytest.raises(sr.InvalidParameters, match="|".join(kwargs)):
+        PARAMS_BUILDERS[how](values)
+
+
+@pytest.mark.parametrize("how", list(PARAMS_BUILDERS))
+def test_params_valid_on_every_construction(how):
+    p = PARAMS_BUILDERS[how]((1.0, 1.0, 0.5, 1.0))
+    assert type(p) is sr.PhysicalParams and p == sr.PhysicalParams(1.0, 1.0, 0.5)
+
+
+def test_params_record_semantics():
+    """Immutable, with the frozen dataclass's repr and hash, and equal to its tuple."""
+    p = sr.PhysicalParams(q=1.0, l0=1.0, tm0=0.5)
+    for name in ("q", "delta", "other"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, 2.0)
+    assert repr(p) == "PhysicalParams(q=1.0, l0=1.0, tm0=0.5, delta=1.0)"
+    assert hash(p) == hash((1.0, 1.0, 0.5, 1.0))
+    assert p == (1.0, 1.0, 0.5, 1.0) and tuple(p) == (1.0, 1.0, 0.5, 1.0)
+    assert sr.PhysicalParams(1.0, 2.0) == (1.0, 2.0, 0.0, 1.0)
+    assert p._replace(tm0=0.25) == (1.0, 1.0, 0.25, 1.0) and p.tm0 == 0.5
+
+
+def test_gamma_root_record(baseline_params):
+    root = sr.solve_gamma(baseline_params)
+    assert list(root._asdict()) == ["gamma", "residual", "bracket_lo", "bracket_hi", "iterations"]
+    assert tuple(root._asdict().values()) == tuple(root)
+    with pytest.raises(AttributeError):
+        root.gamma = 0.5
 
 
 def test_params_accept_numpy_and_int_values():

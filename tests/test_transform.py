@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -304,7 +303,7 @@ class TestBoundaryCoefficients:
 
 def _with_delta(field, delta):
     """A PsiField of ``field``'s solution under the transformation constant ``delta``."""
-    params = dataclasses.replace(field.params, delta=delta)
+    params = field.params._replace(delta=delta)
     return sr.PsiField(sr.StefanField(params, field.gamma, field.amplitude))
 
 
