@@ -53,7 +53,7 @@ _EXPORTS = {
     "theta_quadrature": "transform",
 }
 
-_SUBMODULES = ("cli", "errors", "oracle", "roots", "similarity", "transform", "verify")
+_SUBMODULES = ("cli", "errors", "forms", "oracle", "roots", "similarity", "transform", "verify")
 
 __all__ = list(_EXPORTS)
 

@@ -19,9 +19,9 @@ sweep cells are written in parameter order.
 
 A subcommand imports the layers it uses when it runs.  gamma and sweep need
 only roots, whose records are namedtuples, so they load neither numpy nor
-dataclasses and inspect; eval's StefanField fields add similarity (and with it
-numpy), its PsiField fields add transform, verify adds verify, and oracle adds
-oracle (whose report class comes from verify).
+dataclasses and inspect; eval adds forms, whose closed forms it evaluates on
+floats, so it loads neither numpy nor similarity and transform; verify adds
+those two and verify, and oracle adds oracle (its report class is verify's).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import math
 import re
 import sys
 
-from .errors import InvalidParameters, NotMonotone, StefanError
+from .errors import DomainError, InvalidParameters, NotMonotone, StefanError
 from .roots import PhysicalParams, physical_margin, solve_gamma, solve_gammas
 
 DEFAULTS = {"q": 1.0, "l0": 1.0, "tm0": 0.5, "delta": 1.0}
@@ -42,18 +42,18 @@ DEFAULTS = {"q": 1.0, "l0": 1.0, "tm0": 0.5, "delta": 1.0}
 SEED_MODES = {"closed": "closed_form", "linear": "linear_profile"}
 
 #: eval's fields in --field order: (header, sampled on y in [0, S(t)] at --t rather than
-#: over --t-range, read through a PsiField not the StefanField, columns of it at the samples).
+#: over --t-range, the row at one sample (y, t) or t of a forms.ClosedForms f on floats).
 FIELDS = {
-    "T": (("y", "T"), True, False, lambda f, y, t: (y, f.temperature(y, t))),
-    "Ty": (("y", "Ty"), True, False, lambda f, y, t: (y, f.temperature_gradient(y, t))),
-    "S": (("t", "S"), False, False, lambda f, t: (t, f.free_boundary(t))),
-    "xstar": (("y", "xstar"), True, True, lambda p, y, t: (y, p.x_star(y, t))),
-    "psi": (("xstar", "psi"), True, True,
-            lambda p, y, t: (p.x_star(y, t), p.psi_parametric(y, t))),
-    "theta": (("y", "theta"), True, True, lambda p, y, t: (y, p.theta(y, t))),
-    "H": (("t", "H"), False, True, lambda p, t: (t, p.h_of_t(t))),
-    "boundaries": (("t", "S", "X0", "X1"), False, True,
-                   lambda p, t: (t, p.stefan.free_boundary(t), p.x0(t), p.x1(t))),
+    "T": (("y", "T"), True, lambda f, y, t: (y, f.profile(y, t)[0])),
+    "Ty": (("y", "Ty"), True, lambda f, y, t: (y, f.profile(y, t)[1])),
+    "S": (("t", "S"), False, lambda f, t: (t, f.front(t))),
+    "xstar": (("y", "xstar"), True, lambda f, y, t: (y, f.x_star(f.parts(y, t)))),
+    "psi": (("xstar", "psi"), True,
+            lambda f, y, t: (f.x_star(parts := f.parts(y, t)), f.psi(parts))),
+    "theta": (("y", "theta"), True, lambda f, y, t: (y, f.parts(y, t)[2])),
+    "H": (("t", "H"), False, lambda f, t: (t, f.h(t))),
+    "boundaries": (("t", "S", "X0", "X1"), False,
+                   lambda f, t: (t, f.front(t), f.x_star(f.parts(0.0, t)), f.x1(t))),
 }
 
 
@@ -84,6 +84,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _linspace(lo: float, hi: float, n: int) -> list:
+    """The bits of np.linspace(lo, hi, n) as a list, without numpy."""
+    # numpy's arithmetic: lo + i*step, or lo + (i/div)*delta where the step
+    # underflows to 0, with the last element set to hi
+    div, delta = max(n - 1, 1), hi - lo
+    step = delta / div
+    values = [i * step + lo if step else i / div * delta + lo for i in range(n)]
+    if n > 1:
+        values[-1] = hi
+    return values
+
+
 def _parse_range(text: str) -> list:
     """Parse lo:hi:n into a list with the bits of np.linspace(lo, hi, n)."""
     parts = text.split(":")
@@ -99,14 +111,7 @@ def _parse_range(text: str) -> list:
         raise InvalidParameters(f"range bounds must be finite, got {text!r}")
     if n < 1:
         raise InvalidParameters("range count must be >= 1")
-    # numpy's arithmetic: lo + i*step, or lo + (i/div)*delta where the step
-    # underflows to 0, with the last element set to hi
-    div, delta = max(n - 1, 1), hi - lo
-    step = delta / div
-    values = [i * step + lo if step else i / div * delta + lo for i in range(n)]
-    if n > 1:
-        values[-1] = hi
-    return values
+    return _linspace(lo, hi, n)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -181,12 +186,18 @@ def _merge_config(args) -> dict:
     return merged
 
 
+def _json_number(value):
+    """``value`` as a float, or None (JSON null) where it is not finite, which JSON cannot hold."""
+    value = float(value)
+    return value if math.isfinite(value) else None
+
+
 def _rows(header, rows, as_json) -> list:
     """A table as CSV lines under its header, or as one JSON object per row."""
     if as_json:
-        return [json.dumps({k: float(v) for k, v in zip(header, row)}, sort_keys=True)
+        return [json.dumps({k: _json_number(v) for k, v in zip(header, row)}, sort_keys=True)
                 for row in rows]
-    return [",".join(header), *(",".join(fmt(v) for v in row) for row in rows)]
+    return [",".join(header), *(",".join(map(fmt, row)) for row in rows)]
 
 
 def cmd_gamma(args, cfg):
@@ -195,6 +206,7 @@ def cmd_gamma(args, cfg):
     margin = physical_margin(params, root.gamma)
     if args.json:
         record = {**root._asdict(), "margin": margin, "physical_condition": margin > 0}
+        record = {k: _json_number(v) if isinstance(v, float) else v for k, v in record.items()}
         return [json.dumps(record, sort_keys=True)], 0
     return [
         f"gamma = {fmt(root.gamma)}",
@@ -206,16 +218,12 @@ def cmd_gamma(args, cfg):
 
 
 def cmd_eval(args, cfg):
-    import numpy as np
+    from .forms import ClosedForms, amplitude
 
-    from .similarity import StefanField
-
-    field = StefanField.from_params(PhysicalParams(**cfg))
-    header, on_y, on_psi, columns = FIELDS[args.field]
-    source = field
-    if on_psi:
-        from .transform import PsiField
-        source = PsiField(field)
+    params = PhysicalParams(**cfg)
+    gamma = solve_gamma(params).gamma
+    forms = ClosedForms(params, gamma, amplitude(params, gamma))
+    header, on_y, row = FIELDS[args.field]
     t = args.t
     if not math.isfinite(t):
         raise InvalidParameters(f"t must be finite, got {t}")
@@ -224,17 +232,23 @@ def cmd_eval(args, cfg):
     if on_y:
         if t <= 0:
             raise InvalidParameters("t must be > 0")
-        y = np.linspace(0.0, field.free_boundary(t), args.n)
-        table = np.column_stack(columns(source, y, t))
+        samples = [(y, t) for y in _linspace(0.0, forms.front(t), args.n)]
     else:
-        t_values = np.array(_parse_range(args.t_range))
-        if np.any(t_values <= 0):
+        samples = [(t_value,) for t_value in _parse_range(args.t_range)]
+        if any(t_value <= 0 for t_value, in samples):
             raise InvalidParameters("t-range must be positive")
-        table = np.column_stack(columns(source, t_values))
-    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
-    if bad.size:
-        at = f"t={fmt(t)}, y={fmt(y[bad[0]])}" if on_y else f"t={fmt(t_values[bad[0]])}"
-        raise StefanError(f"{args.field} is not finite at {at}")
+    if args.field != "S" and not math.isfinite(gamma):  # where q/l0 overflows: S(t) is nan
+        raise DomainError("y outside [0, S(t)]")
+    table = []
+    for sample in samples:
+        try:
+            values = row(forms, *sample)
+        except (ZeroDivisionError, OverflowError, ValueError):  # numpy gives an inf or a nan
+            values = (math.nan,)
+        if not all(map(math.isfinite, values)):
+            at = f"t={fmt(sample[-1])}" + (f", y={fmt(sample[0])}" if on_y else "")
+            raise StefanError(f"{args.field} is not finite at {at}")
+        table.append(values)
     return _rows(header, table, args.json), 0
 
 

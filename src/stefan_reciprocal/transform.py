@@ -14,20 +14,21 @@ boundaries X0*(t) = x*(0,t) and X1*(t) = Tm(t)/(delta*C(t)).
 The paper solves the problem explicitly only for the sqrt(t) family, and
 :class:`PsiField` is a view of one such :class:`StefanField`:
 ``PsiField(field)`` is its only construction, and C and Theta are its
-closed-form methods.  One core, ``PsiField._parts``, checks (y, t) once and
-evaluates the field's profile once for x*, dx*/dy, Psi and Theta.  It does
-not check Theta: Theta > 0 on the phase region is a theorem.  In
-eta = y/(2*sqrt(t)), Theta/t has second derivative -4*T_y > 0, as T_y runs
-from -q to -l0*gamma, and A = (tm0/2 + l0*gamma^2)*exp(gamma^2) > 0 makes T
-convex and decreasing in y.  If tm0 >= 0, T >= Tm >= 0 gives Theta >= C(t).
-If tm0 < 0, T above its tangent at S gives Theta >= t*(gamma*(l0 - tm0) -
-tm0^2/(2*l0*gamma)), and A > 0 gives |tm0| < 2*l0*gamma^2.  So Theta >=
-C(t)*l0/(l0 + max(0, -tm0)) > 0, and Psi is IEEE +-inf only where
-D = T_y*Theta + T^2 is exactly 0.  D = t*d(eta) has the sign of dx*/dy, so
-whether x* is monotone on [0, S(t)] does not depend on t: the first
-inversion decides it once per field (:attr:`PsiField.monotone_sign`).  The
-quadratures :func:`theta_quadrature` and :func:`c_of_t_general`, which read
-the field's T, S, dS/dt, L and Tm, are the oracle for the closed forms.
+closed-form methods.  The formulas live in :mod:`.forms`; one core,
+``PsiField._parts``, checks (y, t) once and evaluates the field's
+``forms.parts`` once for x*, dx*/dy, Psi and Theta.  It does not check
+Theta: Theta > 0 on the phase region is a theorem.  In eta = y/(2*sqrt(t)),
+Theta/t has second derivative -4*T_y > 0, as T_y runs from -q to -l0*gamma,
+and A = (tm0/2 + l0*gamma^2)*exp(gamma^2) > 0 makes T convex and decreasing
+in y.  If tm0 >= 0, T >= Tm >= 0 gives Theta >= C(t).  If tm0 < 0, T above
+its tangent at S gives Theta >= t*(gamma*(l0 - tm0) - tm0^2/(2*l0*gamma)),
+and A > 0 gives |tm0| < 2*l0*gamma^2.  So Theta >= C(t)*l0/(l0 + max(0,
+-tm0)) > 0, and Psi is IEEE +-inf only where D = T_y*Theta + T^2 is exactly
+0.  D = t*d(eta) has the sign of dx*/dy, so whether x* is monotone on
+[0, S(t)] does not depend on t: the first inversion decides it once per
+field (:attr:`PsiField.monotone_sign`).  The quadratures
+:func:`theta_quadrature` and :func:`c_of_t_general`, which read the field's
+T, S, dS/dt, L and Tm, are the oracle for the closed forms.
 
 Every integral of the package goes through :func:`quad_batch`, an adaptive
 Gauss-Kronrod (G7/K15) rule written in numpy: it integrates a batch of
@@ -46,8 +47,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidParameters, NotMonotone, OutOfRange, QuadratureFailure
+from .forms import amplitude
 from .roots import SQRT_PI, GammaRoot, PhysicalParams
-from .similarity import StefanField, _check_time, _floats, _scalar
+from .similarity import StefanField, _check_time, _floats, _libm, _scalar
 
 #: Initial and most open cells of the monotonicity certificate on [0, S(1)].
 MONOTONE_CELLS = 32
@@ -208,9 +210,8 @@ def compute_boundary_coefficients(params: PhysicalParams, gamma) -> BoundaryCoef
     g = gamma.gamma if isinstance(gamma, GammaRoot) else float(gamma)
     if not 0.0 < g < params.q / params.l0:
         raise InvalidParameters(f"gamma must be finite and in (0, q/l0), got {g!r}")
-    amp = (params.q - params.l0 * g) / (SQRT_PI * math.erf(g))
     c1 = params.tm0 / (g * (params.l0 - params.tm0))
-    return BoundaryCoefficients(c0=2.0 * amp / params.q, c1=c1)
+    return BoundaryCoefficients(c0=2.0 * amplitude(params, g) / params.q, c1=c1)
 
 
 class PsiField:
@@ -233,34 +234,14 @@ class PsiField:
     # -- evaluation core ----------------------------------------------------
 
     def _parts(self, y, t):
-        """(T, T_y, Theta) as float arrays: one domain check, one profile evaluation.
-
-        Theta is the explicit erf/exp form of the sqrt(t) family, assembled
-        from the profile's eta terms.  ``y`` and ``t`` may be jets, and so
-        may the results of every method that reads this core.
-        """
+        """(T, T_y, Theta) as float arrays, or jets for jets: one domain check, one profile."""
         f = self.stefan
         f._check_domain(y, t)
-        temp, grad, eta, erf_eta, gauss = f.profile(y, t)
-        p, g = f.params, f.gamma.gamma
-        erf_g = math.erf(g)
-        bracket = (
-            SQRT_PI / 2.0 * (erf_eta - erf_g)
-            + SQRT_PI * (eta * eta * erf_eta - g * g * erf_g)
-            + eta * gauss
-            - g * math.exp(-g * g)
-        )
-        theta = (
-            g * (p.l0 - p.tm0)
-            + 2.0 * p.q * (eta * eta - g * g)
-            - 2.0 * f.amplitude * bracket
-        ) * _floats(t)
-        return temp, grad, theta
+        return f.forms.parts(_floats(y), _floats(t))
 
     def c(self, t):
         """C(t) = gamma*(l0 - tm0)*t, linear in t for the sqrt(t) family."""
-        p = self.stefan.params
-        return _scalar(self.stefan.gamma.gamma * (p.l0 - p.tm0) * _check_time(t))
+        return _scalar(self.stefan.forms.c(_check_time(t)))
 
     def theta(self, y, t):
         """Theta(y,t) = C(t) - integral_{S(t)}^{y} T(u,t) du on 0 <= y <= S(t)."""
@@ -268,24 +249,20 @@ class PsiField:
 
     def x_star(self, y, t):
         """Parametric coordinate x* = T / (delta * Theta)."""
-        temp, _, theta = self._parts(y, t)
-        return _scalar(temp / (self.delta * theta))
+        return _scalar(self.stefan.forms.x_star(self._parts(y, t)))
 
     def _x_and_slope(self, y, t):
         """x* and Newton's slope dx*/dy = 1/Psi = (T_y*Theta + T^2)/(delta*Theta^2).
 
         The slope is Psi's formula inverted; reciprocal-identity checks it on jets.
         """
-        temp, grad, theta = self._parts(y, t)
-        return (
-            temp / (self.delta * theta),
-            (grad * theta + temp * temp) / (self.delta * theta * theta),
-        )
+        temp, grad, theta = parts = self._parts(y, t)
+        slope = (grad * theta + temp * temp) / (self.delta * theta * theta)
+        return self.stefan.forms.x_star(parts), slope
 
     def psi_parametric(self, y, t):
         """Psi = delta*Theta^2 / (T_y*Theta + T^2), parametrized by (y, t)."""
-        temp, grad, theta = self._parts(y, t)
-        return _scalar(self.delta * theta * theta / (grad * theta + temp * temp))
+        return _scalar(self.stefan.forms.psi(self._parts(y, t)))
 
     def x0(self, t):
         """Left parametric boundary X0*(t) = x*(0, t)."""
@@ -293,8 +270,7 @@ class PsiField:
 
     def x1(self, t):
         """Moving-front image X1*(t) = Tm(t) / (delta * C(t)) for t > 0."""
-        _check_time(t, positive=True)
-        return self.stefan.melt_temperature(t) / (self.delta * self.c(t))
+        return _scalar(self.stefan.forms.x1(_check_time(t, positive=True)))
 
     # -- inversion ----------------------------------------------------------
 
@@ -328,7 +304,7 @@ class PsiField:
         new = at(np.linspace(0.0, 2.0 * g, MONOTONE_CELLS + 1))
         sign, left, right = np.sign(new[4, 0]), new[:, :-1], new[:, 1:]
         while np.all(np.sign(new[4]) == sign):
-            lip = (a * np.exp(-0.25 * left[0] ** 2) * np.maximum(left[3], right[3])
+            lip = (a * _libm(math.exp, -0.25 * left[0] ** 2) * np.maximum(left[3], right[3])
                    + np.maximum(left[1], right[1]) * np.maximum(left[2], right[2]))
             open_ = np.abs(left[4]) + np.abs(right[4]) <= lip * (right[0] - left[0]) + 2.0 * margin
             if not open_.any():
@@ -425,27 +401,9 @@ class PsiField:
         changes sign with t: over eval's t in [0.25, 4], max |H*t| is 3.9e-15
         at (q, l0, tm0) = (1, 1, 0.5), 2.6e-9 at (0.1, 1, 0.99) and 1.2e-9
         at (1e-3, 1, 0.5), two points where its first term reaches 3.9e6
-        and 1.1e6.  Tm^3 is numpy's power for a scalar t too, so each time
-        gets the same bits alone as in a batch.
+        and 1.1e6.  Each time gets the same bits alone as in a batch.
         """
-        _check_time(t, positive=True)
-        tm = self.stefan.melt_temperature(t)
-        lat = self.stefan.latent_heat(t)
-        c_val = self.c(t)
-        s = self.stefan.free_boundary(t)
-        psi1 = self.psi_parametric(s, t)
-        psi0 = self.psi_parametric(0.0, t)
-        x0v = self.x0(t)
-        d = self.delta
-        out = (
-            -np.power(tm, 3.0) / (lat * c_val * c_val)
-            + d * (tm / lat) / psi1
-            - d / psi1
-            + tm * tm / (c_val * c_val)
-            + d / psi0
-            - d * d * x0v * x0v
-        )
-        return _scalar(out)
+        return _scalar(self.stefan.forms.h(_check_time(t, positive=True)))
 
     def s_from_psi(self, t):
         """Recover S(t) as the directed integral of Psi over [X0*(t), X1*(t)].

@@ -153,7 +153,7 @@ def _from_t0(rate, t, quad_tol: float, limit: int = 200):
     """
     lo, hi = math.log(T0), _libm(math.log, t)
     try:
-        return quad_batch(lambda u, _: rate(np.exp(u)) * np.exp(u), lo, hi, quad_tol, limit)
+        return quad_batch(lambda u, _: rate(e := _libm(math.exp, u)) * e, lo, hi, quad_tol, limit)
     except QuadratureFailure as exc:
         raise QuadratureFailure(f"{exc} at t={np.ravel(t)[exc.interval]:g}", exc.interval) from exc
 
@@ -206,7 +206,7 @@ def stefan_bc_residuals(field: StefanField):
     p = field.params
     g = field.gamma.gamma
     s_t = field.free_boundary(_TIMES)
-    tm = p.tm0 * np.sqrt(_TIMES)
+    tm = field.melt_temperature(_TIMES)
     columns = {
         "T(S)": abs(field.temperature(s_t, _TIMES) - tm) / (1.0 + abs(tm)),
         "T_y(0)": abs(field.temperature_gradient(0.0, _TIMES) + p.q) / p.q,

@@ -35,7 +35,7 @@ EXPORTS = (
     "solve_oracle", "stefan_bc_residuals", "theta_quadrature",
 )
 
-SUBMODULES = ("cli", "errors", "oracle", "roots", "similarity", "transform", "verify")
+SUBMODULES = ("cli", "errors", "forms", "oracle", "roots", "similarity", "transform", "verify")
 
 
 def _options():

@@ -17,6 +17,28 @@ from stefan_reciprocal.cli import _parse_range, main
 GAMMA_BASELINE = 0.47461192717277908806
 
 
+#: eval argvs whose table holds an inf or a nan, and the refusal each prints.
+NON_FINITE_TABLES = [
+    (["--field", "H", "--t-range", "1e-150:1e-150:1"], "H is not finite at t=1e-150"),
+    (["--field", "H", "--t-range", "1e-150:1e-150:1", "--json"],
+     "H is not finite at t=1e-150"),
+    (["--field", "H", "--t-range", "1e-200:1e-200:1"],
+     "H is not finite at t=9.9999999999999998e-201"),
+    (["--field", "H", "--t-range", "1e250:1e250:1"],
+     "H is not finite at t=9.9999999999999992e+249"),
+    # the first row is finite, the second is not
+    (["--field", "H", "--t-range", "1:1e250:3"],
+     "H is not finite at t=4.9999999999999996e+249"),
+    (["--field", "psi", "--t", "1e300", "--n", "3"],
+     "psi is not finite at t=1.0000000000000001e+300, y=0"),
+    # C(t) underflows to 0, and X1* = Tm/(delta*C) divides by it
+    (["--field", "boundaries", "--t-range", "5e-324:5e-324:1"],
+     "boundaries is not finite at t=4.9406564584124654e-324"),
+]
+
+EVAL_FIELDS = ["T", "Ty", "S", "xstar", "psi", "theta", "H", "boundaries"]
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -49,6 +71,26 @@ class TestGamma:
         code, _, err = run(capsys, "gamma", "--tm0", "-100")
         assert code == 2
         assert "sign" in err
+
+    def test_json_writes_null_for_a_residual_that_is_not_finite(self, capsys):
+        """F overflows at this root, so the residual is inf: JSON null, and inf as text."""
+        point = ("--q", "1e6", "--l0", "1", "--tm0", "-2000")
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        _, out, _ = run(capsys, "gamma", *point)
+        assert "residual = inf" in out.splitlines()
+        for argv in (["gamma", *point, "--json"],
+                     ["sweep", "--q-range", "1e6:1e6:1", "--tm0-range", "-2000:-2000:1",
+                      "--l0", "1", "--json"]):
+            code, out, _ = run(capsys, *argv)
+            (line,) = out.splitlines()
+            assert code == 0 and json.loads(line, parse_constant=refuse)["residual"] is None
+        # q/l0 overflows: gamma, its bracket and the margin are not finite either
+        _, out, _ = run(capsys, "gamma", "--q", "1e300", "--l0", "1e-10", "--tm0", "0", "--json")
+        record = json.loads(out, parse_constant=refuse)
+        assert record["gamma"] is None and record["iterations"] == 0
 
     def test_tighter_tol(self, capsys):
         """The bracket is tighter than any root tolerance: adjacent doubles here."""
@@ -115,28 +157,28 @@ class TestEval:
 
     @pytest.mark.parametrize(
         "argv, message",
-        [
-            (["--field", "H", "--t-range", "1e-150:1e-150:1"], "H is not finite at t=1e-150"),
-            (["--field", "H", "--t-range", "1e-150:1e-150:1", "--json"],
-             "H is not finite at t=1e-150"),
-            (["--field", "H", "--t-range", "1e-200:1e-200:1"],
-             "H is not finite at t=9.9999999999999998e-201"),
-            (["--field", "H", "--t-range", "1e250:1e250:1"],
-             "H is not finite at t=9.9999999999999992e+249"),
-            # the first row is finite, the second is not
-            (["--field", "H", "--t-range", "1:1e250:3"],
-             "H is not finite at t=4.9999999999999996e+249"),
-            (["--field", "psi", "--t", "1e300", "--n", "3"],
-             "psi is not finite at t=1.0000000000000001e+300, y=0"),
-        ],
+        NON_FINITE_TABLES,
         ids=["H-underflow", "H-underflow-json", "H-nan-small-t", "H-nan-large-t",
-             "H-second-row", "psi-inf"],
+             "H-second-row", "psi-inf", "X1-underflow"],
     )
     def test_refuses_non_finite_values(self, capsys, argv, message):
         """A table that holds an inf or a nan is refused whole: exit 2, nothing on
         stdout, and the field and the first such row's t (and y) on stderr."""
         with np.errstate(all="ignore"):
             assert run(capsys, "eval", *argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("method, t", [("h", 1e-150), ("x1", 5e-324)])
+    def test_floats_raise_where_arrays_divide_to_inf(self, baseline_psi, method, t):
+        """Where lat*C^2 or C underflows to 0, numpy divides to an inf and float
+        arithmetic raises; test_refuses_non_finite_values refuses both alike."""
+        from stefan_reciprocal.forms import ClosedForms
+
+        stefan = baseline_psi.stefan
+        forms = ClosedForms(stefan.params, stefan.gamma.gamma, stefan.amplitude)
+        with pytest.raises(ZeroDivisionError):
+            getattr(forms, method)(t)
+        with np.errstate(all="ignore"):
+            assert math.isinf(getattr(stefan.forms, method)(np.asarray(t)))
 
     def test_field_choices_in_order(self, capsys):
         """--field offers the eight fields, and its usage error lists them, in one order."""
@@ -446,37 +488,37 @@ class TestBitIdentity:
         "argv, code, digest",
         [
             (["eval", "--field", "T"], 0,
-             "7d850ce32f9945d20cb3c666d300a66293f541b13643e6b2f9dc8f8e64142b26"),
+             "072d0cef7a0f2ce02dc98c10f9daf9399360f40d2ff1f227ddc71e35a1cb6923"),
             (["eval", "--field", "Ty"], 0,
              "9e466f4d4d5968067927ff57e4db0c8b4e7b5f903d9f7fe791518f50db99d201"),
             (["eval", "--field", "S"], 0,
              "9c0149ec2716cff2457fdbf4cda9fbea772f04db6792430f89a5a3e92413c083"),
             (["eval", "--field", "xstar"], 0,
-             "80675827cc6b971dec40b744cd1f6fe1872ffaa9d9b5aad36f864e89c18cbae8"),
+             "6c8c69375ec0695c9073e968f0baf5ee39657b5856d4a55b704c79ea6873742b"),
             (["eval", "--field", "psi"], 0,
-             "d53c5260e8da864148385be8296bc57f505dc9b4f848ebaa2a350c634c31c818"),
+             "e49e007aa620147f17743ca764934c6af9013aab0c603758b2b5aa0d2e327f18"),
             (["eval", "--field", "theta"], 0,
-             "4337a17aa1d7e603308ca6c410dc1f3eb302107de3cc113b71db674dd273de44"),
+             "3726302857447ef3d36a760ec412aae75b7ee391420e9fd352a65c3c75e067f1"),
             (["eval", "--field", "H"], 0,
              "d009162537d5badb4815cf46ea3aae264913498b79d46d7fa78911a41d2283f7"),
             (["eval", "--field", "boundaries"], 0,
              "e3e177b35846d6b1e457ec6aee2418b06105b47180a09d4a674889a4c4b3d147"),
             (["verify", "--grid", "12,3", "--json", "--tm0", "0.5"], 0,
-             "aa862752ba1d3b3e23a6abcd9d226eb6bb0564aa8e9198805403eb639fb1ab7f"),
+             "9fe97252d40c04518b602eb3af509015fc37090fb8d2559f749126685f862baa"),
             (["verify", "--grid", "12,3", "--json", "--tm0", "0"], 0,
-             "7651c26dddc23868c8f389b41e216048643878a0759155f8e8260e73d6e79943"),
+             "b78c0717c897e63a6c8e7233f2eaa3e6c08399bea986fa978533a8610c76a6d4"),
             # an inversion bracket reaches 16*eps*S(t) before the residual rule here
             (["verify", "--grid", "12,3", "--json", "--q", "100", "--tm0", "0.99"], 0,
-             "1cc7e17ad23426c36f38b0d32359e6ad80b54365c80e1e17d90e73cd3c8789b7"),
+             "4c24822b4aace85e932aef3e9a32e1b87e4e9fb68495d1d6bad0b7f9c8be0544"),
             # the oracle-march workload's shapes, shortened
             (["oracle", "--q", "1.1", "--tm0", "0.3", "--n-xi", "256", "--t-end", "0.2",
               "--dt", "2e-4", "--json"], 0,
-             "8ae78067b6d49a2d8833404db1a6f463c9d2ba62331ad03f7fb680398a06b66e"),
+             "abd9b4b21d00de414288ee21d1090e3ab6ee06afe6185172cca67b8c99d21721"),
             (["oracle", "--n-xi", "128", "--t0", "0.02", "--t-end", "0.05", "--dt", "4e-5",
               "--seed", "linear", "--s0", "0.05"], 0,
-             "41a89cc5896356fccb1723176ee1f8028ee2fe2526c12a48307b1721bede4343"),
+             "ac924f3e218e557c0174e44d08a61fd6d3165b2725e995ff41f1ba61b231e665"),
             (["oracle", "--n-xi", "1024", "--t-end", "0.12", "--dt", "5e-5", "--json"], 0,
-             "9e7d45926835ba432568916594da37dd01a0f1e1f324b3ed8e184691b2af9cc7"),
+             "47fd784b82cfc19660906faee9119091c7315e5f3276583f9e4d2ab8fc614d2f"),
             (["sweep", "--q-range", "0.5:1.5:7", "--tm0-range", "0:0.9:6"], 0,
              "9a7f249cfa3f3ceb5bffc129fff9d15376b5d1b6733b23f62a3f6c11b9842200"),
             (["sweep", "--q-range", "0.6:1.4:5", "--l0-range", "0.8:1.6:4",
@@ -559,21 +601,23 @@ def test_scipy_loads_only_for_oracle():
         (["gamma"], 0, [], False),
         (["sweep", "--q-range", "0.5:2:3"], 0, [], False),
         (["gamma", "--bogus"], 1, [], False),
-        (["eval", "--field", "psi", "--n", "5"], 0, ["similarity", "transform"], True),
-        # T, Ty and S read only the StefanField
-        (["eval", "--field", "T", "--n", "5"], 0, ["similarity"], True),
-        (["verify", "--grid", "8,1"], 0, ["similarity", "transform", "verify"], True),
+        # every eval field reads the closed forms on floats
+        *((["eval", "--field", field, "--n", "5", "--t-range", "1:2:2"], 0, ["forms"], False)
+          for field in EVAL_FIELDS),
+        (["verify", "--grid", "8,1"], 0, ["forms", "similarity", "transform", "verify"], True),
         # oracle's comparison report comes from verify, which reads transform
         (["oracle", "--n-xi", "32", "--dt", "1e-3", "--t-end", "0.3"], 0,
-         ["oracle", "similarity", "transform", "verify"], True),
+         ["forms", "oracle", "similarity", "transform", "verify"], True),
     ],
-    ids=["import", "gamma", "sweep", "usage-error", "eval", "eval-T", "verify", "oracle"],
+    # psi keeps the id "eval" it had when it stood for the fields read through a PsiField
+    ids=["import", "gamma", "sweep", "usage-error",
+         *("eval" if f == "psi" else f"eval-{f}" for f in EVAL_FIELDS), "verify", "oracle"],
 )
 def test_command_loads_only_its_layers(argv, code, modules, numpy):
     """In a fresh interpreter, importing the CLI loads the package, cli, errors
     and roots, and neither numpy nor dataclasses and inspect (``argv`` None);
-    gamma, sweep and a usage error add nothing, and every other subcommand adds
-    numpy (which imports inspect) and only its ``modules``."""
+    gamma, sweep and a usage error add nothing, eval adds only forms, and
+    verify and oracle add numpy (which imports inspect) and only their ``modules``."""
     script = (
         "import json, sys\n"
         "import stefan_reciprocal.cli as cli\n"
@@ -599,10 +643,14 @@ def test_command_loads_only_its_layers(argv, code, modules, numpy):
 
 
 def test_gamma_and_sweep_run_without_numpy(capsys):
-    """With numpy, dataclasses and inspect made unimportable, gamma and sweep
-    print what they print with them."""
+    """With numpy, dataclasses and inspect made unimportable, gamma, sweep and
+    every eval field, as text and as --json, print what they print with them,
+    and eval's refusals of a table that is not finite write the same stderr."""
     argvs = [["gamma"], ["gamma", "--json"],
-             ["sweep", "--q-range", "0.5:2:3", "--tm0-range", "0:0.6:3"]]
+             ["sweep", "--q-range", "0.5:2:3", "--tm0-range", "0:0.6:3"],
+             *(["eval", "--field", field, "--q", "1.3", "--tm0", "0.2", "--delta", "0.7", *fmt]
+               for field in EVAL_FIELDS for fmt in ([], ["--json"]))]
+    refusals = [["eval", *argv] for argv, _ in NON_FINITE_TABLES]
     script = (
         "import io, json, sys\n"
         "for name in ('numpy', 'dataclasses', 'inspect'):\n"
@@ -610,22 +658,81 @@ def test_gamma_and_sweep_run_without_numpy(capsys):
         "import stefan_reciprocal.cli as cli\n"
         "outs = []\n"
         "for argv in json.loads(sys.argv[1]):\n"
-        "    sys.stdout = io.StringIO()\n"
+        "    sys.stdout, sys.stderr = io.StringIO(), io.StringIO()\n"
         "    code = cli.main(argv)\n"
-        "    outs.append([code, sys.stdout.getvalue()])\n"
-        "sys.stdout = sys.__stdout__\n"
+        "    outs.append([code, sys.stdout.getvalue(), sys.stderr.getvalue()])\n"
+        "sys.stdout, sys.stderr = sys.__stdout__, sys.__stderr__\n"
         "print(json.dumps(outs))\n"
     )
     src = str(Path(stefan_reciprocal.__file__).resolve().parents[1])
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     env = {**os.environ, "PYTHONPATH": path}
     res = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(argvs)],
+        [sys.executable, "-c", script, json.dumps(argvs + refusals)],
         capture_output=True, text=True, env=env, check=True,
     )
-    expected = [[code, out] for code, out, _ in (run(capsys, *argv) for argv in argvs)]
-    assert all(code == 0 and out for code, out in expected)
+    with np.errstate(all="ignore"):
+        expected = [list(run(capsys, *argv)) for argv in argvs + refusals]
+    assert all(code == 0 and out and not err for code, out, err in expected[:len(argvs)])
+    assert all(code == 2 and not out and err.startswith("error: ") and len(err.splitlines()) == 1
+               for code, out, err in expected[len(argvs):])
     assert json.loads(res.stdout) == expected
+
+
+def _array_table(field_name, params, t, n, t_range):
+    """eval's table from the StefanField and PsiField methods on numpy arrays."""
+    field = stefan_reciprocal.StefanField.from_params(params)
+    pf = stefan_reciprocal.PsiField(field)
+    y = np.linspace(0.0, field.free_boundary(t), n)
+    times = np.array(_parse_range(t_range))
+    columns = {
+        "T": lambda: (y, field.temperature(y, t)),
+        "Ty": lambda: (y, field.temperature_gradient(y, t)),
+        "S": lambda: (times, field.free_boundary(times)),
+        "xstar": lambda: (y, pf.x_star(y, t)),
+        "psi": lambda: (pf.x_star(y, t), pf.psi_parametric(y, t)),
+        "theta": lambda: (y, pf.theta(y, t)),
+        "H": lambda: (times, pf.h_of_t(times)),
+        "boundaries": lambda: (times, field.free_boundary(times), pf.x0(times), pf.x1(times)),
+    }[field_name]()
+    return np.column_stack(columns)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(field=st.sampled_from(EVAL_FIELDS), log_q=st.floats(-3.0, 3.0),
+       log_l0=st.floats(-2.0, 2.0), tm0_frac=st.floats(-1.0, 0.999),
+       log_delta=st.floats(-3.0, 3.0), log_t=st.floats(-3.0, 3.0),
+       n=st.integers(1, 60), span=st.floats(1.0, 100.0))
+def test_eval_table_has_the_bits_of_the_array_methods(
+    field, log_q, log_l0, tm0_frac, log_delta, log_t, n, span
+):
+    """eval's float table is, bit for bit, the StefanField and PsiField methods
+    on the same samples as numpy arrays, over the valid region q, l0, delta > 0,
+    tm0 < l0 where gamma exists."""
+    from stefan_reciprocal.cli import FIELDS, _merge_config, build_parser, cmd_eval
+
+    q, l0, delta, t = 10.0 ** log_q, 10.0 ** log_l0, 10.0 ** log_delta, 10.0 ** log_t
+    params = stefan_reciprocal.PhysicalParams(q, l0, tm0_frac * l0, delta)
+    try:
+        stefan_reciprocal.solve_gamma(params)
+    except stefan_reciprocal.NoSignChange:
+        assume(False)
+    t_range = f"{t!r}:{t * span!r}:{n}"
+    argv = ["eval", "--field", field, "--q", repr(params.q), "--l0", repr(params.l0),
+            "--tm0", repr(params.tm0), "--delta", repr(params.delta), "--t", repr(t),
+            "--n", str(n), "--t-range", t_range, "--json"]
+    args = build_parser().parse_args(argv)
+    with np.errstate(all="ignore"):
+        expected = _array_table(field, params, t, n, t_range)
+    try:
+        lines, code = cmd_eval(args, _merge_config(args))
+    except stefan_reciprocal.StefanError:
+        assert not np.isfinite(expected).all()
+        return
+    header = FIELDS[field][0]
+    got = [[json.loads(line)[k] for k in header] for line in lines]
+    assert code == 0
+    assert [[v.hex() for v in row] for row in got] == [[float(v).hex() for v in row] for row in expected]
 
 
 @settings(max_examples=300, deadline=None)

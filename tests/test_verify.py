@@ -307,15 +307,16 @@ class TestSuite:
             run_verification_suite(sr.StefanField.from_params(params), SMALL)
         assert ran == []
 
-    #: (y, t) checks per identity of the default suite at the baseline, 55 in
-    #: all with the monotonicity sample (81 with finite-difference stencils,
+    #: (y, t) checks per identity of the default suite at the baseline, 52 in
+    #: all with the monotonicity sample (55 when H(t) checked its y = 0 and
+    #: y = S(t), 81 with finite-difference stencils,
     #: 191 with a quadrature call per sampled time, 254 with the Psi checks
     #: re-inverting x*, 459 with a call per time slice, 1,143 with a check
     #: per T, T_y and Theta).  The round trip makes 8 Newton evaluations.
     DOMAIN_CHECKS = {
         "heat-equation": 1, "burgers-equation": 1, "source-equation": 2,
         "stefan-boundary-conditions": 3, "burgers-boundary-conditions": 5,
-        "psi-boundary-conditions": 9, "source-ratio-identity": 5, "reciprocal-identity": 2,
+        "psi-boundary-conditions": 9, "source-ratio-identity": 2, "reciprocal-identity": 2,
         "theta-consistency": 2, "c-consistency": 0, "boundary-consistency": 1,
         "front-recovery": 15, "inversion-roundtrip": 8,
     }
@@ -352,7 +353,7 @@ class TestSuite:
         counts = self._per_identity(monkeypatch, calls)
         run_verification_suite(baseline_field)
         assert counts == self.DOMAIN_CHECKS
-        assert len(calls) == sum(self.DOMAIN_CHECKS.values()) + 1 == 55
+        assert len(calls) == sum(self.DOMAIN_CHECKS.values()) + 1 == 52
 
     def test_one_quadrature_call_per_integral(self, baseline_field, monkeypatch):
         """The default suite at the baseline integrates in 8 calls, each
