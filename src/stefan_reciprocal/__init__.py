@@ -34,7 +34,7 @@ _EXPORTS = {
     "StefanField": "similarity",
     "burgers_bc_residuals": "verify",
     "burgers_residual": "verify",
-    "c_of_t_general": "transform",
+    "c_of_t_general": "verify",
     "compare_to_closed_form": "oracle",
     "compute_boundary_coefficients": "transform",
     "eval_F": "roots",
@@ -47,10 +47,9 @@ _EXPORTS = {
     "reciprocal_identity_residual": "verify",
     "run_verification_suite": "verify",
     "solve_gamma": "roots",
-    "solve_gammas": "roots",
     "solve_oracle": "oracle.solve",
     "stefan_bc_residuals": "verify",
-    "theta_quadrature": "transform",
+    "theta_quadrature": "verify",
 }
 
 _SUBMODULES = ("cli", "errors", "forms", "oracle", "roots", "similarity", "transform", "verify")

@@ -21,7 +21,7 @@ A subcommand imports the layers it uses when it runs.  gamma and sweep need
 only roots, whose records are namedtuples, so they load neither numpy nor
 dataclasses and inspect; eval adds forms, whose closed forms it evaluates on
 floats, so it loads neither numpy nor similarity and transform; verify adds
-those two and verify, and oracle adds oracle (its report class is verify's).
+those two and verify, and oracle adds similarity and oracle.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ import math
 import re
 import sys
 
-from .errors import DomainError, InvalidParameters, NotMonotone, StefanError
-from .roots import PhysicalParams, physical_margin, solve_gamma, solve_gammas
+from .errors import InvalidParameters, NotMonotone, StefanError
+from .roots import PhysicalParams, physical_margin, solve_gamma
 
 DEFAULTS = {"q": 1.0, "l0": 1.0, "tm0": 0.5, "delta": 1.0}
 
@@ -237,8 +237,6 @@ def cmd_eval(args, cfg):
         samples = [(t_value,) for t_value in _parse_range(args.t_range)]
         if any(t_value <= 0 for t_value, in samples):
             raise InvalidParameters("t-range must be positive")
-    if args.field != "S" and not math.isfinite(gamma):  # where q/l0 overflows: S(t) is nan
-        raise DomainError("y outside [0, S(t)]")
     table = []
     for sample in samples:
         try:
@@ -310,7 +308,7 @@ def cmd_oracle(args, cfg):
         "steps": result.steps,
         "max_cfl": result.max_cfl,
         "max_principle_violations": result.max_principle_violations,
-        **report.details,
+        **report._asdict(),
     }
     if args.json:
         return [json.dumps(summary, sort_keys=True)], 0
@@ -322,18 +320,11 @@ def cmd_sweep(args, cfg):
     q_values = _parse_range(args.q_range) if args.q_range else [cfg["q"]]
     l0_values = _parse_range(args.l0_range) if args.l0_range else [cfg["l0"]]
     tm0_values = _parse_range(args.tm0_range) if args.tm0_range else [cfg["tm0"]]
-    params, invalid = [], None
+    rows = []
     for q, l0, tm0 in itertools.product(q_values, l0_values, tm0_values):
-        try:
-            params.append(PhysicalParams(q=q, l0=l0, tm0=tm0, delta=cfg["delta"]))
-        except InvalidParameters as exc:
-            invalid = exc  # raised once the cells before it are solved, as cell by cell
-            break
-    roots = solve_gammas(params)
-    if invalid:
-        raise invalid
-    rows = [(p.q, p.l0, p.tm0, r.gamma, r.residual, physical_margin(p, r.gamma))
-            for p, r in zip(params, roots)]
+        params = PhysicalParams(q=q, l0=l0, tm0=tm0, delta=cfg["delta"])
+        root = solve_gamma(params)
+        rows.append((q, l0, tm0, root.gamma, root.residual, physical_margin(params, root.gamma)))
     return _rows(["q", "l0", "tm0", "gamma", "residual", "margin"], rows, args.json), 0
 
 

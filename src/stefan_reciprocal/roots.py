@@ -49,6 +49,8 @@ class PhysicalParams(namedtuple("PhysicalParams", "q l0 tm0 delta")):
     l0: latent-heat coefficient, L(t) = l0*sqrt(t) (> 0)
     tm0: melt-temperature coefficient, Tm(t) = tm0*sqrt(t) (< l0)
     delta: transformation constant (> 0)
+
+    q/l0, the upper end of gamma's bracket, must be finite.
     """
 
     __slots__ = ()
@@ -61,6 +63,8 @@ class PhysicalParams(namedtuple("PhysicalParams", "q l0 tm0 delta")):
                 raise InvalidParameters(f"{name} must be > 0, got {value}")
         if not (l0 > tm0):
             raise InvalidParameters(f"requires l0 > tm0, got l0={l0}, tm0={tm0}")
+        if not math.isfinite(q / l0):
+            raise InvalidParameters(f"q/l0 must be finite, got q={q}, l0={l0}")
         return self
 
     @classmethod
@@ -143,14 +147,6 @@ def solve_gamma(params: PhysicalParams) -> GammaRoot:
         else:
             hi, f_hi = mid, f_mid
     return GammaRoot(mid, float(abs(f_hi if mid == hi else f_lo)), lo, hi, iterations)
-
-
-def solve_gammas(params: list[PhysicalParams]) -> list[GammaRoot]:
-    """:func:`solve_gamma` of every PhysicalParams in ``params``, cell by cell in order.
-
-    Raises as solve_gamma does, for the first cell without a sign change.
-    """
-    return [solve_gamma(p) for p in params]
 
 
 def physical_margin(params: PhysicalParams, gamma: float) -> float:

@@ -26,16 +26,9 @@ and A > 0 gives |tm0| < 2*l0*gamma^2.  So Theta >= C(t)*l0/(l0 + max(0,
 -tm0)) > 0, and Psi is IEEE +-inf only where D = T_y*Theta + T^2 is exactly
 0.  D = t*d(eta) has the sign of dx*/dy, so whether x* is monotone on
 [0, S(t)] does not depend on t: the first inversion decides it once per
-field (:attr:`PsiField.monotone_sign`).  The quadratures
-:func:`theta_quadrature` and :func:`c_of_t_general`, which read the field's
-T, S, dS/dt, L and Tm, are the oracle for the closed forms.
-
-Every integral of the package goes through :func:`quad_batch`, an adaptive
-Gauss-Kronrod (G7/K15) rule written in numpy: it integrates a batch of
-intervals at once and calls the integrand on arrays of nodes, each labelled
-with its interval, so an integral over several times is one call.  C(t) is
-integrated in u = sqrt(tau/t), which makes the tau^(-1/2) front speed of
-sqrt(t) fronts smooth.
+field (:attr:`PsiField.monotone_sign`).  The quadrature oracles for the
+closed forms and the front recovery S(t) = integral Psi dx* live in
+:mod:`.verify`, which alone reads them.
 """
 
 from __future__ import annotations
@@ -46,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidParameters, NotMonotone, OutOfRange, QuadratureFailure
+from .errors import InvalidParameters, NotMonotone, OutOfRange
 from .forms import amplitude
 from .roots import SQRT_PI, GammaRoot, PhysicalParams
 from .similarity import StefanField, _check_time, _floats, _libm, _scalar
@@ -58,138 +51,7 @@ MONOTONE_MAX_CELLS = 4096
 #: An inverted point is accepted within this fraction of |X1*(t) - X0*(t)| of its target.
 INVERT_RTOL = 1e-13
 
-#: Absolute and relative tolerance of the front recovery and the verify quadratures.
-QUAD_TOL = 1e-10
-
-
-#: Kronrod abscissae on [0, 1] and the weights of the 15-point Kronrod and
-#: 7-point Gauss rules (QUADPACK's qk15; Piessens et al., 1983).  The Gauss
-#: nodes are the odd-indexed Kronrod nodes, the centre among them.
-_XGK = (
-    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
-    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245, 0.0,
-)
-_WGK = (
-    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
-)
-_WG = (
-    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975, 0.417959183673469387755102040816327,
-)
-_NODES = np.concatenate([-np.array(_XGK[:7]), np.array(_XGK[::-1])])
-_W_KRONROD = np.concatenate([_WGK[:7], _WGK[::-1]])
-_W_GAUSS = np.zeros(15)
-_W_GAUSS[1::2] = _WG + _WG[-2::-1]
 _EPS = np.finfo(float).eps
-
-
-def _gk15(func, left, right, owner):
-    """G7/K15 values, error estimates and round-off flags of the panels [left, right].
-
-    ``func`` is called once, on the 15 nodes of every panel and each node's ``owner``.
-    A panel's error estimate is |K15 - G7|, floored at the round-off level
-    50*eps*integral|f| that bisection cannot lower; panels at that floor are
-    flagged.  QUADPACK's scaled estimate is not used: on an integrand whose
-    rounding noise is far above eps*|f|, such as H(t), a cancellation of
-    terms of size 1/t, it stays at the panel's mean deviation however far
-    the panel is bisected.
-    """
-    half = 0.5 * (right - left)
-    nodes = (0.5 * (left + right))[:, None] + half[:, None] * _NODES
-    fv = np.asarray(func(nodes.ravel(), owner.repeat(15)), dtype=float).reshape(nodes.shape)
-    # row sums rather than a matrix product, whose rounding depends on the batch
-    kronrod, gauss = (fv * _W_KRONROD).sum(axis=1), (fv * _W_GAUSS).sum(axis=1)
-    err = np.abs((kronrod - gauss) * half)
-    floor = 50.0 * _EPS * (np.abs(fv) * _W_KRONROD).sum(axis=1) * np.abs(half)
-    return kronrod * half, np.maximum(err, floor), err <= floor
-
-
-def quad_batch(func, a, b, quad_tol: float, limit: int = 200):
-    """Adaptive G7/K15 quadrature of ``func`` over the batch of intervals [a, b].
-
-    ``a`` and ``b`` broadcast to the batch's shape, which the result has.
-    Every interval is integrated to max(quad_tol, |value|*quad_tol).  Each
-    pass calls ``func(x, k)`` once: x holds the nodes of all live panels and
-    k the flat index in the batch of each node's interval, and it bisects
-    the panels whose error estimate exceeds their length's share of that
-    tolerance and is not at the round-off floor.  An integral stops when it
-    meets its tolerance or when bisecting would give it more than ``limit``
-    panels; its panels do not depend on the rest of the batch.  Raises
-    QuadratureFailure, naming the worst interval, when a final error
-    estimate is above ten times the tolerance.  A reversed interval gives
-    the negated value.
-    """
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    lo, hi = np.minimum(a, b).ravel(), np.maximum(a, b).ravel()
-    n = lo.size
-    value, error, panels = np.zeros(n), np.zeros(n), np.ones(n, dtype=int)
-    owner = np.flatnonzero(lo != hi)
-    left, right = lo[owner], hi[owner]
-    while owner.size:
-        val, err, roundoff = _gk15(func, left, right, owner)
-        tol = np.maximum(quad_tol, np.abs(value + np.bincount(owner, val, n)) * quad_tol)
-        split = (err > tol[owner] * (right - left) / (hi - lo)[owner]) & ~roundoff
-        stop = (error + np.bincount(owner, err, n) <= tol) | (
-            panels + np.bincount(owner[split], minlength=n) > limit
-        )
-        split &= ~stop[owner]
-        value += np.bincount(owner, np.where(split, 0.0, val), n)
-        error += np.bincount(owner, np.where(split, 0.0, err), n)
-        panels += np.bincount(owner[split], minlength=n)
-        mid = 0.5 * (left[split] + right[split])
-        owner = np.repeat(owner[split], 2)
-        left = np.column_stack((left[split], mid)).ravel()
-        right = np.column_stack((mid, right[split])).ravel()
-    value = np.where(b.ravel() < a.ravel(), -value, value)
-    bound = 10.0 * np.maximum(quad_tol, np.abs(value) * quad_tol)
-    if not np.all(error <= bound):
-        worst = int(np.argmax(np.where(error <= bound, -np.inf, error)))
-        raise QuadratureFailure(
-            f"quadrature error estimate {error[worst]:.3e} exceeds tolerance {quad_tol:.3e}"
-            f" on [{a.flat[worst]:.6g}, {b.flat[worst]:.6g}]",
-            worst,
-        )
-    return _scalar(value.reshape(a.shape))
-
-
-def c_of_t_general(field: StefanField, t, quad_tol: float = 1e-10):
-    """C(t) = integral_0^t [L(tau) - Tm(tau)] * dS/dtau dtau by adaptive quadrature.
-
-    Reads the field's latent_heat, melt_temperature and front_speed.
-    Integrated in u = sqrt(tau/t), where dtau = 2*t*u du: a front speed that
-    blows up like tau^(-1/2), as for sqrt(t) fronts, becomes smooth in u.
-    ``t`` may be an array, whose times form one batch; at t = 0 the interval is empty.
-    """
-    t = _check_time(t)
-
-    def integrand(u, k):
-        t_k = t.flat[k]
-        tau = t_k * u * u
-        rate = field.latent_heat(tau) - field.melt_temperature(tau)
-        return rate * field.front_speed(tau) * (2.0 * t_k * u)
-
-    return quad_batch(integrand, 0.0, np.where(t == 0, 0.0, 1.0), quad_tol)
-
-
-def theta_quadrature(y, t, field: StefanField, quad_tol: float = 1e-10):
-    """Theta(y,t) = C(t) - integral_{S(t)}^{y} T(u,t) du, both by quadrature.
-
-    ``y`` and ``t`` may be arrays that broadcast together: C is integrated
-    once per element of ``t``, and the integrals of the field's temperature
-    over every [S(t), y] form one batch.  Serves as the independent oracle
-    for :meth:`PsiField.theta`.
-    """
-    t = _check_time(t, positive=True)
-    c_val = c_of_t_general(field, t, quad_tol)
-    t_of = np.broadcast_to(t, np.broadcast_shapes(t.shape, np.shape(y))).ravel()
-    return c_val - quad_batch(
-        lambda u, k: field.temperature(u, t_of[k]), field.free_boundary(t), y, quad_tol
-    )
 
 
 @dataclass(frozen=True)
@@ -218,8 +80,8 @@ class PsiField:
     """The transformed problem as a view of one sqrt(t)-family StefanField.
 
     ``PsiField(field)`` exposes C and Theta in closed form, the map
-    (y,t) -> (x*, Psi), its inversion, the free boundaries, H(t) and the
-    inverse-direction front recovery.  x*, dx*/dy, Psi and Theta read
+    (y,t) -> (x*, Psi), its inversion, the free boundaries and H(t).
+    x*, dx*/dy, Psi and Theta read
     :meth:`_parts`, which raises DomainError for t <= 0 or y outside
     [0, S(t)]; Theta > 0 there (module docstring), so no evaluation checks
     it.  The first inversion raises NotMonotone (:attr:`monotone_sign`); the
@@ -353,7 +215,7 @@ class PsiField:
         shape = np.broadcast_shapes(y.shape, np.shape(t))
         # flat arrays over the batch; the live ones are indexed by `live`
         y, target, t, tol, s = (np.broadcast_to(v, shape).ravel() for v in (y, target, t, tol, s))
-        floor = 16.0 * np.finfo(float).eps * s
+        floor = 16.0 * _EPS * s
         lo, hi, result, live = np.zeros_like(y), s, np.empty_like(y), np.arange(y.size)
         for _ in range(110):
             fx, slope = self._x_and_slope(y, t[live])
@@ -404,18 +266,3 @@ class PsiField:
         and 1.1e6.  Each time gets the same bits alone as in a batch.
         """
         return _scalar(self.stefan.forms.h(_check_time(t, positive=True)))
-
-    def s_from_psi(self, t):
-        """Recover S(t) as the directed integral of Psi over [X0*(t), X1*(t)].
-
-        The directed integral is orientation-agnostic: when x* decreases in y
-        the boundary order and the sign of Psi flip together.  ``t`` may be an
-        array, whose times form one batch.
-        """
-        x0v, x1v, s = self._orientation(t)
-
-        def integrand(sigma, k):
-            t_k, x0_k, x1_k, s_k = (np.ravel(v)[k] for v in (t, x0v, x1v, s))
-            return self.psi_parametric(self._invert_array(sigma, t_k, x0_k, x1_k, s_k), t_k)
-
-        return quad_batch(integrand, x0v, x1v, QUAD_TOL)

@@ -3,10 +3,10 @@
 Every derivative a check needs is read off one evaluation of the closed
 form on jets (:class:`similarity._Jet`): truncated Taylor arithmetic that
 carries u_y, u_yy and u_t through the same code that computes the value,
-so no step is chosen and nothing is truncated.  Integrals use adaptive
-quadrature.  Each check reduces its pointwise residuals to max/L2 norms.
-The interior grid keeps a relative margin from the domain edges; boundary
-conditions are checked separately at the exact boundary points.
+so no step is chosen and nothing is truncated.  Each check reduces its
+pointwise residuals to max/L2 norms.  The interior grid keeps a relative
+margin from the domain edges; boundary conditions are checked separately
+at the exact boundary points.
 
 Time derivatives are taken at fixed y.  The Psi equation and the Psi
 boundary slopes are written on the forward map (y, t) through
@@ -19,6 +19,12 @@ The protocol is fixed.  Boundary and consistency identities are sampled at
 use :data:`QUAD_TOL`, and the improper time integrals (the X0* identity and
 the flux ratio) start at :data:`T0`.  Each identity's tolerance is written
 once, at its reduction.
+
+Every integral goes through :func:`quad_batch`, an adaptive Gauss-Kronrod
+(G7/K15) rule written in numpy that integrates a batch of intervals in one
+call.  :func:`c_of_t_general` and :func:`theta_quadrature` are the
+quadrature oracle for the closed forms of :class:`.transform.PsiField`, and
+:func:`s_from_psi` recovers the front from Psi.
 """
 
 from __future__ import annotations
@@ -32,15 +38,8 @@ import numpy as np
 
 from .errors import InvalidParameters, QuadratureFailure
 from .roots import _check_ints, _check_reals
-from .similarity import StefanField, _Jet, _libm
-from .transform import (
-    QUAD_TOL,
-    PsiField,
-    c_of_t_general,
-    compute_boundary_coefficients,
-    quad_batch,
-    theta_quadrature,
-)
+from .similarity import StefanField, _check_time, _Jet, _libm, _scalar
+from .transform import PsiField, compute_boundary_coefficients
 
 #: Times at which the boundary and consistency identities are sampled.
 T_SAMPLES = (0.25, 1.0, 4.0)
@@ -48,6 +47,10 @@ _TIMES = np.array(T_SAMPLES)
 
 #: Lower end of the improper time integrals, which scale like 1/t near 0.
 T0 = 1e-8
+
+#: Absolute and relative tolerance of the front recovery and the quadrature oracles.
+QUAD_TOL = 1e-10
+
 
 
 @dataclass(frozen=True)
@@ -85,7 +88,7 @@ class GridSpec:
 
 @dataclass
 class ResidualReport:
-    """Norms of one verified identity on one grid."""
+    """Norms of one verified identity on ``grid``, or at T_SAMPLES where ``grid`` is None."""
 
     identity: str
     grid: Optional[GridSpec]
@@ -93,14 +96,11 @@ class ResidualReport:
     l2: float
     tolerance: float
     passed: bool
-    t_samples: Optional[tuple] = None
     details: Optional[dict] = None
     per_point: Optional[np.ndarray] = dc_field(default=None, repr=False)
 
     def as_record(self) -> dict:
-        grid = self.grid.as_dict() if self.grid is not None else None
-        if grid is None and self.t_samples is not None:
-            grid = {"t_samples": list(self.t_samples)}
+        grid = {"t_samples": list(T_SAMPLES)} if self.grid is None else self.grid.as_dict()
         return {
             "identity": self.identity,
             "grid": grid,
@@ -135,7 +135,6 @@ def _reduce(identity, residuals, tolerance, grid=None):
         l2=l2,
         tolerance=tolerance,
         passed=max_abs <= tolerance,
-        t_samples=None if details is None else T_SAMPLES,
         details=details,
         per_point=residuals,
     )
@@ -144,6 +143,105 @@ def _reduce(identity, residuals, tolerance, grid=None):
 def _rel(lhs, rhs):
     """|lhs - rhs| relative to max(1, |lhs|, |rhs|), elementwise."""
     return abs(lhs - rhs) / np.maximum(1.0, np.maximum(abs(lhs), abs(rhs)))
+
+
+# ---------------------------------------------------------------------------
+# quadrature
+# ---------------------------------------------------------------------------
+
+#: Kronrod abscissae on [0, 1] and the weights of the 15-point Kronrod and
+#: 7-point Gauss rules (QUADPACK's qk15; Piessens et al., 1983).  The Gauss
+#: nodes are the odd-indexed Kronrod nodes, the centre among them.
+_XGK = (
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0,
+)
+_WGK = (
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+)
+_WG = (
+    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975, 0.417959183673469387755102040816327,
+)
+_NODES = np.concatenate([-np.array(_XGK[:7]), np.array(_XGK[::-1])])
+_W_KRONROD = np.concatenate([_WGK[:7], _WGK[::-1]])
+_W_GAUSS = np.zeros(15)
+_W_GAUSS[1::2] = _WG + _WG[-2::-1]
+_EPS = np.finfo(float).eps
+
+
+def _gk15(func, left, right, owner):
+    """G7/K15 values, error estimates and round-off flags of the panels [left, right].
+
+    ``func`` is called once, on the 15 nodes of every panel and each node's ``owner``.
+    A panel's error estimate is |K15 - G7|, floored at the round-off level
+    50*eps*integral|f| that bisection cannot lower; panels at that floor are
+    flagged.  QUADPACK's scaled estimate is not used: on an integrand whose
+    rounding noise is far above eps*|f|, such as H(t), a cancellation of
+    terms of size 1/t, it stays at the panel's mean deviation however far
+    the panel is bisected.
+    """
+    half = 0.5 * (right - left)
+    nodes = (0.5 * (left + right))[:, None] + half[:, None] * _NODES
+    fv = np.asarray(func(nodes.ravel(), owner.repeat(15)), dtype=float).reshape(nodes.shape)
+    # row sums rather than a matrix product, whose rounding depends on the batch
+    kronrod, gauss = (fv * _W_KRONROD).sum(axis=1), (fv * _W_GAUSS).sum(axis=1)
+    err = np.abs((kronrod - gauss) * half)
+    floor = 50.0 * _EPS * (np.abs(fv) * _W_KRONROD).sum(axis=1) * np.abs(half)
+    return kronrod * half, np.maximum(err, floor), err <= floor
+
+
+def quad_batch(func, a, b, quad_tol: float, limit: int = 200):
+    """Adaptive G7/K15 quadrature of ``func`` over the batch of intervals [a, b].
+
+    ``a`` and ``b`` broadcast to the batch's shape, which the result has.
+    Every interval is integrated to max(quad_tol, |value|*quad_tol).  Each
+    pass calls ``func(x, k)`` once: x holds the nodes of all live panels and
+    k the flat index in the batch of each node's interval, and it bisects
+    the panels whose error estimate exceeds their length's share of that
+    tolerance and is not at the round-off floor.  An integral stops when it
+    meets its tolerance or when bisecting would give it more than ``limit``
+    panels; its panels do not depend on the rest of the batch.  Raises
+    QuadratureFailure, naming the worst interval, when a final error
+    estimate is above ten times the tolerance.  A reversed interval gives
+    the negated value.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    lo, hi = np.minimum(a, b).ravel(), np.maximum(a, b).ravel()
+    n = lo.size
+    value, error, panels = np.zeros(n), np.zeros(n), np.ones(n, dtype=int)
+    owner = np.flatnonzero(lo != hi)
+    left, right = lo[owner], hi[owner]
+    while owner.size:
+        val, err, roundoff = _gk15(func, left, right, owner)
+        tol = np.maximum(quad_tol, np.abs(value + np.bincount(owner, val, n)) * quad_tol)
+        split = (err > tol[owner] * (right - left) / (hi - lo)[owner]) & ~roundoff
+        stop = (error + np.bincount(owner, err, n) <= tol) | (
+            panels + np.bincount(owner[split], minlength=n) > limit
+        )
+        split &= ~stop[owner]
+        value += np.bincount(owner, np.where(split, 0.0, val), n)
+        error += np.bincount(owner, np.where(split, 0.0, err), n)
+        panels += np.bincount(owner[split], minlength=n)
+        mid = 0.5 * (left[split] + right[split])
+        owner = np.repeat(owner[split], 2)
+        left = np.column_stack((left[split], mid)).ravel()
+        right = np.column_stack((mid, right[split])).ravel()
+    value = np.where(b.ravel() < a.ravel(), -value, value)
+    bound = 10.0 * np.maximum(quad_tol, np.abs(value) * quad_tol)
+    if not np.all(error <= bound):
+        worst = int(np.argmax(np.where(error <= bound, -np.inf, error)))
+        raise QuadratureFailure(
+            f"quadrature error estimate {error[worst]:.3e} exceeds tolerance {quad_tol:.3e}"
+            f" on [{a.flat[worst]:.6g}, {b.flat[worst]:.6g}]",
+            worst,
+        )
+    return _scalar(value.reshape(a.shape))
 
 
 def _from_t0(rate, t, quad_tol: float, limit: int = 200):
@@ -156,6 +254,41 @@ def _from_t0(rate, t, quad_tol: float, limit: int = 200):
         return quad_batch(lambda u, _: rate(e := _libm(math.exp, u)) * e, lo, hi, quad_tol, limit)
     except QuadratureFailure as exc:
         raise QuadratureFailure(f"{exc} at t={np.ravel(t)[exc.interval]:g}", exc.interval) from exc
+
+
+def c_of_t_general(field: StefanField, t, quad_tol: float = 1e-10):
+    """C(t) = integral_0^t [L(tau) - Tm(tau)] * dS/dtau dtau by adaptive quadrature.
+
+    Reads the field's latent_heat, melt_temperature and front_speed.
+    Integrated in u = sqrt(tau/t), where dtau = 2*t*u du: a front speed that
+    blows up like tau^(-1/2), as for sqrt(t) fronts, becomes smooth in u.
+    ``t`` may be an array, whose times form one batch; at t = 0 the interval is empty.
+    """
+    t = _check_time(t)
+
+    def integrand(u, k):
+        t_k = t.flat[k]
+        tau = t_k * u * u
+        rate = field.latent_heat(tau) - field.melt_temperature(tau)
+        return rate * field.front_speed(tau) * (2.0 * t_k * u)
+
+    return quad_batch(integrand, 0.0, np.where(t == 0, 0.0, 1.0), quad_tol)
+
+
+def theta_quadrature(y, t, field: StefanField, quad_tol: float = 1e-10):
+    """Theta(y,t) = C(t) - integral_{S(t)}^{y} T(u,t) du, both by quadrature.
+
+    ``y`` and ``t`` may be arrays that broadcast together: C is integrated
+    once per element of ``t``, and the integrals of the field's temperature
+    over every [S(t), y] form one batch.  Serves as the independent oracle
+    for :meth:`PsiField.theta`.
+    """
+    t = _check_time(t, positive=True)
+    c_val = c_of_t_general(field, t, quad_tol)
+    t_of = np.broadcast_to(t, np.broadcast_shapes(t.shape, np.shape(y))).ravel()
+    return c_val - quad_batch(
+        lambda u, k: field.temperature(u, t_of[k]), field.free_boundary(t), y, quad_tol
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -355,9 +488,25 @@ def boundary_consistency_residual(field: StefanField):
     return _reduce("boundary-consistency", columns, 1e-10)
 
 
+def s_from_psi(field: PsiField, t):
+    """Recover S(t) as the directed integral of Psi over [X0*(t), X1*(t)].
+
+    The directed integral is orientation-agnostic: when x* decreases in y
+    the boundary order and the sign of Psi flip together.  ``t`` may be an
+    array, whose times form one batch.
+    """
+    x0v, x1v, s = field._orientation(t)
+
+    def integrand(sigma, k):
+        t_k, x0_k, x1_k, s_k = (np.ravel(v)[k] for v in (t, x0v, x1v, s))
+        return field.psi_parametric(field._invert_array(sigma, t_k, x0_k, x1_k, s_k), t_k)
+
+    return quad_batch(integrand, x0v, x1v, QUAD_TOL)
+
+
 def s_recovery_residual(field: PsiField):
     """|s_from_psi(t) - S(t)| / sqrt(t): the inverse-direction front recovery."""
-    error = field.s_from_psi(_TIMES) - field.stefan.free_boundary(_TIMES)
+    error = s_from_psi(field, _TIMES) - field.stefan.free_boundary(_TIMES)
     return _reduce("front-recovery", {"S": error / np.sqrt(_TIMES)}, 1e-7)
 
 

@@ -1,10 +1,13 @@
-"""The option count that ROADMAP.md tracks and the package's exports, pinned
-so that a new option or a changed export is a deliberate change.
+"""The option count and the line count that ROADMAP.md tracks and the
+package's exports, pinned so that a new option, growth of ``src/`` or a
+changed export is a deliberate change.
 
 An option is a keyword parameter with a default of a public function or
 method of ``roots``, ``similarity``, ``transform``, ``verify`` or ``oracle``, or a field
 of ``GridSpec`` or ``OracleConfig``.  When an option is added or removed,
-update ``OPTION_COUNT`` here and the count in ROADMAP.md together.  When an
+update ``OPTION_COUNT`` here and the count in ROADMAP.md together.  The
+lines of ``src/stefan_reciprocal/*.py`` may not exceed ``SRC_LINES``; when
+they must, raise it here and the figure in ROADMAP.md together.  When an
 export is added or removed, update ``EXPORTS`` and say so in README.md.
 """
 
@@ -23,6 +26,8 @@ from stefan_reciprocal.verify import GridSpec
 
 OPTION_COUNT = 18
 
+SRC_LINES = 2078
+
 EXPORTS = (
     "BoundaryCoefficients", "DomainError", "GammaRoot", "GridSpec", "InvalidParameters",
     "NonmonotoneFront", "NoSignChange", "NotMonotone", "OracleConfig", "OracleResult",
@@ -31,7 +36,7 @@ EXPORTS = (
     "burgers_bc_residuals", "burgers_residual", "c_of_t_general", "compare_to_closed_form",
     "compute_boundary_coefficients", "eval_F", "eval_G", "evolution_residual",
     "h_ratio_residual", "heat_residual", "physical_margin", "psi_bc_residuals",
-    "reciprocal_identity_residual", "run_verification_suite", "solve_gamma", "solve_gammas",
+    "reciprocal_identity_residual", "run_verification_suite", "solve_gamma",
     "solve_oracle", "stefan_bc_residuals", "theta_quadrature",
 )
 
@@ -72,6 +77,13 @@ def test_option_count():
     names = _options()
     assert len(names) == len(set(names))
     assert len(names) == OPTION_COUNT, names
+
+
+def test_src_line_count():
+    """``wc -l src/stefan_reciprocal/*.py`` totals at most SRC_LINES."""
+    package = Path(stefan_reciprocal.__file__).resolve().parent
+    lines = sum(path.read_bytes().count(b"\n") for path in package.glob("*.py"))
+    assert lines <= SRC_LINES
 
 
 def test_exports():

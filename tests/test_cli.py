@@ -87,10 +87,10 @@ class TestGamma:
             code, out, _ = run(capsys, *argv)
             (line,) = out.splitlines()
             assert code == 0 and json.loads(line, parse_constant=refuse)["residual"] is None
-        # q/l0 overflows: gamma, its bracket and the margin are not finite either
-        _, out, _ = run(capsys, "gamma", "--q", "1e300", "--l0", "1e-10", "--tm0", "0", "--json")
-        record = json.loads(out, parse_constant=refuse)
-        assert record["gamma"] is None and record["iterations"] == 0
+        # q/l0 overflows: refused before gamma, its bracket and the margin turn nan
+        code, out, err = run(capsys, "gamma", "--q", "1e300", "--l0", "1e-10", "--tm0", "0",
+                             "--json")
+        assert (code, out, err) == (1, "", "error: q/l0 must be finite, got q=1e+300, l0=1e-10\n")
 
     def test_tighter_tol(self, capsys):
         """The bracket is tighter than any root tolerance: adjacent doubles here."""
@@ -350,6 +350,9 @@ class TestSweep:
             (["--tm0", "-100"], 2,
              "G - F does not change sign on (1e-14, 1); "
              "no admissible gamma for q=1.0, l0=1.0, tm0=-100.0"),
+            # q/l0 overflows at the second cell, after one solved cell
+            (["--q-range", "1:1e300:2", "--l0", "1e-10", "--tm0", "0"], 1,
+             "q/l0 must be finite, got q=1e+300, l0=1e-10"),
         ],
     )
     def test_fails_at_first_failing_cell(self, capsys, argv, code, message):
@@ -605,9 +608,8 @@ def test_scipy_loads_only_for_oracle():
         *((["eval", "--field", field, "--n", "5", "--t-range", "1:2:2"], 0, ["forms"], False)
           for field in EVAL_FIELDS),
         (["verify", "--grid", "8,1"], 0, ["forms", "similarity", "transform", "verify"], True),
-        # oracle's comparison report comes from verify, which reads transform
         (["oracle", "--n-xi", "32", "--dt", "1e-3", "--t-end", "0.3"], 0,
-         ["forms", "oracle", "similarity", "transform", "verify"], True),
+         ["forms", "oracle", "similarity"], True),
     ],
     # psi keeps the id "eval" it had when it stood for the fields read through a PsiField
     ids=["import", "gamma", "sweep", "usage-error",
@@ -640,6 +642,24 @@ def test_command_loads_only_its_layers(argv, code, modules, numpy):
     assert loaded == sorted(["stefan_reciprocal", *(f"stefan_reciprocal.{m}" for m in names)])
     assert numpy_loaded is numpy
     assert stdlib == (["dataclasses", "inspect"] if numpy else [])
+
+
+def test_oracle_module_loads_neither_verify_nor_transform():
+    """In a fresh interpreter, ``import stefan_reciprocal.oracle`` loads the
+    layers the march and its comparison read, and not the identity checks or
+    the reciprocal map."""
+    script = (
+        "import json, sys\n"
+        "import stefan_reciprocal.oracle\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('stefan_reciprocal'))))\n"
+    )
+    src = str(Path(stefan_reciprocal.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, check=True)
+    loaded = json.loads(res.stdout.splitlines()[-1])
+    assert loaded == ["stefan_reciprocal", *(f"stefan_reciprocal.{m}" for m in
+                      ("errors", "forms", "oracle", "roots", "similarity"))]
 
 
 def test_gamma_and_sweep_run_without_numpy(capsys):

@@ -34,9 +34,9 @@ class TestClosedFormSeed:
     def test_temperature_error(self, closed_seed_run, baseline_field):
         _, result = closed_seed_run
         report = compare_to_closed_form(result, baseline_field)
-        assert report.passed and report.details["T_max"] <= 5e-4
-        assert report.details["T_max"] <= 1e-4  # measured 2.3e-5
-        assert report.details["front_max"] <= 1e-4
+        assert report.passed and report.T_max <= 5e-4
+        assert report.T_max <= 1e-4  # measured 2.3e-5
+        assert report.front_max <= 1e-4
 
     def test_seeded_snapshot_is_exact(self, closed_seed_run, baseline_field):
         _, result = closed_seed_run

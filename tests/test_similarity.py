@@ -275,7 +275,6 @@ class TestSolveGamma:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             root = sr.solve_gamma(params)
-            assert sr.solve_gammas([params]) == [root]
         assert root.gamma.hex() == "0x1.8fccc98584fe6p+6"
         assert root.residual == math.inf  # F overflows to -inf at gamma
 
@@ -394,16 +393,17 @@ def _tol_bracket(p, tol):
 
 
 class TestSolveGammas:
-    """solve_gammas gives every cell the bits of solve_gamma alone."""
+    """solve_gamma called cell by cell, as sweep calls it, over a grid of cells."""
 
     @pytest.mark.parametrize("tol", [1e-12, 1e-6, 1e-300])
     def test_matches_scalar_solve_bit_for_bit(self, tol):
-        """Batch equals scalar, and each bracket nests in the one where a
-        bisection that stops once width and residual are <= tol would stop."""
+        """A second solve of each cell has the bits of the first, and each
+        bracket nests in the one where a bisection that stops once width and
+        residual are <= tol would stop."""
         # q/l0 up to 200 and tm0 < 0
         solved = _admissible(GRID)
         assert len(solved) > 100
-        roots = sr.solve_gammas([p for p, _ in solved])
+        roots = [sr.solve_gamma(p) for p, _ in solved]
         assert [_root_bits(r) for r in roots] == [_root_bits(r) for _, r in solved]
         _assert_at_rounding(roots)
         assert sum(r.residual > 0.0 for r in roots) > len(roots) / 2
@@ -445,7 +445,7 @@ class TestSolveGammas:
         cells = [(q, l0, tm0 * l0) for q, l0, tm0 in scaled]
         solved = _admissible(cells)
         if solved:
-            roots = sr.solve_gammas([p for p, _ in solved])
+            roots = [sr.solve_gamma(p) for p, _ in solved]
             assert [_root_bits(r) for r in roots] == [_root_bits(r) for _, r in solved]
             _assert_at_rounding(roots)
 
@@ -454,15 +454,16 @@ class TestSolveGammas:
         bad = [sr.PhysicalParams(q=q, l0=1.0, tm0=-100.0) for q in (0.5, 2.0)]
         with pytest.raises(sr.NoSignChange) as scalar:
             sr.solve_gamma(bad[0])
-        with pytest.raises(sr.NoSignChange) as batch:
-            sr.solve_gammas([good, *bad])
-        assert str(batch.value) == str(scalar.value)
+        with pytest.raises(sr.NoSignChange) as cells:
+            for params in (good, *bad):
+                sr.solve_gamma(params)
+        assert str(cells.value) == str(scalar.value)
 
     @pytest.mark.parametrize("tol", [1e-12, 0.0, -1.0, math.nan, math.inf])
     def test_invalid_tol(self, baseline_params, tol):
         """There is no root tolerance to pass, valid or not."""
         with pytest.raises(TypeError):
-            sr.solve_gammas([baseline_params], tol)
+            sr.solve_gamma(baseline_params, tol)
 
 
 INVALID_PARAMS = [

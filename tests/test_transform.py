@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 import stefan_reciprocal as sr
 from stefan_reciprocal import transform
-from stefan_reciprocal.transform import quad_batch
-from stefan_reciprocal.verify import T_SAMPLES
+from stefan_reciprocal.verify import T_SAMPLES, quad_batch, s_from_psi
 
 # frozen from a 50-digit evaluation at the baseline parameters
 C0_BASELINE = 1.1906543169306761504
@@ -475,12 +474,12 @@ class TestOrientation:
         pf = sr.PsiField(baseline_field)
         for t in (0.25, 1.0, 4.0):
             pf.invert_x_star(0.5 * (pf.x0(t) + pf.x1(t)), t)
-            pf.s_from_psi(t)
+            s_from_psi(pf, t)
         ts = np.array([0.5, 2.0])
         pf.invert_x_star(pf.x_star(0.3 * pf.stefan.free_boundary(ts), ts), ts)
         assert decisions == [pf]
         other = sr.PsiField(baseline_field)
-        other.s_from_psi(1.0)
+        s_from_psi(other, 1.0)
         assert decisions == [pf, other]
 
     def test_undecided_cell_is_refused(self, monkeypatch):
@@ -770,14 +769,14 @@ class TestHFunction:
 class TestFrontRecovery:
     def test_matches_closed_front(self, baseline_psi, baseline_field):
         g = baseline_field.gamma.gamma
-        s1 = baseline_psi.s_from_psi(1.0)
+        s1 = s_from_psi(baseline_psi, 1.0)
         assert abs(s1 - 2.0 * g) <= 1e-7
-        s4 = baseline_psi.s_from_psi(4.0)
+        s4 = s_from_psi(baseline_psi, 4.0)
         assert abs(s4 - 2.0 * s1) <= 1e-7 * 2.0
 
     def test_reversed_orientation(self, zero_tm0_psi, zero_tm0_field):
         for t in (0.25, 1.0):
-            rec = zero_tm0_psi.s_from_psi(t)
+            rec = s_from_psi(zero_tm0_psi, t)
             assert abs(rec - zero_tm0_field.free_boundary(t)) <= 1e-7 * math.sqrt(t)
 
     def test_boundaries_distinct(self, baseline_psi, zero_tm0_psi):
