@@ -3,14 +3,15 @@
 :class:`ClosedForms` takes sqrt, exp and erf as fields, libm's by default:
 `eval` evaluates it on floats, and ``StefanField.forms`` on arrays and jets
 (numpy's sqrt, libm's exp and erf per element), in the same operations and
-order, so all three get the same bits.  Nothing is checked here; on floats a
+order, so all three get the same bits.  No domain is checked here; on floats a
 division by an exact zero raises ZeroDivisionError where numpy gives inf or nan.
 """
 
 import math
 from collections import namedtuple
 
-from .roots import SQRT_PI
+from .errors import NotMonotone
+from .roots import SQRT_PI, _bisect
 
 
 def amplitude(params, gamma):
@@ -77,6 +78,33 @@ class ClosedForms(namedtuple("ClosedForms", "params gamma amplitude sqrt exp erf
         """Psi = delta*Theta^2/(T_y*Theta + T^2) of the parts (T, T_y, Theta)."""
         temp, grad, theta = parts
         return self.params.delta * theta * theta / (grad * theta + temp * temp)
+
+    def monotone_sign(self):
+        """+1.0 if D = T_y*Theta + T^2 > 0 on [0, S(1)] at t = 1, -1.0 if D < 0: min D
+        and max D by :mod:`.transform`'s lemma, the minimum sought only if D(S) >= -margin.
+        NotMonotone where they differ in sign, or (undecided) where the one that
+        decides is within margin of 0, which bounds the rounding of D."""
+        p, g, a = self.params, self.gamma, self.amplitude
+        size_t, size_ty = a * (2.0 + 2.0 * SQRT_PI * g) + 2.0 * p.q * g, a * SQRT_PI + p.q
+        size_theta = (g * (p.l0 + abs(p.tm0)) + 4.0 * p.q * g * g
+                      + 2.0 * a * (SQRT_PI * (1.0 + 2.0 * g * g) + 2.0 * g))
+        margin = 64.0 * math.ulp(1.0) * (size_ty * size_theta + size_t * size_t)
+
+        def slope(y):  # D_y = T_yy*Theta + T*T_y at t = 1, where T_yy = A*exp(-y^2/4)
+            temp, grad, theta = self.parts(y, 1.0)
+            return a * self.exp(-0.25 * y * y) * theta + temp * grad
+        front, low = self.front(1.0), p.tm0 * p.tm0 - p.l0 * g * g * (p.l0 - p.tm0)
+        high = max(4.0 * a * a - p.q * p.q, low)
+        if low >= -margin and (rise := slope(front)) > 0.0:
+            temp, grad, theta = self.parts(_bisect(slope, 0.0, front, -a * p.q, rise)[0], 1.0)
+            low = grad * theta + temp * temp
+        if low > margin or high < -margin:
+            return 1.0 if low > margin else -1.0
+        if low < -margin < margin < high:
+            raise NotMonotone("D = T_y*Theta + T^2 changes sign: "
+                              "x*(., t) is not monotone on [0, S(t)], for every t")
+        raise NotMonotone("D = T_y*Theta + T^2 stays undecided near 0: "
+                          "x*(., t) is not certified monotone on [0, S(t)]")
 
     def x1(self, t):
         """X1*(t) = Tm(t)/(delta*C(t))."""

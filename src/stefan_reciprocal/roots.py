@@ -30,7 +30,11 @@ def _check_reals(obj, names):
         value = getattr(obj, name)
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise InvalidParameters(f"{name} must be a real number, got {value!r}")
-        if not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int or a Fraction beyond the float range
+            finite = False
+        if not finite:
             raise InvalidParameters(f"{name} must be finite, got {value}")
 
 
@@ -111,11 +115,8 @@ def solve_gamma(params: PhysicalParams) -> GammaRoot:
 
     The bracket endpoints start at eps and q/l0 - eps with
     eps = 1e-14*q/l0, so the function is never evaluated outside the open
-    interval.  Bisection halves the bracket until its midpoint is no longer
-    strictly inside it, which leaves bracket_lo and bracket_hi adjacent
-    doubles and gamma the one of them that the midpoint rounds to; where
-    G - F is exactly 0 at an end or a midpoint, the bracket closes on that
-    point and the residual is 0.  The result is deterministic for fixed inputs.
+    interval.  :func:`_bisect` leaves bracket_lo and bracket_hi adjacent
+    doubles, or closes them on an exact zero of G - F, where the residual is 0.
 
     Raises NoSignChange when G - F is single-signed on the bracket, which
     signals inadmissible data (e.g. strongly negative tm0).
@@ -123,21 +124,28 @@ def solve_gamma(params: PhysicalParams) -> GammaRoot:
     upper = float(params.q) / float(params.l0)
     eps = 1e-14 * upper
     lo, hi = eps, upper - eps
-    f_lo = eval_G(lo, params) - eval_F(lo, params)
-    f_hi = eval_G(hi, params) - eval_F(hi, params)
+
+    def gap(x):
+        return eval_G(x, params) - eval_F(x, params)
+    f_lo, f_hi = gap(lo), gap(hi)
     if _same_sign(f_lo, f_hi):
         raise NoSignChange(
             f"G - F does not change sign on ({lo:.3g}, {hi:.3g}); "
             f"no admissible gamma for q={params.q}, l0={params.l0}, tm0={params.tm0}"
         )
-    # a zero at an end closes the bracket on that end
+    return GammaRoot(*_bisect(gap, lo, hi, f_lo, f_hi))
+
+
+def _bisect(f, lo, hi, f_lo, f_hi):
+    """Halve [lo, hi], where f changes sign, to adjacent doubles or an exact zero of f:
+    (x, |f(x)|, lo, hi, iterations), x the end that the last midpoint rounds to."""
     if f_lo == 0.0:
         hi, f_hi = lo, f_lo
     elif f_hi == 0.0:
         lo = hi
     iterations = 0
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        f_mid = eval_G(mid, params) - eval_F(mid, params)
+        f_mid = f(mid)
         iterations += 1
         if f_mid == 0.0:
             lo = hi = mid
@@ -146,7 +154,7 @@ def solve_gamma(params: PhysicalParams) -> GammaRoot:
             lo, f_lo = mid, f_mid
         else:
             hi, f_hi = mid, f_mid
-    return GammaRoot(mid, float(abs(f_hi if mid == hi else f_lo)), lo, hi, iterations)
+    return mid, float(abs(f_hi if mid == hi else f_lo)), lo, hi, iterations
 
 
 def physical_margin(params: PhysicalParams, gamma: float) -> float:

@@ -22,31 +22,34 @@ Theta/t has second derivative -4*T_y > 0, as T_y runs from -q to -l0*gamma,
 and A = (tm0/2 + l0*gamma^2)*exp(gamma^2) > 0 makes T convex and decreasing
 in y.  If tm0 >= 0, T >= Tm >= 0 gives Theta >= C(t).  If tm0 < 0, T above
 its tangent at S gives Theta >= t*(gamma*(l0 - tm0) - tm0^2/(2*l0*gamma)),
-and A > 0 gives |tm0| < 2*l0*gamma^2.  So Theta >= C(t)*l0/(l0 + max(0,
--tm0)) > 0, and Psi is IEEE +-inf only where D = T_y*Theta + T^2 is exactly
-0.  D = t*d(eta) has the sign of dx*/dy, so whether x* is monotone on
-[0, S(t)] does not depend on t: the first inversion decides it once per
-field (:attr:`PsiField.monotone_sign`).  The quadrature oracles for the
-closed forms and the front recovery S(t) = integral Psi dx* live in
-:mod:`.verify`, which alone reads them.
+and A > 0 gives |tm0| < 2*l0*gamma^2.  So Theta >= C(t)*l0/(l0 + max(0, -tm0))
+> 0, and Psi is IEEE +-inf only where D = T_y*Theta + T^2 is exactly 0.
+
+D = t*d(eta) has the sign of dx*/dy, so x* is monotone on [0, S(t)] for
+every t or for none; :attr:`PsiField.monotone_sign` decides at t = 1.  Lemma:
+D has at most one critical point on [0, S(t)], a minimum, and D_y(0, t) =
+A*q*sqrt(t) - 2*A*q*sqrt(t) < 0, as T_yy = A*exp(-eta^2)/sqrt(t).  Proof:
+Theta_y = -T gives D_y = T_yy*Theta + T*T_y and D_yy = T_yyy*Theta + T_y^2,
+and T_yyy = -eta*T_yy/sqrt(t), so where D_y = 0, D_yy = T_y*g with
+g = T_y + eta*T/sqrt(t).  At t = 1, g = -h, with k = -T_y > 0 and
+h = (1 + 2*eta^2)*k - 2*A*eta*exp(-eta^2): h'' = 4*k > 0, h = k where h' = 0,
+h(0) = q and h(gamma) = gamma*(l0 - tm0), so h > 0 and D_yy = k*h > 0 at every
+critical point; two strict minima would enclose a maximum.  So max D is the
+larger of D(0, 1) = 4*A^2 - q^2 and D(S, 1) = tm0^2 - l0*gamma^2*(l0 - tm0),
+and min D is D(S, 1) if D_y(S, 1) <= 0, else D at the one zero of D_y.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidParameters, NotMonotone, OutOfRange
-from .forms import amplitude
-from .roots import SQRT_PI, GammaRoot, PhysicalParams
-from .similarity import StefanField, _check_time, _floats, _libm, _scalar
-
-#: Initial and most open cells of the monotonicity certificate on [0, S(1)].
-MONOTONE_CELLS = 32
-MONOTONE_MAX_CELLS = 4096
+from .errors import InvalidParameters, OutOfRange
+from .forms import ClosedForms, amplitude
+from .roots import GammaRoot, PhysicalParams
+from .similarity import StefanField, _check_time, _floats, _scalar
 
 #: An inverted point is accepted within this fraction of |X1*(t) - X0*(t)| of its target.
 INVERT_RTOL = 1e-13
@@ -81,12 +84,11 @@ class PsiField:
 
     ``PsiField(field)`` exposes C and Theta in closed form, the map
     (y,t) -> (x*, Psi), its inversion, the free boundaries and H(t).
-    x*, dx*/dy, Psi and Theta read
-    :meth:`_parts`, which raises DomainError for t <= 0 or y outside
-    [0, S(t)]; Theta > 0 there (module docstring), so no evaluation checks
-    it.  The first inversion raises NotMonotone (:attr:`monotone_sign`); the
-    forward map does not.  A test fake subclasses PsiField, overrides
-    ``_parts`` and ``c``, and passes an object with the field's method names.
+    x*, dx*/dy, Psi and Theta read :meth:`_parts`, which raises DomainError
+    for t <= 0 or y outside [0, S(t)].  The first inversion raises
+    NotMonotone (:attr:`monotone_sign`); the forward map does not.  A test
+    fake subclasses PsiField, overrides ``_parts`` and ``c``, and passes an
+    object with the field's method names.
     """
 
     def __init__(self, field: StefanField):
@@ -138,48 +140,10 @@ class PsiField:
 
     @cached_property
     def monotone_sign(self) -> float:
-        """+1.0 if x* increases in y on [0, S(t)] for every t, -1.0 if it decreases.
-
-        dx*/dy = D/(delta*Theta^2) and D = t*d(eta), so a certificate that D
-        keeps one sign on y in [0, 2*gamma] at t = 1 holds for every t.  On a
-        cell [a, b], T_yy = A*exp(-y^2/4) > 0 falls, T and T_y are monotone
-        and Theta > 0 is convex, so |D_y| = |T_yy*Theta + T*T_y| <= lip =
-        A*exp(-a^2/4)*max Theta + max|T|*max|T_y|, maxima over the two ends,
-        and D has no zero there if |D(a)| + |D(b)| > lip*(b - a) + 2*margin.
-        margin, 64*eps times the size of D's terms, bounds the rounding of D
-        and, as no cell is wider than 2*gamma/MONOTONE_CELLS, of lip*(b - a).
-        Open cells are halved.  Raises NotMonotone where a computed D changes
-        sign, and where a cell stays undecided: halved to rounding, or one of
-        more than MONOTONE_MAX_CELLS open.
-        """
-        p, g, a = self.stefan.params, self.stefan.gamma.gamma, self.stefan.amplitude
-        size_t, size_ty = a * (2.0 + 2.0 * SQRT_PI * g) + 2.0 * p.q * g, a * SQRT_PI + p.q
-        size_theta = (g * (p.l0 + abs(p.tm0)) + 4.0 * p.q * g * g
-                      + 2.0 * a * (SQRT_PI * (1.0 + 2.0 * g * g) + 2.0 * g))
-        margin = 64.0 * _EPS * (size_ty * size_theta + size_t * size_t)
-
-        def at(y):
-            """(y, |T|, |T_y|, Theta, D) at t = 1, one row per point."""
-            temp, grad, theta = self._parts(y, 1.0)
-            return np.stack((y, np.abs(temp), np.abs(grad), theta, grad * theta + temp * temp))
-
-        new = at(np.linspace(0.0, 2.0 * g, MONOTONE_CELLS + 1))
-        sign, left, right = np.sign(new[4, 0]), new[:, :-1], new[:, 1:]
-        while np.all(np.sign(new[4]) == sign):
-            lip = (a * _libm(math.exp, -0.25 * left[0] ** 2) * np.maximum(left[3], right[3])
-                   + np.maximum(left[1], right[1]) * np.maximum(left[2], right[2]))
-            open_ = np.abs(left[4]) + np.abs(right[4]) <= lip * (right[0] - left[0]) + 2.0 * margin
-            if not open_.any():
-                return float(sign)
-            left, right = left[:, open_], right[:, open_]
-            mid = 0.5 * (left[0] + right[0])
-            if mid.size > MONOTONE_MAX_CELLS or np.any((mid <= left[0]) | (mid >= right[0])):
-                raise NotMonotone("D = T_y*Theta + T^2 stays undecided near 0: "
-                                  "x*(., t) is not certified monotone on [0, S(t)]")
-            new = at(mid)
-            left, right = np.hstack((left, new)), np.hstack((new, right))
-        raise NotMonotone("D = T_y*Theta + T^2 changes sign: "
-                          "x*(., t) is not monotone on [0, S(t)], for every t")
+        """+1.0 if x* increases in y on [0, S(t)] for every t, -1.0 if it decreases:
+        the sign of D at t = 1 (module docstring) by :meth:`.ClosedForms.monotone_sign`."""
+        f = self.stefan
+        return ClosedForms(f.params, f.gamma.gamma, f.amplitude).monotone_sign()
 
     def _orientation(self, t):
         """(x*(0, t), x*(S(t), t), S(t)), shaped like t."""

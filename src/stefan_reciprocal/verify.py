@@ -52,7 +52,6 @@ T0 = 1e-8
 QUAD_TOL = 1e-10
 
 
-
 @dataclass(frozen=True)
 class GridSpec:
     """Interior verification grid.

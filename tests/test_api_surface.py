@@ -26,7 +26,7 @@ from stefan_reciprocal.verify import GridSpec
 
 OPTION_COUNT = 18
 
-SRC_LINES = 2078
+SRC_LINES = 2077
 
 EXPORTS = (
     "BoundaryCoefficients", "DomainError", "GammaRoot", "GridSpec", "InvalidParameters",

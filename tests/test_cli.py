@@ -400,6 +400,15 @@ class TestConfigPrecedence:
         code, out, err = run(capsys, "gamma", "--config", str(cfg))
         assert (code, out, err) == (1, "", "error: unknown config keys: ['tol']\n")
 
+    @pytest.mark.parametrize("command", ["gamma", "eval", "verify", "oracle", "sweep"])
+    def test_int_beyond_float_range_refused(self, capsys, tmp_path, command):
+        """A JSON int of 400 digits is refused as not finite, not with a traceback."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"q": 1' + "0" * 400 + "}")
+        argv = ["--field", "T"] if command == "eval" else []
+        code, out, err = run(capsys, command, "--config", str(cfg), *argv)
+        assert (code, out, err) == (1, "", "error: q must be finite, got 1" + "0" * 400 + "\n")
+
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, _ = run(capsys, "gamma", "--config", str(tmp_path / "nope.json"))
         assert code == 2

@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import mpmath as mp
@@ -9,6 +14,8 @@ from hypothesis import strategies as st
 
 import stefan_reciprocal as sr
 from stefan_reciprocal import transform
+from stefan_reciprocal.forms import ClosedForms
+from stefan_reciprocal.roots import SQRT_PI
 from stefan_reciprocal.verify import T_SAMPLES, quad_batch, s_from_psi
 
 # frozen from a 50-digit evaluation at the baseline parameters
@@ -482,14 +489,12 @@ class TestOrientation:
         s_from_psi(other, 1.0)
         assert decisions == [pf, other]
 
-    def test_undecided_cell_is_refused(self, monkeypatch):
-        """At (100, 0.99) one cell stays open after the first pass; with no
-        room for open cells the field is refused as undecided, not sampled."""
-        params = sr.PhysicalParams(q=100.0, l0=1.0, tm0=0.99)
-        assert sr.PsiField(sr.StefanField.from_params(params)).monotone_sign == 1.0
-        monkeypatch.setattr(transform, "MONOTONE_MAX_CELLS", 0)
+    def test_undecided_where_d_is_zero_at_the_face(self):
+        """4*A^2 = q^2 makes D(0) = 4*A^2 - q^2 exactly 0, and D < 0 beyond it:
+        the float decision refuses the record as undecided, not as a sign change."""
+        forms = ClosedForms(sr.PhysicalParams(q=2.0, l0=1.0, tm0=0.0), gamma=0.5, amplitude=1.0)
         with pytest.raises(sr.NotMonotone, match="undecided"):
-            sr.PsiField(sr.StefanField.from_params(params)).monotone_sign
+            forms.monotone_sign()
 
     @staticmethod
     def _d_sign(pf, t, n=20_001):
@@ -542,6 +547,88 @@ class TestOrientation:
         assert self._d_sign(pf, 1.0) is None
         with pytest.raises(sr.NotMonotone, match="changes sign"):
             pf.monotone_sign
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(admissible_params())
+    def test_lemma_d_has_one_minimum(self, params):
+        """The lemma of transform's docstring at 2,001 points of [0, S(1)]: h > 0,
+        so g = T_y + eta*T < 0; D_y(0, 1) = -A*q; and D_y changes sign at most
+        once, from - to +.  The allowance, 64*eps times the size of the terms,
+        bounds the rounding of h, g and D_y."""
+        from stefan_reciprocal.similarity import _Jet
+
+        pf = _psi_or_reject(*params)
+        a, q = pf.stefan.amplitude, params[0]
+        y = np.linspace(0.0, pf.stefan.free_boundary(1.0), 2001)
+        eta, gauss = 0.5 * y, np.exp(-0.25 * y * y)
+        temp, grad, theta = pf._parts(_Jet.in_y(y), 1.0)
+        g = grad.v + eta * temp.v
+        h = (1.0 + 2.0 * eta * eta) * -grad.v - 2.0 * a * eta * gauss
+        size = (q + a * SQRT_PI) * (1.0 + 2.0 * eta * eta) + 2.0 * a * eta
+        eps = np.finfo(float).eps
+        allowance = 64.0 * eps * size
+        assert np.all(h > -allowance) and np.all(g < allowance), params
+        assert np.all(np.abs(g + h) <= allowance), params
+        # D_y's terms are bounded by A*|Theta| + |T|*|T_y|, each factor by the sum
+        # of its closed form's terms on [0, S(1)], which cancel near the face
+        l0, tm0, gam = params[1], params[2], pf.stefan.gamma.gamma
+        size_t, size_ty = a * (2.0 + 2.0 * SQRT_PI * gam) + 2.0 * q * gam, a * SQRT_PI + q
+        size_theta = (gam * (l0 + abs(tm0)) + 4.0 * q * gam * gam
+                      + 2.0 * a * (SQRT_PI * (1.0 + 2.0 * gam * gam) + 2.0 * gam))
+        d_allowance = 64.0 * eps * (a * size_theta + size_t * size_ty)
+        d_y = (grad * theta + temp * temp).y
+        assert abs(d_y[0] + a * q) <= d_allowance, params
+        signs = np.sign(d_y[np.abs(d_y) > d_allowance])
+        assert signs[0] == -1.0 and np.count_nonzero(np.diff(signs)) <= 1, params
+
+    @pytest.mark.parametrize("q, tm0", [(9.98, -2.842), (10.0, -2.85), (10.02, -2.86)])
+    def test_two_crossings_are_refused(self, q, tm0):
+        """D > 0 at both ends and < 0 at its interior minimum: at 40 digits the
+        sign of Psi = delta*Theta^2/D, which is the sign of D, says so."""
+        pf = sr.PsiField(sr.StefanField.from_params(sr.PhysicalParams(q=q, l0=1.0, tm0=tm0)))
+        s = pf.stefan.free_boundary(1.0)
+        y = np.linspace(0.0, s, 2001)
+        temp, grad, theta = pf._parts(y, 1.0)
+        y_min = float(y[np.argmin(grad * theta + temp * temp)])
+        with mp.workdps(40):
+            psi = TestJets._closed_forms(pf.stefan, mp.mpf(1))[2]
+            assert psi(mp.mpf(0), 1) > 0 and psi(2 * mp.mpf(pf.stefan.gamma.gamma), 1) > 0
+            assert psi(mp.mpf(y_min), 1) < 0 and 0.0 < y_min < s
+        with pytest.raises(sr.NotMonotone, match="changes sign"):
+            pf.monotone_sign
+
+    def test_float_decision_without_numpy(self):
+        """ClosedForms.monotone_sign on libm floats, with numpy unimportable,
+        gives PsiField.monotone_sign's verdict: increasing, decreasing, and
+        refused with one and with two crossings."""
+        points = [(1.0, 1.0, 0.5), (1.0, 1.0, 0.0), (1.0, 1.0, 0.22), (9.98, 1.0, -2.842)]
+        script = (
+            "import json, sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from stefan_reciprocal.errors import NotMonotone\n"
+            "from stefan_reciprocal.forms import ClosedForms, amplitude\n"
+            "from stefan_reciprocal.roots import PhysicalParams, solve_gamma\n"
+            "def verdict(p):\n"
+            "    g = solve_gamma(p).gamma\n"
+            "    try:\n"
+            "        return ClosedForms(p, g, amplitude(p, g)).monotone_sign()\n"
+            "    except NotMonotone as exc:\n"
+            "        return str(exc)\n"
+            "print(json.dumps([verdict(PhysicalParams(*v)) for v in json.loads(sys.argv[1])]))\n"
+        )
+        src = str(Path(sr.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        res = subprocess.run([sys.executable, "-c", script, json.dumps(points)],
+                             capture_output=True, text=True, env=env, check=True)
+        expected = []
+        for point in points:
+            try:
+                expected.append(sr.PsiField(sr.StefanField.from_params(sr.PhysicalParams(*point)))
+                                .monotone_sign)
+            except sr.NotMonotone as exc:
+                expected.append(str(exc))
+        assert json.loads(res.stdout) == expected
+        assert expected[:2] == [1.0, -1.0] and all("changes sign" in v for v in expected[2:])
 
 
 class TestCore:
