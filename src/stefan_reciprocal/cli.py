@@ -12,16 +12,16 @@ Exit codes: 0 success (and all identities passing for `verify`);
 1 invalid input (parameter invariants, parameters whose x* is not monotone
 in y, malformed flags);
 2 numerical failure (no sign change, quadrature failure, instability, an eval
-table with a value that is not finite).
+table with a value that is not finite) or a --config file that cannot be read.
 
 Output is deterministic: floats are printed with 17 significant digits and
 sweep cells are written in parameter order.
 
 A subcommand imports the layers it uses when it runs.  gamma and sweep need
-only roots, whose records are namedtuples, so they load neither numpy nor
-dataclasses and inspect; eval adds forms, whose closed forms it evaluates on
-floats, so it loads neither numpy nor similarity and transform; verify adds
-those two and verify, and oracle adds similarity and oracle.
+only roots, so they load neither numpy nor inspect; eval adds forms, whose
+closed forms it evaluates on floats, so it loads neither numpy nor similarity
+and transform; verify adds those two and verify, and oracle adds similarity
+and oracle.
 """
 
 from __future__ import annotations
@@ -166,8 +166,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _merge_config(args) -> dict:
     merged = dict(DEFAULTS)
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                loaded = json.load(fh)
+        except ValueError as exc:  # not UTF-8, not JSON, or an int past Python's digit limit
+            raise StefanError(str(exc)) from exc
         if not isinstance(loaded, dict):
             raise InvalidParameters("config file must hold a JSON object")
         unknown = set(loaded) - set(DEFAULTS)
@@ -355,7 +358,7 @@ def main(argv=None) -> int:
     except (InvalidParameters, NotMonotone) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (StefanError, OSError, json.JSONDecodeError) as exc:
+    except (StefanError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -34,12 +34,11 @@ import os
 import sys
 import warnings
 from collections import namedtuple
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParameters, NonmonotoneFront, StabilityViolation, StefanError
-from .roots import _check_ints, _check_reals
+from .roots import _check_ints, _check_reals, _Checked
 from .similarity import StefanField
 
 SEED_MODES = ("closed_form", "linear_profile")
@@ -54,46 +53,41 @@ N_SNAPSHOTS = 11
 BLOCK = 64
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    n_xi: int = 256  # spatial intervals on the fixed domain
-    t0: float = 0.1
-    t_end: float = 1.0
-    dt: float = 2e-4  # requested step; shrunk to divide t_end - t0 exactly
-    seed_mode: str = "closed_form"
-    s0: float = 0.05  # initial front for linear_profile seeding
+class OracleConfig(_Checked, namedtuple("OracleConfig", "n_xi t0 t_end dt seed_mode s0")):
+    """A march: n_xi spatial intervals on the fixed domain, from t0 to t_end in steps of
+    about dt (shrunk to divide t_end - t0 exactly), seeded by seed_mode, where
+    linear_profile seeding starts the front at s0."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, n_xi=256, t0=0.1, t_end=1.0, dt=2e-4, seed_mode="closed_form", s0=0.05):
+        self = super().__new__(cls, n_xi, t0, t_end, dt, seed_mode, s0)
         _check_reals(self, ("t0", "t_end", "dt", "s0"))
         _check_ints(self, ("n_xi",))
-        if self.n_xi < 32:
+        if n_xi < 32:
             raise InvalidParameters("n_xi must be >= 32")
-        if not (self.t0 > 0 and self.t_end > self.t0):
+        if not (t0 > 0 and t_end > t0):
             raise InvalidParameters("need 0 < t0 < t_end")
-        if not self.dt > 0:
+        if not dt > 0:
             raise InvalidParameters("dt must be > 0")
-        steps = (self.t_end - self.t0) / self.dt
+        steps = (t_end - t0) / dt
         if steps > MAX_STEPS:
             raise InvalidParameters(
                 f"(t_end - t0)/dt = {steps:.6g} steps exceeds MAX_STEPS = {MAX_STEPS}"
             )
-        if self.seed_mode not in SEED_MODES:
+        if seed_mode not in SEED_MODES:
             raise InvalidParameters(f"seed_mode must be one of {SEED_MODES}")
-        if self.seed_mode == "linear_profile" and not self.s0 > 0:
+        if seed_mode == "linear_profile" and not s0 > 0:
             raise InvalidParameters("s0 must be > 0 for linear_profile seeding")
+        return self
 
 
-@dataclass
-class OracleResult:
-    config: OracleConfig
-    xi: np.ndarray
-    times: np.ndarray  # snapshot times
-    fronts: np.ndarray  # S_num at snapshot times
-    snapshots: np.ndarray  # u at each snapshot time, shape (len(times), n_xi + 1)
-    gamma_estimate: float  # S_num(t_end) / (2*sqrt(t_end))
-    steps: int
-    max_cfl: float
-    max_principle_violations: int
+class OracleResult(namedtuple("OracleResult", "config xi times fronts snapshots gamma_estimate "
+                                               "steps max_cfl max_principle_violations")):
+    """A march's grid xi and, at each snapshot time, the front S_num and the row of u;
+    gamma_estimate = S_num(t_end)/(2*sqrt(t_end))."""
+
+    __slots__ = ()
 
     def to_csv(self, path) -> None:
         """Write snapshot rows t, xi, y, T_num, S_num."""

@@ -9,8 +9,8 @@ is the root on (0, q/l0) of G(gamma) = F(gamma) with
 Everything here is scalar libm arithmetic (math.exp, math.erf) on floats, and
 the module imports only ``errors`` and the standard library's math, numbers
 and collections, so the `gamma` and `sweep` subcommands run without importing
-numpy, dataclasses or inspect.  The two records are immutable namedtuples:
-equal to the plain tuple of their fields, with ``_replace`` and ``_asdict``.
+numpy or inspect.  The package's records are immutable namedtuples: equal
+to the plain tuple of their fields, with ``_replace`` and ``_asdict``.
 """
 
 from __future__ import annotations
@@ -46,7 +46,18 @@ def _check_ints(obj, names):
             raise InvalidParameters(f"{name} must be an int, got {value!r}")
 
 
-class PhysicalParams(namedtuple("PhysicalParams", "q l0 tm0 delta")):
+class _Checked:
+    """Base, before the namedtuple, of a record whose ``__new__`` checks its values."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        """Through ``__new__``, so that ``_make`` and ``_replace`` check the values too."""
+        return cls(*iterable)
+
+
+class PhysicalParams(_Checked, namedtuple("PhysicalParams", "q l0 tm0 delta")):
     """Problem constants.
 
     q: flux magnitude at the fixed face (> 0)
@@ -70,11 +81,6 @@ class PhysicalParams(namedtuple("PhysicalParams", "q l0 tm0 delta")):
         if not math.isfinite(q / l0):
             raise InvalidParameters(f"q/l0 must be finite, got q={q}, l0={l0}")
         return self
-
-    @classmethod
-    def _make(cls, iterable):
-        """Through ``__new__``, so that ``_make`` and ``_replace`` check the values too."""
-        return cls(*iterable)
 
 
 class GammaRoot(namedtuple("GammaRoot", "gamma residual bracket_lo bracket_hi iterations")):

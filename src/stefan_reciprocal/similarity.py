@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from functools import cached_property
+from collections import namedtuple
 
 import numpy as np
 
 from .errors import DomainError
 from .forms import ClosedForms, amplitude
-from .roots import SQRT_PI, GammaRoot, PhysicalParams, solve_gamma
+from .roots import SQRT_PI, PhysicalParams, solve_gamma
 
 class _Jet:
     """Truncated Taylor jet (u, u_y, u_yy, u_t) of a quantity at a point (y, t).
@@ -155,20 +154,18 @@ def _exp(x):
     return x.exp() if isinstance(x, _Jet) else _libm(math.exp, x)
 
 
-@dataclass(frozen=True)
-class StefanField:
-    """Closed-form evaluator bundle for T, T_y and S; :meth:`from_params` solves for gamma."""
+class StefanField(namedtuple("StefanField", "params gamma amplitude")):
+    """Closed-form evaluator bundle for T, T_y and S: the PhysicalParams, their GammaRoot and
+    A = (q - l0*gamma)/(sqrt(pi)*erf(gamma)); :meth:`from_params` solves for gamma."""
 
-    params: PhysicalParams
-    gamma: GammaRoot
-    amplitude: float  # A = (q - l0*gamma) / (sqrt(pi)*erf(gamma))
+    __slots__ = ()
 
     @classmethod
     def from_params(cls, params: PhysicalParams) -> "StefanField":
         root = solve_gamma(params)
         return cls(params, root, amplitude(params, root.gamma))
 
-    @cached_property
+    @property
     def forms(self) -> ClosedForms:
         """The closed forms on arrays and jets: numpy's sqrt, libm's exp and erf per element."""
         return ClosedForms(self.params, self.gamma.gamma, self.amplitude, np.sqrt, _exp, _erf)

@@ -41,7 +41,7 @@ and min D is D(S, 1) if D_y(S, 1) <= 0, else D at the one zero of D_y.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 import numpy as np
@@ -57,12 +57,10 @@ INVERT_RTOL = 1e-13
 _EPS = np.finfo(float).eps
 
 
-@dataclass(frozen=True)
-class BoundaryCoefficients:
+class BoundaryCoefficients(namedtuple("BoundaryCoefficients", "c0 c1")):
     """Coefficients of the 1/sqrt(t) free boundaries: Xi*(t) = Ci/(delta*sqrt(t))."""
 
-    c0: float
-    c1: float
+    __slots__ = ()
 
 
 def compute_boundary_coefficients(params: PhysicalParams, gamma) -> BoundaryCoefficients:

@@ -31,13 +31,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dc_field
-from typing import Optional
+from collections import namedtuple
 
 import numpy as np
 
 from .errors import InvalidParameters, QuadratureFailure
-from .roots import _check_ints, _check_reals
+from .roots import _check_ints, _check_reals, _Checked
 from .similarity import StefanField, _check_time, _Jet, _libm, _scalar
 from .transform import PsiField, compute_boundary_coefficients
 
@@ -52,27 +51,26 @@ T0 = 1e-8
 QUAD_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(_Checked, namedtuple("GridSpec", "n_space n_time margin")):
     """Interior verification grid.
 
     Space is parameterized by the fraction s = y/S(t), restricted to
     [margin, 1-margin]; time by n_time points spanning T_SAMPLES.
     """
 
-    n_space: int = 50
-    n_time: int = 5
-    margin: float = 0.02
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, n_space=50, n_time=5, margin=0.02):
+        self = super().__new__(cls, n_space, n_time, margin)
         _check_ints(self, ("n_space", "n_time"))
         _check_reals(self, ("margin",))
-        if self.n_space < 8:
+        if n_space < 8:
             raise InvalidParameters("n_space must be >= 8")
-        if self.n_time < 1:
+        if n_time < 1:
             raise InvalidParameters("n_time must be >= 1")
-        if not (0.0 < self.margin < 0.5):
+        if not (0.0 < margin < 0.5):
             raise InvalidParameters("margin must lie in (0, 0.5)")
+        return self
 
     def times(self) -> np.ndarray:
         return np.linspace(T_SAMPLES[0], T_SAMPLES[-1], self.n_time)
@@ -85,18 +83,11 @@ class GridSpec:
                 "t_range": [T_SAMPLES[0], T_SAMPLES[-1]]}
 
 
-@dataclass
-class ResidualReport:
+class ResidualReport(namedtuple("ResidualReport", "identity grid max_abs l2 tolerance passed "
+                                                   "details per_point", defaults=(None, None))):
     """Norms of one verified identity on ``grid``, or at T_SAMPLES where ``grid`` is None."""
 
-    identity: str
-    grid: Optional[GridSpec]
-    max_abs: float
-    l2: float
-    tolerance: float
-    passed: bool
-    details: Optional[dict] = None
-    per_point: Optional[np.ndarray] = dc_field(default=None, repr=False)
+    __slots__ = ()
 
     def as_record(self) -> dict:
         grid = {"t_samples": list(T_SAMPLES)} if self.grid is None else self.grid.as_dict()
@@ -274,19 +265,19 @@ def c_of_t_general(field: StefanField, t, quad_tol: float = 1e-10):
     return quad_batch(integrand, 0.0, np.where(t == 0, 0.0, 1.0), quad_tol)
 
 
-def theta_quadrature(y, t, field: StefanField, quad_tol: float = 1e-10):
+def theta_quadrature(y, t, field: StefanField):
     """Theta(y,t) = C(t) - integral_{S(t)}^{y} T(u,t) du, both by quadrature.
 
     ``y`` and ``t`` may be arrays that broadcast together: C is integrated
     once per element of ``t``, and the integrals of the field's temperature
-    over every [S(t), y] form one batch.  Serves as the independent oracle
-    for :meth:`PsiField.theta`.
+    over every [S(t), y] form one batch, all to QUAD_TOL.  Serves as the
+    independent oracle for :meth:`PsiField.theta`.
     """
     t = _check_time(t, positive=True)
-    c_val = c_of_t_general(field, t, quad_tol)
+    c_val = c_of_t_general(field, t, QUAD_TOL)
     t_of = np.broadcast_to(t, np.broadcast_shapes(t.shape, np.shape(y))).ravel()
     return c_val - quad_batch(
-        lambda u, k: field.temperature(u, t_of[k]), field.free_boundary(t), y, quad_tol
+        lambda u, k: field.temperature(u, t_of[k]), field.free_boundary(t), y, QUAD_TOL
     )
 
 
@@ -463,7 +454,7 @@ def theta_consistency_residual(field: PsiField, grid: GridSpec = GridSpec()):
     """Closed-form Theta against the quadrature oracle on the grid."""
     t = grid.times()[:, None]
     y = grid.fractions() * field.stefan.free_boundary(t)
-    residual = field.theta(y, t) - theta_quadrature(y, t, field.stefan, QUAD_TOL)
+    residual = field.theta(y, t) - theta_quadrature(y, t, field.stefan)
     return _reduce("theta-consistency", residual, 1e-9, grid=grid)
 
 

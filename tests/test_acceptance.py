@@ -228,7 +228,7 @@ def test_criterion_7_independent_oracle(baseline_field):
 def test_criterion_8_theta_cross_check(baseline_psi):
     t = FULL_GRID.times()[:, None]
     y = FULL_GRID.fractions() * baseline_psi.stefan.free_boundary(t)
-    oracle = sr.theta_quadrature(y, t, baseline_psi.stefan, 1e-12)
+    oracle = sr.theta_quadrature(y, t, baseline_psi.stefan)
     worst_theta = np.max(np.abs(baseline_psi.theta(y, t) - oracle))
     worst_c = max(
         abs(sr.c_of_t_general(baseline_psi.stefan, t, 1e-12) - baseline_psi.c(t))

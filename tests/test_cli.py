@@ -409,6 +409,30 @@ class TestConfigPrecedence:
         code, out, err = run(capsys, command, "--config", str(cfg), *argv)
         assert (code, out, err) == (1, "", "error: q must be finite, got 1" + "0" * 400 + "\n")
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="Python before 3.10.7 has no limit on int-string conversion")
+    def test_int_beyond_digit_limit_refused(self, capsys, tmp_path):
+        """A JSON int of more than 4,300 digits, which json cannot convert, is one error line."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"q": 1' + "0" * 5000 + "}")
+        code, out, err = run(capsys, "gamma", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Exceeds the limit (4300 digits)") and err.count("\n") == 1
+
+    def test_config_not_utf8_refused(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"q": 1.0, "tm0": "\xe9"}')
+        code, out, err = run(capsys, "gamma", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: 'utf-8' codec can't decode byte 0xe9")
+        assert err.count("\n") == 1
+
+    def test_malformed_json_refused(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"q": ')
+        code, out, err = run(capsys, "gamma", "--config", str(cfg))
+        assert (code, out, err) == (2, "", "error: Expecting value: line 1 column 7 (char 6)\n")
+
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, _ = run(capsys, "gamma", "--config", str(tmp_path / "nope.json"))
         assert code == 2
@@ -628,7 +652,8 @@ def test_command_loads_only_its_layers(argv, code, modules, numpy):
     """In a fresh interpreter, importing the CLI loads the package, cli, errors
     and roots, and neither numpy nor dataclasses and inspect (``argv`` None);
     gamma, sweep and a usage error add nothing, eval adds only forms, and
-    verify and oracle add numpy (which imports inspect) and only their ``modules``."""
+    verify and oracle add numpy (which imports inspect) and only their ``modules``,
+    and never dataclasses."""
     script = (
         "import json, sys\n"
         "import stefan_reciprocal.cli as cli\n"
@@ -650,7 +675,31 @@ def test_command_loads_only_its_layers(argv, code, modules, numpy):
     assert got_code == code
     assert loaded == sorted(["stefan_reciprocal", *(f"stefan_reciprocal.{m}" for m in names)])
     assert numpy_loaded is numpy
-    assert stdlib == (["dataclasses", "inspect"] if numpy else [])
+    assert stdlib == (["inspect"] if numpy else [])
+
+
+def test_verify_and_oracle_run_without_dataclasses(capsys):
+    """With dataclasses made unimportable, verify and oracle print what they print with it."""
+    argvs = [["verify", "--grid", "12,3", "--json"],
+             ["oracle", "--n-xi", "32", "--dt", "1e-3", "--t-end", "0.3"]]
+    script = (
+        "import io, json, sys\n"
+        "sys.modules['dataclasses'] = None\n"
+        "import stefan_reciprocal.cli as cli\n"
+        "outs = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    sys.stdout = io.StringIO()\n"
+        "    outs.append([cli.main(argv), sys.stdout.getvalue()])\n"
+        "sys.stdout = sys.__stdout__\n"
+        "print(json.dumps(outs))\n"
+    )
+    src = str(Path(stefan_reciprocal.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    res = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                         capture_output=True, text=True, env=env, check=True)
+    expected = [list(run(capsys, *argv)[:2]) for argv in argvs]
+    assert [code for code, _ in expected] == [0, 0]
+    assert json.loads(res.stdout) == expected
 
 
 def test_oracle_module_loads_neither_verify_nor_transform():

@@ -492,33 +492,56 @@ def test_params_validation(kwargs):
         sr.PhysicalParams(**kwargs)
 
 
-#: The ways of making a PhysicalParams from its four field values other than
-#: by keyword, which test_params_validation covers.
+#: The ways of making a checked record from its field values other than by
+#: keyword, which test_params_validation covers; ``valid`` is a valid record
+#: of the class.
 PARAMS_BUILDERS = {
-    "positional": lambda values: sr.PhysicalParams(*values),
-    "_replace": lambda values: sr.PhysicalParams(1.0, 2.0)._replace(
-        **dict(zip(sr.PhysicalParams._fields, values))
-    ),
-    "_make": lambda values: sr.PhysicalParams._make(iter(values)),
+    "positional": lambda valid, values: type(valid)(*values),
+    "_replace": lambda valid, values: valid._replace(**dict(zip(valid._fields, values))),
+    "_make": lambda valid, values: type(valid)._make(iter(values)),
     # tuple.__new__ skips the checks; unpickling goes through __new__ and runs them
-    "pickle": lambda values: pickle.loads(
-        pickle.dumps(tuple.__new__(sr.PhysicalParams, values))
+    "pickle": lambda valid, values: pickle.loads(
+        pickle.dumps(tuple.__new__(type(valid), values))
     ),
+}
+
+#: Invalid values of the fields of the other two checked records, at least one per field.
+INVALID_RECORDS = {
+    f"{type(valid).__name__}-{'-'.join(kwargs)}-{i}": (valid, kwargs)
+    for valid, cases in [
+        (sr.GridSpec(), [{"n_space": 7}, {"n_space": 50.0}, {"n_time": 0}, {"n_time": True},
+                         {"margin": 0.5}, {"margin": math.nan}]),
+        (sr.OracleConfig(), [{"n_xi": 31}, {"n_xi": np.True_}, {"t0": 0.0}, {"t0": math.nan},
+                             {"t_end": 0.1}, {"t_end": "1"}, {"dt": -1e-3}, {"dt": 1e-12},
+                             {"seed_mode": "closed"}, {"s0": math.inf},
+                             {"seed_mode": "linear_profile", "s0": 0.0}]),
+    ]
+    for i, kwargs in enumerate(cases)
 }
 
 
 @pytest.mark.parametrize("how", list(PARAMS_BUILDERS))
-@pytest.mark.parametrize("kwargs", INVALID_PARAMS)
-def test_params_validation_on_every_construction(kwargs, how):
-    values = [{"tm0": 0.0, "delta": 1.0, **kwargs}[name] for name in sr.PhysicalParams._fields]
+@pytest.mark.parametrize(
+    "valid, kwargs",
+    [(sr.PhysicalParams(1.0, 2.0), kwargs) for kwargs in INVALID_PARAMS]
+    + list(INVALID_RECORDS.values()),
+    ids=[f"kwargs{i}" for i in range(len(INVALID_PARAMS))] + list(INVALID_RECORDS),
+)
+def test_params_validation_on_every_construction(valid, kwargs, how):
+    values = [{**valid._asdict(), **kwargs}[name] for name in valid._fields]
     with pytest.raises(sr.InvalidParameters, match="|".join(kwargs)):
-        PARAMS_BUILDERS[how](values)
+        PARAMS_BUILDERS[how](valid, values)
 
 
 @pytest.mark.parametrize("how", list(PARAMS_BUILDERS))
 def test_params_valid_on_every_construction(how):
-    p = PARAMS_BUILDERS[how]((1.0, 1.0, 0.5, 1.0))
-    assert type(p) is sr.PhysicalParams and p == sr.PhysicalParams(1.0, 1.0, 0.5)
+    for valid, values in [
+        (sr.PhysicalParams(1.0, 2.0), (1.0, 1.0, 0.5, 1.0)),
+        (sr.GridSpec(), (9, 2, 0.1)),
+        (sr.OracleConfig(), (64, 0.2, 0.5, 1e-3, "linear_profile", 0.1)),
+    ]:
+        record = PARAMS_BUILDERS[how](valid, values)
+        assert type(record) is type(valid) and record == type(valid)(*values) == values
 
 
 def test_params_record_semantics():
