@@ -21,14 +21,12 @@ A subcommand imports the layers it uses when it runs.  gamma and sweep need
 only roots, so they load neither numpy nor inspect; eval adds forms, whose
 closed forms it evaluates on floats, so it loads neither numpy nor similarity
 and transform; verify adds those two and verify, and oracle adds similarity
-and oracle.
+and oracle.  Only --json and --config load json, and numbers loads only with
+numpy or for a parameter that is neither an int nor a float.
 """
-
-from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import math
 import re
 import sys
@@ -163,12 +161,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _json():
+    """The json module, imported by the first --json writer or --config reader that runs."""
+    import json
+
+    return json
+
+
 def _merge_config(args) -> dict:
     merged = dict(DEFAULTS)
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
-                loaded = json.load(fh)
+                loaded = _json().load(fh)
         except ValueError as exc:  # not UTF-8, not JSON, or an int past Python's digit limit
             raise StefanError(str(exc)) from exc
         if not isinstance(loaded, dict):
@@ -198,7 +203,8 @@ def _json_number(value):
 def _rows(header, rows, as_json) -> list:
     """A table as CSV lines under its header, or as one JSON object per row."""
     if as_json:
-        return [json.dumps({k: _json_number(v) for k, v in zip(header, row)}, sort_keys=True)
+        dumps = _json().dumps
+        return [dumps({k: _json_number(v) for k, v in zip(header, row)}, sort_keys=True)
                 for row in rows]
     return [",".join(header), *(",".join(map(fmt, row)) for row in rows)]
 
@@ -210,7 +216,7 @@ def cmd_gamma(args, cfg):
     if args.json:
         record = {**root._asdict(), "margin": margin, "physical_condition": margin > 0}
         record = {k: _json_number(v) if isinstance(v, float) else v for k, v in record.items()}
-        return [json.dumps(record, sort_keys=True)], 0
+        return [_json().dumps(record, sort_keys=True)], 0
     return [
         f"gamma = {fmt(root.gamma)}",
         f"residual = {fmt(root.residual)}",
@@ -314,7 +320,7 @@ def cmd_oracle(args, cfg):
         **report._asdict(),
     }
     if args.json:
-        return [json.dumps(summary, sort_keys=True)], 0
+        return [_json().dumps(summary, sort_keys=True)], 0
     return [f"{key} = {fmt(summary[key])}" for key in sorted(summary)], 0
 
 

@@ -24,8 +24,6 @@ None of this uses the closed form beyond optional seeding, so the recovered
 front coefficient S_num(t)/(2*sqrt(t)) is an independent check of gamma.
 """
 
-from __future__ import annotations
-
 import functools
 import importlib.machinery
 import importlib.util

@@ -7,16 +7,14 @@ is the root on (0, q/l0) of G(gamma) = F(gamma) with
     F(x) = (tm0/2 + l0*x^2) * exp(x^2) * sqrt(pi) * erf(x).
 
 Everything here is scalar libm arithmetic (math.exp, math.erf) on floats, and
-the module imports only ``errors`` and the standard library's math, numbers
-and collections, so the `gamma` and `sweep` subcommands run without importing
-numpy or inspect.  The package's records are immutable namedtuples: equal
+the module imports only ``errors`` and the standard library's math and
+collections, so the `gamma` and `sweep` subcommands run without importing
+numpy or inspect; numbers loads only to check a value that is neither an int
+nor a float.  The package's records are immutable namedtuples: equal
 to the plain tuple of their fields, with ``_replace`` and ``_asdict``.
 """
 
-from __future__ import annotations
-
 import math
-import numbers
 from collections import namedtuple
 
 from .errors import InvalidParameters, NoSignChange
@@ -28,8 +26,11 @@ def _check_reals(obj, names):
     """Refuse a field of ``obj`` that is a bool, not a real number, or not finite."""
     for name in names:
         value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise InvalidParameters(f"{name} must be a real number, got {value!r}")
+        if type(value) not in (int, float):  # a bool, a numpy scalar, a Fraction, ...
+            import numbers
+
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise InvalidParameters(f"{name} must be a real number, got {value!r}")
         try:
             finite = math.isfinite(value)
         except OverflowError:  # an int or a Fraction beyond the float range

@@ -9,8 +9,6 @@ The root solve and the closed forms (:mod:`.forms`) need no numpy; this
 module evaluates the closed forms, checked, on arrays and jets.
 """
 
-from __future__ import annotations
-
 import math
 import operator
 from collections import namedtuple

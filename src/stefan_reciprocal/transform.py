@@ -39,8 +39,6 @@ larger of D(0, 1) = 4*A^2 - q^2 and D(S, 1) = tm0^2 - l0*gamma^2*(l0 - tm0),
 and min D is D(S, 1) if D_y(S, 1) <= 0, else D at the one zero of D_y.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from functools import cached_property
 

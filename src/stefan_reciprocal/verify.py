@@ -27,9 +27,6 @@ quadrature oracle for the closed forms of :class:`.transform.PsiField`, and
 :func:`s_from_psi` recovers the front from Psi.
 """
 
-from __future__ import annotations
-
-import json
 import math
 from collections import namedtuple
 
@@ -101,6 +98,8 @@ class ResidualReport(namedtuple("ResidualReport", "identity grid max_abs l2 tole
         }
 
     def to_json(self) -> str:
+        import json  # on first use, so that a text-mode verify never loads json
+
         return json.dumps(self.as_record(), sort_keys=True)
 
 

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import math
@@ -37,6 +38,11 @@ NON_FINITE_TABLES = [
 ]
 
 EVAL_FIELDS = ["T", "Ty", "S", "xstar", "psi", "theta", "H", "boundaries"]
+
+#: The standard-library modules test_command_loads_only_its_layers looks for
+#: after an invocation, and the argv's placeholder for a valid --config file.
+STDLIB_GUARDED = ("__future__", "dataclasses", "inspect", "json", "numbers")
+CONFIG = "<config>"
 
 
 def run(capsys, *argv):
@@ -643,39 +649,56 @@ def test_scipy_loads_only_for_oracle():
         (["verify", "--grid", "8,1"], 0, ["forms", "similarity", "transform", "verify"], True),
         (["oracle", "--n-xi", "32", "--dt", "1e-3", "--t-end", "0.3"], 0,
          ["forms", "oracle", "similarity"], True),
+        # --json writers and --config readers, the only argvs that load json
+        (["gamma", "--json"], 0, [], False),
+        (["gamma", "--config", CONFIG], 0, [], False),
+        (["sweep", "--q-range", "0.5:2:3", "--json"], 0, [], False),
+        (["eval", "--field", "psi", "--n", "5", "--json"], 0, ["forms"], False),
+        (["verify", "--grid", "8,1", "--json"], 0,
+         ["forms", "similarity", "transform", "verify"], True),
+        (["oracle", "--n-xi", "32", "--dt", "1e-3", "--t-end", "0.3", "--json"], 0,
+         ["forms", "oracle", "similarity"], True),
     ],
     # psi keeps the id "eval" it had when it stood for the fields read through a PsiField
     ids=["import", "gamma", "sweep", "usage-error",
-         *("eval" if f == "psi" else f"eval-{f}" for f in EVAL_FIELDS), "verify", "oracle"],
+         *("eval" if f == "psi" else f"eval-{f}" for f in EVAL_FIELDS), "verify", "oracle",
+         "gamma-json", "gamma-config", "sweep-json", "eval-json", "verify-json", "oracle-json"],
 )
-def test_command_loads_only_its_layers(argv, code, modules, numpy):
+def test_command_loads_only_its_layers(argv, code, modules, numpy, tmp_path):
     """In a fresh interpreter, importing the CLI loads the package, cli, errors
-    and roots, and neither numpy nor dataclasses and inspect (``argv`` None);
-    gamma, sweep and a usage error add nothing, eval adds only forms, and
-    verify and oracle add numpy (which imports inspect) and only their ``modules``,
-    and never dataclasses."""
+    and roots, and neither numpy nor dataclasses, inspect, json, numbers and
+    __future__ (``argv`` None); gamma, sweep and a usage error add nothing, eval
+    adds only forms, and verify and oracle add numpy (which imports inspect and
+    numbers) and only their ``modules``, and never dataclasses.  json loads
+    exactly where argv has --json or --config.  The child reads its argv from
+    the command line and prints with repr, so that it imports nothing itself."""
+    config = tmp_path / "c.json"
+    config.write_text('{"q": 1.5}', encoding="utf-8")
+    argv = [] if argv is None else [str(config) if a == CONFIG else a for a in argv]
     script = (
-        "import json, sys\n"
+        "import sys\n"
         "import stefan_reciprocal.cli as cli\n"
-        "argv = json.loads(sys.argv[1])\n"
-        "code = 0 if argv is None else cli.main([*argv, '--out', sys.argv[2]])\n"
+        "argv = sys.argv[2:]\n"
+        "code = cli.main([*argv, '--out', sys.argv[1]]) if argv else 0\n"
         "loaded = sorted(m for m in sys.modules if m.startswith('stefan_reciprocal'))\n"
-        "stdlib = [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
-        "print(json.dumps([code, loaded, 'numpy' in sys.modules, stdlib]))\n"
+        f"stdlib = [m for m in {STDLIB_GUARDED!r} if m in sys.modules]\n"
+        "print(repr([code, loaded, 'numpy' in sys.modules, stdlib]))\n"
     )
     src = str(Path(stefan_reciprocal.__file__).resolve().parents[1])
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     env = {**os.environ, "PYTHONPATH": path}
     res = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(argv), os.devnull],
+        [sys.executable, "-c", script, os.devnull, *argv],
         capture_output=True, text=True, env=env, check=True,
     )
-    got_code, loaded, numpy_loaded, stdlib = json.loads(res.stdout.splitlines()[-1])
+    got_code, loaded, numpy_loaded, stdlib = ast.literal_eval(res.stdout.splitlines()[-1])
     names = ["cli", "errors", "roots", *modules]
+    uses_json = "--json" in argv or "--config" in argv
     assert got_code == code
     assert loaded == sorted(["stefan_reciprocal", *(f"stefan_reciprocal.{m}" for m in names)])
     assert numpy_loaded is numpy
-    assert stdlib == (["inspect"] if numpy else [])
+    assert stdlib == sorted((["inspect", "numbers"] if numpy else [])
+                            + (["json"] if uses_json else []))
 
 
 def test_verify_and_oracle_run_without_dataclasses(capsys):

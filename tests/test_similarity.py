@@ -1,7 +1,10 @@
 import math
 import pickle
 import random
+import types
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -10,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stefan_reciprocal as sr
+from stefan_reciprocal.roots import _check_reals
 from stefan_reciprocal.similarity import _erf, _Jet, _libm
 
 mp.mp.dps = 40
@@ -568,6 +572,52 @@ def test_gamma_root_record(baseline_params):
 def test_params_accept_numpy_and_int_values():
     p = sr.PhysicalParams(q=np.float64(1.5), l0=2, tm0=np.float32(0.25), delta=np.int64(1))
     assert (p.q, p.l0, p.tm0, p.delta) == (1.5, 2, 0.25, 1)
+
+
+class _Float(float):
+    pass
+
+
+def test_params_check_types_beside_int_and_float():
+    """Values of a type other than int and float, which are checked against
+    numbers.Real, keep their verdicts and messages, and so does an int too
+    large for a float."""
+    with pytest.raises(sr.InvalidParameters, match=r"^tm0 must be a real number, got Decimal\('1'\)$"):
+        sr.PhysicalParams(q=1.0, l0=2.0, tm0=Decimal("1"))
+    p = sr.PhysicalParams(q=_Float(1.5), l0=Fraction(2), tm0=Fraction(1, 4))
+    assert (p.q, p.l0, p.tm0, p.delta) == (1.5, 2, 0.25, 1.0)
+    assert type(p.q) is _Float and type(p.l0) is Fraction
+    with pytest.raises(sr.InvalidParameters, match=f"^q must be finite, got {10**399}0$"):
+        sr.PhysicalParams(q=10**400, l0=1.0)
+
+
+#: One value of each kind that _check_reals meets, on and off its int/float path.
+CHECKED_VALUES = [1.5, -0.0, 2, 10**400, -(10**400), math.inf, math.nan, True, False, np.True_,
+                  np.float64(1.5), np.float32(np.inf), np.int64(3), _Float(1.5), _Float(math.nan),
+                  Fraction(3, 2), Fraction(10**400, 3), Decimal("1"), Decimal("nan"), "2.0",
+                  None, 0.5 + 0j, [1.0]]
+
+
+@pytest.mark.parametrize("value", CHECKED_VALUES, ids=range(len(CHECKED_VALUES)))
+def test_check_reals_verdicts_match_numbers_real(value):
+    """_check_reals refuses what isinstance(value, numbers.Real) refuses, and
+    then what is not finite, word for word."""
+    import numbers
+
+    def expected():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            return f"x must be a real number, got {value!r}"
+        try:
+            return None if math.isfinite(value) else f"x must be finite, got {value}"
+        except OverflowError:
+            return f"x must be finite, got {value}"
+
+    try:
+        _check_reals(types.SimpleNamespace(x=value), ("x",))
+        got = None
+    except sr.InvalidParameters as exc:
+        got = str(exc)
+    assert got == expected()
 
 
 class TestTemperature:
