@@ -141,7 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the identity verification suite")
     add_common(p_verify)
     p_verify.add_argument("--grid", type=str, default=unset)
-    p_verify.add_argument("--margin", type=float, default=unset)
 
     p_oracle = sub.add_parser("oracle", help="front-fixing cross-check")
     add_common(p_oracle)
@@ -260,7 +259,7 @@ def cmd_eval(args, cfg):
 
 
 def _grid_spec(args):
-    """The GridSpec of --grid and --margin, with GridSpec's default for a flag not given."""
+    """The GridSpec of --grid, with GridSpec's default when the flag is not given."""
     from .verify import GridSpec
 
     given = {}
@@ -269,17 +268,19 @@ def _grid_spec(args):
             given["n_space"], given["n_time"] = (int(v) for v in args.grid.split(","))
         except ValueError as exc:
             raise InvalidParameters(f"--grid expects n_space,n_time: {exc}") from exc
-    if hasattr(args, "margin"):
-        given["margin"] = args.margin
     return GridSpec(**given)
 
 
 def cmd_verify(args, cfg):
+    import numpy as np
+
     from .similarity import StefanField
     from .verify import run_verification_suite
 
     field = StefanField.from_params(PhysicalParams(**cfg))
-    reports = run_verification_suite(field, grid=_grid_spec(args))
+    # an overflowed residual prints as nan or fails its quadrature; numpy's warnings add nothing
+    with np.errstate(all="ignore"):
+        reports = run_verification_suite(field, grid=_grid_spec(args))
     if args.json:
         lines = [rep.to_json() for rep in reports]
     else:

@@ -23,9 +23,9 @@ from stefan_reciprocal import oracle, roots, similarity, transform, verify
 from stefan_reciprocal.oracle import OracleConfig
 from stefan_reciprocal.verify import GridSpec
 
-OPTION_COUNT = 17
+OPTION_COUNT = 16
 
-SRC_LINES = 2066
+SRC_LINES = 2065
 
 EXPORTS = (
     "BoundaryCoefficients", "DomainError", "GammaRoot", "GridSpec", "InvalidParameters",

@@ -213,6 +213,25 @@ class TestVerify:
     def test_bad_grid_flag(self, capsys):
         code, _, err = run(capsys, "verify", "--grid", "12")
         assert code == 1
+        # the grid's margin is the constant verify.MARGIN, so --margin is an unknown flag
+        assert run(capsys, "verify", "--margin", "0.1") == (
+            1, "", "stefan-reciprocal: error: unrecognized arguments: --margin 0.1\n")
+
+    @pytest.mark.parametrize("point", [("--delta", "1e-150"), ("--delta", "1e250"),
+                                       ("--q", "1e-300")])
+    def test_overflow_writes_only_the_error_line(self, point):
+        """Where the suite's arithmetic leaves the float range, a fresh process exits 2 and
+        writes one stderr line: the QuadratureFailure that the nan causes, and
+        none of numpy's RuntimeWarnings."""
+        src = str(Path(stefan_reciprocal.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        res = subprocess.run(
+            [sys.executable, "-m", "stefan_reciprocal.cli", "verify", "--grid", "12,3", *point],
+            capture_output=True, text=True, env=env,
+        )
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr == ("error: quadrature error estimate nan exceeds tolerance 1.000e-11"
+                              " on [-18.4207, -1.38629] at t=0.25\n")
 
     def test_non_monotone_point_refused_up_front(self, capsys):
         point = ("--q", "1.7", "--tm0", "0.3")
@@ -241,8 +260,7 @@ class TestVerify:
         parse = build_parser().parse_args
         assert _grid_spec(parse(["verify"])) == GridSpec()
         assert _oracle_config(parse(["oracle"])) == OracleConfig()
-        grid = _grid_spec(parse(["verify", "--grid", "9,2", "--margin", "0.1"]))
-        assert grid == GridSpec(n_space=9, n_time=2, margin=0.1)
+        assert _grid_spec(parse(["verify", "--grid", "9,2"])) == GridSpec(n_space=9, n_time=2)
         config = _oracle_config(parse([
             "oracle", "--n-xi", "64", "--t0", "0.2", "--t-end", "0.5", "--dt", "1e-3",
             "--seed", "linear", "--s0", "0.1",
@@ -570,6 +588,11 @@ class TestBitIdentity:
             (["sweep", "--q-range", "0.6:4:8", "--l0-range", "0.7:1.3:3",
               "--tm0-range", "-0.4:0.45:5"], 0,
              "db099b760b0bbed6ee5f907bc73691200ebbfc8f586c5c92a1ffe9a7bdd74c74"),
+            # the verify-suite workload's grids, last so that the ids above keep their indices
+            (["verify", "--grid", "50,5", "--json"], 0,
+             "2fc3e29861ff33a2a38fa8dff33ac498e791f0654d9c41dae32de27ee7f16436"),
+            (["verify", "--grid", "31,4", "--json"], 0,
+             "d1629f7097f351617c564fe238efef0fe3ba36e759e01af68f9987e5ff531022"),
         ],
     )
     def test_pinned_stdout(self, capsys, argv, code, digest):

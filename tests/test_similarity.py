@@ -513,8 +513,7 @@ PARAMS_BUILDERS = {
 INVALID_RECORDS = {
     f"{type(valid).__name__}-{'-'.join(kwargs)}-{i}": (valid, kwargs)
     for valid, cases in [
-        (sr.GridSpec(), [{"n_space": 7}, {"n_space": 50.0}, {"n_time": 0}, {"n_time": True},
-                         {"margin": 0.5}, {"margin": math.nan}]),
+        (sr.GridSpec(), [{"n_space": 7}, {"n_space": 50.0}, {"n_time": 0}, {"n_time": True}]),
         (sr.OracleConfig(), [{"n_xi": 31}, {"n_xi": np.True_}, {"t0": 0.0}, {"t0": math.nan},
                              {"t_end": 0.1}, {"t_end": "1"}, {"dt": -1e-3}, {"dt": 1e-12},
                              {"seed_mode": "closed"}, {"s0": math.inf},
@@ -541,7 +540,7 @@ def test_params_validation_on_every_construction(valid, kwargs, how):
 def test_params_valid_on_every_construction(how):
     for valid, values in [
         (sr.PhysicalParams(1.0, 2.0), (1.0, 1.0, 0.5, 1.0)),
-        (sr.GridSpec(), (9, 2, 0.1)),
+        (sr.GridSpec(), (9, 2)),
         (sr.OracleConfig(), (64, 0.2, 0.5, 1e-3, "linear_profile", 0.1)),
     ]:
         record = PARAMS_BUILDERS[how](valid, values)

@@ -5,6 +5,7 @@ import pytest
 
 import stefan_reciprocal as sr
 from stefan_reciprocal.verify import (
+    MARGIN,
     T_SAMPLES,
     GridSpec,
     _psi_slope,
@@ -41,16 +42,10 @@ class TestGridSpec:
             GridSpec(n_space=4)
         with pytest.raises(sr.InvalidParameters):
             GridSpec(n_time=0)
-        with pytest.raises(sr.InvalidParameters):
-            GridSpec(margin=0.6)
         for kwargs in ({"n_space": 12.5}, {"n_space": 50.0}, {"n_time": 3.0},
                        {"n_time": True}, {"n_space": "50"}):
             with pytest.raises(sr.InvalidParameters, match=f"{next(iter(kwargs))} must be an int"):
                 GridSpec(**kwargs)
-        for margin in ("0.1", True, None, np.nan):
-            with pytest.raises(sr.InvalidParameters, match="margin must be"):
-                GridSpec(margin=margin)
-        assert GridSpec(margin=np.float64(0.1)).margin == 0.1
 
     @pytest.mark.parametrize(
         "cls, kwargs, message",
@@ -68,12 +63,11 @@ class TestGridSpec:
         "cls, name, value, others",
         [(sr.PhysicalParams, "q", 10**400, {"l0": 1.0}),
          (sr.PhysicalParams, "tm0", -Fraction(10**400), {"q": 1.0, "l0": 1.0}),
-         (GridSpec, "margin", 10**400, {}),
          (sr.OracleConfig, "dt", -(10**400), {})],
     )
     def test_real_beyond_float_range_is_not_finite(self, cls, name, value, others):
-        """PhysicalParams, GridSpec and OracleConfig refuse a real number that no
-        float holds as not finite, as they refuse inf."""
+        """PhysicalParams and OracleConfig refuse a real number that no float
+        holds as not finite, as they refuse inf."""
         with pytest.raises(sr.InvalidParameters) as info:
             cls(**others, **{name: value})
         assert str(info.value) == f"{name} must be finite, got {value}"
@@ -121,7 +115,7 @@ class TestHeatResidual:
         grid = GridSpec(n_space=16, n_time=3)
         report = heat_residual(bad, grid)
         # heat operator of eps*y^3 is -6*eps*y, largest at the outermost node
-        assert report.max_abs >= 6 * eps * grid.margin
+        assert report.max_abs >= 6 * eps * MARGIN
         assert not report.passed
 
     def test_detects_smooth_bump(self, baseline_field):
