@@ -23,13 +23,20 @@ closed forms it evaluates on floats, so it loads neither numpy nor similarity
 and transform; verify adds those two and verify, and oracle adds similarity
 and oracle.  Only --json and --config load json, and numbers loads only with
 numpy or for a parameter that is neither an int nor a float.
+
+FLAGS states every subcommand's flags once.  `main` reads a well-formed argv
+itself from that table (`_parse_fast`): the command, then `--json` or flags
+spelled as in the table, each followed by its value.  Any other argv (-h, an
+abbreviation, --flag=value, a missing or bad value, a stray token) goes to
+the argparse parser that `build_parser` makes of the same table, which prints
+its help or its error, so argparse and gettext load only then.
 """
 
-import argparse
 import itertools
 import math
 import re
 import sys
+from types import SimpleNamespace
 
 from .errors import InvalidParameters, NotMonotone, StefanError
 from .roots import PhysicalParams, physical_margin, solve_gamma
@@ -54,32 +61,37 @@ FIELDS = {
                    lambda f, t: (t, f.front(t), f.x_star(f.parts(0.0, t)), f.x1(t))),
 }
 
+#: Defaults that are not values.  A flag not given sets no attribute (argparse.SUPPRESS)
+#: where its default is UNSET, so GridSpec or OracleConfig supplies it (see _grid_spec and
+#: _oracle_config); a flag whose default is REQUIRED must be given.
+UNSET, REQUIRED = object(), object()
+
+_COMMON = (("--q", float, None), ("--l0", float, None), ("--tm0", float, None),
+           ("--delta", float, None), ("--json", bool, False), ("--out", str, None),
+           ("--config", str, None))
+
+#: Each subcommand's help line and flags in help order: (spelling, type or choices,
+#: default).  A bool flag takes no value and sets True.
+FLAGS = {
+    "gamma": ("solve the front coefficient", _COMMON),
+    "eval": ("tabulate fields", (*_COMMON, ("--field", tuple(FIELDS), REQUIRED),
+                                 ("--t", float, 1.0), ("--t-range", str, "0.25:4:16"),
+                                 ("--n", int, 101))),
+    "verify": ("run the identity verification suite", (*_COMMON, ("--grid", str, UNSET))),
+    "oracle": ("front-fixing cross-check", (
+        *_COMMON, ("--n-xi", int, UNSET), ("--t0", float, UNSET), ("--t-end", float, UNSET),
+        ("--dt", float, UNSET), ("--seed", tuple(SEED_MODES), UNSET), ("--s0", float, UNSET))),
+    "sweep": ("gamma over a parameter grid", (*_COMMON, ("--q-range", str, None),
+                                              ("--l0-range", str, None),
+                                              ("--tm0-range", str, None))),
+}
+
+#: A token that starts with '-' and is a value, not a flag: see build_parser's _Parser.
+NEGATIVE_NUMBER = re.compile(r"-\.?\d|-(?:inf(?:inity)?|nan)$", re.IGNORECASE)
+
 
 def fmt(value) -> str:
     return format(float(value), ".17g")
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems with exit code 1.
-
-    A value that starts with '-' and a digit or '.', or is -inf, -infinity
-    or -nan in any case, is a value, not a flag.  This replaces argparse's
-    private `_negative_number_matcher`, because the default pattern of some
-    Python releases (3.11's is `^-\\d+$|^-\\d*\\.\\d+$`) rejects exponent
-    notation and -inf, so `--tm0 -1e-3`, `--tm0-range -1e-3:0.5:3` and
-    `--tm0 -inf` would fail there.  The override can go once every supported
-    Python's argparse reads these as values; a rename is caught by
-    test_negative_values_in_exponent_notation and test_negative_non_finite_values.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(
-            r"-\.?\d|-(?:inf(?:inity)?|nan)$", re.IGNORECASE
-        )
-
-    def error(self, message):
-        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _linspace(lo: float, hi: float, n: int) -> list:
@@ -112,52 +124,83 @@ def _parse_range(text: str) -> list:
     return _linspace(lo, hi, n)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The argparse parser of FLAGS, which reads the argv that _parse_fast leaves."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """argparse that reports usage problems with exit code 1.
+
+        A value that starts with '-' and a digit or '.', or is -inf, -infinity
+        or -nan in any case, is a value, not a flag: NEGATIVE_NUMBER, which is
+        also _parse_fast's rule for such a value.  It replaces argparse's
+        private `_negative_number_matcher`, because the default pattern of some
+        Python releases (3.11's is `^-\\d+$|^-\\d*\\.\\d+$`) rejects exponent
+        notation and -inf, so `--tm0 -1e-3`, `--tm0-range -1e-3:0.5:3` and
+        `--tm0 -inf` would fail there.  The override can go once every supported
+        Python's argparse reads these as values; a rename is caught by
+        test_fast_path_agrees_with_argparse and test_well_formed_argv_takes_the_fast_path.
+        """
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self._negative_number_matcher = NEGATIVE_NUMBER
+
+        def error(self, message):
+            self.exit(1, f"{self.prog}: error: {message}\n")
+
     parser = _Parser(prog="stefan-reciprocal")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--q", type=float, default=None)
-        p.add_argument("--l0", type=float, default=None)
-        p.add_argument("--tm0", type=float, default=None)
-        p.add_argument("--delta", type=float, default=None)
-        p.add_argument("--json", action="store_true")
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--config", type=str, default=None)
-
-    p_gamma = sub.add_parser("gamma", help="solve the front coefficient")
-    add_common(p_gamma)
-
-    p_eval = sub.add_parser("eval", help="tabulate fields")
-    add_common(p_eval)
-    p_eval.add_argument("--field", required=True, choices=list(FIELDS))
-    p_eval.add_argument("--t", type=float, default=1.0)
-    p_eval.add_argument("--t-range", type=str, default="0.25:4:16")
-    p_eval.add_argument("--n", type=int, default=101)
-
-    # A verify or oracle flag that is not given stays unset (SUPPRESS), and
-    # GridSpec or OracleConfig supplies its default: see _grid_spec and _oracle_config.
-    unset = argparse.SUPPRESS
-    p_verify = sub.add_parser("verify", help="run the identity verification suite")
-    add_common(p_verify)
-    p_verify.add_argument("--grid", type=str, default=unset)
-
-    p_oracle = sub.add_parser("oracle", help="front-fixing cross-check")
-    add_common(p_oracle)
-    p_oracle.add_argument("--n-xi", type=int, default=unset)
-    p_oracle.add_argument("--t0", type=float, default=unset)
-    p_oracle.add_argument("--t-end", type=float, default=unset)
-    p_oracle.add_argument("--dt", type=float, default=unset)
-    p_oracle.add_argument("--seed", choices=list(SEED_MODES), default=unset)
-    p_oracle.add_argument("--s0", type=float, default=unset)
-
-    p_sweep = sub.add_parser("sweep", help="gamma over a parameter grid")
-    add_common(p_sweep)
-    p_sweep.add_argument("--q-range", type=str, default=None)
-    p_sweep.add_argument("--l0-range", type=str, default=None)
-    p_sweep.add_argument("--tm0-range", type=str, default=None)
-
+    for command, (help_line, flags) in FLAGS.items():
+        p = sub.add_parser(command, help=help_line)
+        for flag, kind, default in flags:
+            if kind is bool:
+                p.add_argument(flag, action="store_true")
+                continue
+            checks = {"type": kind} if isinstance(kind, type) else {"choices": list(kind)}
+            if default is REQUIRED:
+                p.add_argument(flag, required=True, **checks)
+            else:
+                unset = default is UNSET
+                p.add_argument(flag, default=argparse.SUPPRESS if unset else default, **checks)
     return parser
+
+
+def _parse_fast(argv):
+    """The namespace build_parser() gives a well-formed ``argv``, or None for argparse to read it.
+
+    After the command, each token must be a bool flag or a flag followed by its value,
+    spelled as in FLAGS.  A value is converted by the flag's type or checked against its
+    choices, and one that starts with '-' must match NEGATIVE_NUMBER, as argparse's must.
+    The last of a repeated flag wins, as in argparse.
+    """
+    if not argv or argv[0] not in FLAGS:
+        return None
+    flags = {flag: kind for flag, kind, _ in FLAGS[argv[0]][1]}
+    attrs = {flag[2:].replace("-", "_"): default
+             for flag, _, default in FLAGS[argv[0]][1] if default is not UNSET}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token not in flags:
+            return None
+        kind = flags[token]
+        if kind is bool:
+            value = True
+        else:
+            value = next(tokens, None)
+            if value is None or value.startswith("-") and not NEGATIVE_NUMBER.match(value):
+                return None
+            if isinstance(kind, type):
+                try:
+                    value = kind(value)
+                except ValueError:
+                    return None
+            elif value not in kind:
+                return None
+        attrs[token[2:].replace("-", "_")] = value
+    if any(value is REQUIRED for value in attrs.values()):
+        return None
+    return SimpleNamespace(command=argv[0], **attrs)
 
 
 def _json():
@@ -348,10 +391,13 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_fast(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         lines, code = COMMANDS[args.command](args, _merge_config(args))
         text = "".join(line + "\n" for line in lines)

@@ -32,7 +32,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .errors import InvalidParameters, QuadratureFailure
+from .errors import InvalidParameters, QuadratureFailure, StefanError
 from .roots import _check_ints, _Checked
 from .similarity import StefanField, _check_time, _Jet, _libm, _scalar
 from .transform import PsiField, compute_boundary_coefficients
@@ -391,9 +391,20 @@ def psi_bc_values(field: PsiField, t) -> dict:
     s_dot_rec = psi1 * x1.t + psi_x1 / (psi1 * psi1) + 2.0 * d * x1.v
 
     def boundary_rate(tau):
-        """Psi_x*/Psi^3 + 2 delta X0*/Psi at X0*, the X0* integrand, on an array of tau."""
+        """Psi_x*/Psi^3 + 2 delta X0*/Psi at X0*, the X0* integrand, on an array of tau.
+
+        Where Psi's powers leave the float range, it refuses with Psi and the inputs.
+        """
         psi0, px0 = _psi_slope(field, tau, front=False)
-        return px0 / psi0**3 + 2.0 * d * field.x0(tau) / psi0
+        rate = px0 / psi0**3 + 2.0 * d * field.x0(tau) / psi0
+        finite = np.isfinite(rate)
+        if not finite.all():
+            i = np.argmin(finite)
+            raise StefanError(
+                f"the X0* integrand Psi_x*/Psi^3 + 2 delta X0*/Psi leaves the float range: "
+                f"{rate[i]:g} at t={tau[i]:g}, where Psi at X0* is {psi0[i]:g} and Psi_x* is "
+                f"{px0[i]:g} (delta={d:g}, q={field.stefan.params.q:g})")
+        return rate
 
     integral = _from_t0(boundary_rate, t, 1e-11, limit=300)
 

@@ -25,7 +25,7 @@ from stefan_reciprocal.verify import GridSpec
 
 OPTION_COUNT = 16
 
-SRC_LINES = 2065
+SRC_LINES = 2122
 
 EXPORTS = (
     "BoundaryCoefficients", "DomainError", "GammaRoot", "GridSpec", "InvalidParameters",

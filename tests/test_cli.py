@@ -1,5 +1,7 @@
 import ast
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -13,7 +15,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import stefan_reciprocal
-from stefan_reciprocal.cli import _parse_range, main
+from stefan_reciprocal.cli import (
+    FLAGS, _parse_fast, _parse_range, build_parser, main,
+)
 
 GAMMA_BASELINE = 0.47461192717277908806
 
@@ -39,9 +43,24 @@ NON_FINITE_TABLES = [
 
 EVAL_FIELDS = ["T", "Ty", "S", "xstar", "psi", "theta", "H", "boundaries"]
 
+#: verify --grid 12,3 points where Psi at X0* or its powers leave the float range, and
+#: the one stderr line each writes.
+OVERFLOWS = {
+    ("--delta", "1e-150"): "error: the X0* integrand Psi_x*/Psi^3 + 2 delta X0*/Psi leaves the"
+    " float range: -inf at t=1.07549e-08, where Psi at X0* is 2.57505e-158 and Psi_x* is"
+    " -6.11205e-312 (delta=1e-150, q=1)\n",
+    ("--delta", "1e250"): "error: the X0* integrand Psi_x*/Psi^3 + 2 delta X0*/Psi leaves the"
+    " float range: nan at t=1.07549e-08, where Psi at X0* is 2.57505e+242 and Psi_x* is -inf"
+    " (delta=1e+250, q=1)\n",
+    ("--q", "1e-300"): "error: the X0* integrand Psi_x*/Psi^3 + 2 delta X0*/Psi leaves the"
+    " float range: nan at t=1.07549e-08, where Psi at X0* is 0 and Psi_x* is -0"
+    " (delta=1, q=1e-300)\n",
+}
+
 #: The standard-library modules test_command_loads_only_its_layers looks for
 #: after an invocation, and the argv's placeholder for a valid --config file.
-STDLIB_GUARDED = ("__future__", "dataclasses", "inspect", "json", "numbers")
+STDLIB_GUARDED = ("__future__", "argparse", "dataclasses", "gettext", "inspect", "json",
+                  "numbers")
 CONFIG = "<config>"
 
 
@@ -217,12 +236,10 @@ class TestVerify:
         assert run(capsys, "verify", "--margin", "0.1") == (
             1, "", "stefan-reciprocal: error: unrecognized arguments: --margin 0.1\n")
 
-    @pytest.mark.parametrize("point", [("--delta", "1e-150"), ("--delta", "1e250"),
-                                       ("--q", "1e-300")])
+    @pytest.mark.parametrize("point", list(OVERFLOWS))
     def test_overflow_writes_only_the_error_line(self, point):
         """Where the suite's arithmetic leaves the float range, a fresh process exits 2 and
-        writes one stderr line: the QuadratureFailure that the nan causes, and
-        none of numpy's RuntimeWarnings."""
+        writes one stderr line, and none of numpy's RuntimeWarnings."""
         src = str(Path(stefan_reciprocal.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         res = subprocess.run(
@@ -230,8 +247,13 @@ class TestVerify:
             capture_output=True, text=True, env=env,
         )
         assert res.returncode == 2 and res.stdout == ""
-        assert res.stderr == ("error: quadrature error estimate nan exceeds tolerance 1.000e-11"
-                              " on [-18.4207, -1.38629] at t=0.25\n")
+        assert res.stderr == OVERFLOWS[point]
+
+    @pytest.mark.parametrize("point", list(OVERFLOWS))
+    def test_overflow_names_psi_and_the_inputs(self, capsys, point):
+        """The refusal names the X0* integrand, Psi at X0* and the inputs delta and q,
+        not the nan that the quadrature's error estimate would become."""
+        assert run(capsys, "verify", "--grid", "12,3", *point) == (2, "", OVERFLOWS[point])
 
     def test_non_monotone_point_refused_up_front(self, capsys):
         point = ("--q", "1.7", "--tm0", "0.3")
@@ -689,12 +711,13 @@ def test_scipy_loads_only_for_oracle():
 )
 def test_command_loads_only_its_layers(argv, code, modules, numpy, tmp_path):
     """In a fresh interpreter, importing the CLI loads the package, cli, errors
-    and roots, and neither numpy nor dataclasses, inspect, json, numbers and
-    __future__ (``argv`` None); gamma, sweep and a usage error add nothing, eval
-    adds only forms, and verify and oracle add numpy (which imports inspect and
-    numbers) and only their ``modules``, and never dataclasses.  json loads
-    exactly where argv has --json or --config.  The child reads its argv from
-    the command line and prints with repr, so that it imports nothing itself."""
+    and roots, and neither numpy nor argparse, dataclasses, gettext, inspect,
+    json, numbers and __future__ (``argv`` None); gamma, sweep and a usage error
+    add no layer, eval adds only forms, and verify and oracle add numpy (which
+    imports inspect and numbers) and only their ``modules``, and never
+    dataclasses.  json loads exactly where argv has --json or --config, and
+    argparse with gettext only for the usage error.  The child reads its argv
+    from the command line and prints with repr, so that it imports nothing itself."""
     config = tmp_path / "c.json"
     config.write_text('{"q": 1.5}', encoding="utf-8")
     argv = [] if argv is None else [str(config) if a == CONFIG else a for a in argv]
@@ -721,7 +744,8 @@ def test_command_loads_only_its_layers(argv, code, modules, numpy, tmp_path):
     assert loaded == sorted(["stefan_reciprocal", *(f"stefan_reciprocal.{m}" for m in names)])
     assert numpy_loaded is numpy
     assert stdlib == sorted((["inspect", "numbers"] if numpy else [])
-                            + (["json"] if uses_json else []))
+                            + (["json"] if uses_json else [])
+                            + (["argparse", "gettext"] if code == 1 else []))
 
 
 def test_verify_and_oracle_run_without_dataclasses(capsys):
@@ -932,3 +956,101 @@ def test_tol_flag_refused(capsys, argv):
 def test_usage_error_exit_code(capsys):
     assert main(["gamma", "--bogus"]) == 1
     assert main([]) == 1
+
+
+#: -h, each <command> -h, six usage errors, and two argvs only argparse reads
+#: (an abbreviation and an = form), with the exit code, stdout and stderr each
+#: had when every argv went through argparse (COLUMNS=80; Python 3.10 and 3.11
+#: print the same bytes, while 3.13 wraps the usage of `eval -h` otherwise).
+USAGE_CORPUS = json.loads((Path(__file__).parent / "usage_corpus.json").read_text("utf-8"))
+
+
+@pytest.mark.parametrize("case", USAGE_CORPUS, ids=lambda case: " ".join(case["argv"]))
+def test_help_and_usage_errors_keep_their_bytes(case):
+    """In a fresh process, argparse still prints the help and the errors, and
+    reads what the fast path leaves to it."""
+    src = str(Path(stefan_reciprocal.__file__).resolve().parents[1])
+    env = {**os.environ, "COLUMNS": "80",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    res = subprocess.run([sys.executable, "-m", "stefan_reciprocal.cli", *case["argv"]],
+                         capture_output=True, text=True, env=env)
+    assert (res.returncode, res.stdout, res.stderr) == (case["code"], case["stdout"],
+                                                        case["stderr"])
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["oracle"], ["oracle", "--dt", "1e-3"]])
+def test_unset_flags_set_no_attribute(argv):
+    """A verify or oracle flag that is not given sets no attribute on either path."""
+    fast, args = vars(_parse_fast(argv)), vars(build_parser().parse_args(argv))
+    assert fast == args
+    assert not {"grid", "n_xi", "t0", "t_end", "seed", "s0"} & set(fast)
+
+
+PARSER = build_parser()
+ALL_FLAGS = sorted({flag for _, flags in FLAGS.values() for flag, _, _ in flags})
+#: Values and tokens argparse may read otherwise than a plain value: negatives,
+#: exponents, non-finite spellings, empty strings, a lone '-', flags, help and junk.
+ODD_TOKENS = ["", "-", "--", "-h", "--help", "-1", "-.5", "-1e-3", "1e3", "-1E+3", "inf",
+              "-inf", "-Infinity", "nan", "-NaN", "-x", "-1=2", " -1", "1_0", "0x10",
+              "8,1", "1:2:3", "-1e-3:0.5:3", "T", "psi", "nope", "closed", "linear",
+              "gamma", "eval", "--bogus", "--json=1"]
+VALUE = st.one_of(st.floats().map(repr), st.integers(-10**6, 10**6).map(str),
+                  st.sampled_from(ODD_TOKENS), st.text(max_size=4))
+TOKEN = st.one_of(
+    st.sampled_from(ALL_FLAGS),
+    st.tuples(st.sampled_from(ALL_FLAGS), VALUE).map(list),
+    # abbreviations and --flag=value
+    st.tuples(st.sampled_from(ALL_FLAGS), st.integers(2, 6)).map(lambda fk: [fk[0][:fk[1]]]),
+    st.tuples(st.sampled_from(ALL_FLAGS), VALUE).map(lambda fv: [f"{fv[0]}={fv[1]}"]),
+    VALUE.map(lambda v: [v]),
+).map(lambda t: t if isinstance(t, list) else [t])
+
+
+def _argparse_vars(argv):
+    """vars of argparse's namespace for ``argv``, or None where it exits; floats by repr."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            args = PARSER.parse_args(argv)
+    except SystemExit:
+        return None
+    return {key: repr(value) for key, value in vars(args).items()}
+
+
+@settings(max_examples=600, deadline=None)
+@given(command=st.one_of(st.sampled_from(list(FLAGS)), st.sampled_from(ODD_TOKENS)),
+       tokens=st.lists(TOKEN, max_size=6))
+@example(command="gamma", tokens=[["--del", "2"]])
+@example(command="gamma", tokens=[["--q=1.5"]])
+@example(command="eval", tokens=[["--field", "T"], ["--n", "1e3"]])
+@example(command="oracle", tokens=[["--seed", "-1"]])
+@example(command="sweep", tokens=[["--q-range", "-"]])
+@example(command="gamma", tokens=[["--q", "1"], ["--q"]])
+@example(command="gamma", tokens=[["--json", "--json"], ["--tm0", "-inf"]])
+def test_fast_path_agrees_with_argparse(command, tokens):
+    """The fast path reads an argv as argparse does, or leaves it to argparse."""
+    argv = [command, *(token for group in tokens for token in group)]
+    fast = _parse_fast(argv)
+    if fast is not None:
+        assert {key: repr(value) for key, value in vars(fast).items()} == _argparse_vars(argv)
+
+
+def _well_formed(command):
+    """One command's argv of table flags with values argparse accepts, --json anywhere."""
+    values = {float: st.floats().map(repr), int: st.integers().map(str),
+              str: st.one_of(st.text().filter(lambda v: not v.startswith("-")),
+                             st.sampled_from(["-1", "-1e-3:0.5:3", "-inf", "-.5"]))}
+    pairs = [st.tuples(st.just(flag),
+                       values[kind] if isinstance(kind, type) else st.sampled_from(kind))
+             for flag, kind, _ in FLAGS[command][1] if kind is not bool]
+    required = ["--field", "T"] if command == "eval" else []
+    return st.lists(st.one_of(*pairs, st.just(("--json",))), max_size=8).map(
+        lambda groups: [command, *required, *(token for group in groups for token in group)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=st.sampled_from(list(FLAGS)).flatmap(_well_formed))
+def test_well_formed_argv_takes_the_fast_path(argv):
+    fast = _parse_fast(argv)
+    assert fast is not None
+    assert {key: repr(value) for key, value in vars(fast).items()} == _argparse_vars(argv)
+

@@ -1,4 +1,5 @@
-"""Every invocation the benchmark plans must parse with the CLI's own parser.
+"""Every invocation the benchmark plans must parse with the CLI's own parser,
+and take its fast path.
 
 The plans in ``perfbench/workloads.py`` are read, never changed, so a drift
 between the CLI and the benchmark fails here rather than as refused
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from stefan_reciprocal.cli import build_parser, main
+from stefan_reciprocal.cli import _parse_fast, build_parser, main
 from stefan_reciprocal.verify import GridSpec, run_verification_suite
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -29,6 +30,8 @@ def test_plan_parses(workload, seed):
     for argv in plan:
         args = parser.parse_args(argv)
         assert args.command == argv[0]
+        # read without argparse, into argparse's namespace
+        assert vars(_parse_fast(argv)) == vars(args)
 
 
 def test_verify_suite_plan_passes(capsys):

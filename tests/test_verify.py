@@ -508,6 +508,51 @@ def test_scaled_scan_passes(s):
         assert [r.identity for r in reports if not r.passed] == [], params
 
 
+#: The identities whose max_abs and l2 are exactly homogeneous today, with the power p
+#: of the factor 2^k that each carries: at (2^k q, 2^k l0, 2^k tm0) (SCALE_EXACT) or at
+#: delta * 2^k (DELTA_EXACT, per k) they are the baseline's times 2^(k*p), bit for bit.
+#: The identities left out are not exact yet (ROADMAP item 25); an identity joins as it
+#: becomes exact and is never taken off.
+SCALE_EXACT = {
+    "heat-equation": 1, "c-consistency": 1, "burgers-equation": 0, "source-equation": 0,
+    "burgers-boundary-conditions": 0, "source-ratio-identity": 0, "reciprocal-identity": 0,
+    "boundary-consistency": 0, "front-recovery": 0, "inversion-roundtrip": 0,
+}
+_DELTA_BOTH = {
+    "heat-equation": 0, "theta-consistency": 0, "c-consistency": 0, "reciprocal-identity": 0,
+    "inversion-roundtrip": 0, "front-recovery": 0, "stefan-boundary-conditions": 0,
+    "boundary-consistency": 0, "burgers-equation": -1, "source-equation": 1,
+}
+DELTA_EXACT = {-20: {**_DELTA_BOTH, "source-ratio-identity": 0}, 20: _DELTA_BOTH}
+
+
+def _norms(q, l0, tm0, delta=1.0):
+    field = sr.StefanField.from_params(sr.PhysicalParams(q=q, l0=l0, tm0=tm0, delta=delta))
+    return {r.identity: (r.max_abs, r.l2)
+            for r in run_verification_suite(field, GridSpec(n_space=12, n_time=3))}
+
+
+def test_power_of_two_scaling_is_exact():
+    """Scaling q, l0 and tm0 by 2^k, k in {-20, 10, 20}, at the SCAN_PASSING pairs
+    (delta = 1) scales each SCALE_EXACT identity's norms by exactly 2^(k*p)."""
+    for q, tm0 in sorted(SCAN_PASSING):
+        base = _norms(q, 1.0, tm0)
+        for k in (-20, 10, 20):
+            s = 2.0 ** k
+            scaled = _norms(s * q, s, s * tm0)
+            for identity, p in SCALE_EXACT.items():
+                want = tuple(v * s**p for v in base[identity])
+                assert scaled[identity] == want, (q, tm0, k, identity)
+
+
+@pytest.mark.parametrize("k", sorted(DELTA_EXACT))
+def test_power_of_two_delta_is_exact(k):
+    """delta = 2^k at the baseline scales each DELTA_EXACT identity's norms by 2^(k*p)."""
+    base, scaled = _norms(1.0, 1.0, 0.5), _norms(1.0, 1.0, 0.5, 2.0 ** k)
+    for identity, p in DELTA_EXACT[k].items():
+        assert scaled[identity] == tuple(v * 2.0 ** (k * p) for v in base[identity]), identity
+
+
 def test_small_flux_passes_on_default_grid():
     """At q = 1e-3, tm0 = 0.5 every identity passes on the 50x5 grid too.
 
