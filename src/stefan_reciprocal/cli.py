@@ -29,12 +29,20 @@ itself from that table (`_parse_fast`): the command, then `--json` or flags
 spelled as in the table, each followed by its value.  Any other argv (-h, an
 abbreviation, --flag=value, a missing or bad value, a stray token) goes to
 the argparse parser that `build_parser` makes of the same table, which prints
-its help or its error, so argparse and gettext load only then.
+its help or its error, so argparse and gettext load only then.  The pattern of
+a value that starts with '-' is compiled only for an argv that has one.
+
+`entry`, the console script and `python -m stefan_reciprocal.cli`, ends the
+process with os._exit once main has returned and stdout and stderr are
+flushed, so no module teardown, last collection or atexit callback runs.  It
+exits through sys.exit, as main's other callers do, where a flush fails (so
+that CPython reports it) or a tracer, a profiler or a sys.monitoring tool
+such as cProfile is installed (so that it writes its results).
 """
 
 import itertools
 import math
-import re
+import os
 import sys
 from types import SimpleNamespace
 
@@ -86,8 +94,17 @@ FLAGS = {
                                               ("--tm0-range", str, None))),
 }
 
-#: A token that starts with '-' and is a value, not a flag: see build_parser's _Parser.
-NEGATIVE_NUMBER = re.compile(r"-\.?\d|-(?:inf(?:inity)?|nan)$", re.IGNORECASE)
+_NEGATIVE_NUMBER = None
+
+
+def negative_number():
+    """The one compiled pattern of a token that starts with '-' and is a value, not a flag
+    (see build_parser's _Parser), compiled on first use: argvs without one never compile it."""
+    global _NEGATIVE_NUMBER
+    if _NEGATIVE_NUMBER is None:
+        import re
+        _NEGATIVE_NUMBER = re.compile(r"-\.?\d|-(?:inf(?:inity)?|nan)$", re.IGNORECASE)
+    return _NEGATIVE_NUMBER
 
 
 def fmt(value) -> str:
@@ -132,7 +149,7 @@ def build_parser():
         """argparse that reports usage problems with exit code 1.
 
         A value that starts with '-' and a digit or '.', or is -inf, -infinity
-        or -nan in any case, is a value, not a flag: NEGATIVE_NUMBER, which is
+        or -nan in any case, is a value, not a flag: negative_number(), which is
         also _parse_fast's rule for such a value.  It replaces argparse's
         private `_negative_number_matcher`, because the default pattern of some
         Python releases (3.11's is `^-\\d+$|^-\\d*\\.\\d+$`) rejects exponent
@@ -144,7 +161,7 @@ def build_parser():
 
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            self._negative_number_matcher = NEGATIVE_NUMBER
+            self._negative_number_matcher = negative_number()
 
         def error(self, message):
             self.exit(1, f"{self.prog}: error: {message}\n")
@@ -171,7 +188,7 @@ def _parse_fast(argv):
 
     After the command, each token must be a bool flag or a flag followed by its value,
     spelled as in FLAGS.  A value is converted by the flag's type or checked against its
-    choices, and one that starts with '-' must match NEGATIVE_NUMBER, as argparse's must.
+    choices, and one that starts with '-' must match negative_number(), as argparse's must.
     The last of a repeated flag wins, as in argparse.
     """
     if not argv or argv[0] not in FLAGS:
@@ -188,7 +205,7 @@ def _parse_fast(argv):
             value = True
         else:
             value = next(tokens, None)
-            if value is None or value.startswith("-") and not NEGATIVE_NUMBER.match(value):
+            if value is None or value.startswith("-") and not negative_number().match(value):
                 return None
             if isinstance(kind, type):
                 try:
@@ -417,7 +434,17 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """The console script: main, then os._exit or sys.exit as the module docstring says."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:  # a closed pipe, a closed or missing stream
+        sys.exit(code)
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12+; tool ids are 0-5
+    if sys.gettrace() or sys.getprofile() or monitoring and any(map(monitoring.get_tool, range(6))):
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -978,6 +978,91 @@ def test_help_and_usage_errors_keep_their_bytes(case):
                                                         case["stderr"])
 
 
+#: The console script's body, and the interpreter exit it skips the teardown of.
+ENTRY = "from stefan_reciprocal.cli import entry; entry()"
+NORMAL_EXIT = "import sys; from stefan_reciprocal.cli import main; sys.exit(main())"
+
+
+def _child(args, **kwargs):
+    """Run ``python *args`` on this checkout's package, without PYTHONUNBUFFERED."""
+    src = str(Path(stefan_reciprocal.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(PYTHONUTF8="1", PYTHONPATH=os.pathsep.join([src, env.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], text=True, env=env, **kwargs)
+
+
+@pytest.mark.parametrize("argv, code", [(["gamma"], 0), (["gamma", "--bogus"], 1)])
+def test_entry_skips_atexit_callbacks(argv, code):
+    """entry ends the process without the interpreter's teardown, so an atexit
+    callback registered before it does not run, where sys.exit(main()) runs it."""
+    register = "import atexit; atexit.register(print, 'atexit ran'); "
+    ran = {}
+    for script in (ENTRY, NORMAL_EXIT):
+        res = _child(["-c", register + script, *argv], capture_output=True)
+        assert res.returncode == code
+        ran[script] = res.stdout.endswith("atexit ran\n")
+    assert ran == {ENTRY: False, NORMAL_EXIT: True}
+
+
+@pytest.mark.parametrize("flags, code", [([], 120), (["-u"], 2)], ids=["buffered", "unbuffered"])
+def test_closed_stdout_pipe_exits_as_before(flags, code):
+    """With stdout's reader gone, entry exits with the status and stderr of
+    sys.exit(main()).  Buffered, the flush fails and CPython reports it at exit
+    (120, "Exception ignored ... BrokenPipeError"); unbuffered, main's write
+    fails (2, "error: [Errno 32] Broken pipe")."""
+    got = []
+    for script in (ENTRY, NORMAL_EXIT):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            res = _child([*flags, "-c", script, "gamma"], stdout=write, stderr=subprocess.PIPE)
+        finally:
+            os.close(write)
+        got.append((res.returncode, res.stderr))
+    assert got[0] == got[1]
+    assert got[0][0] == code and "[Errno 32] Broken pipe" in got[0][1]
+
+
+@pytest.mark.parametrize("argv", [["gamma"], ["oracle", "--n-xi", "32", "--dt", "1e-3",
+                                              "--t-end", "0.3"]], ids=lambda argv: argv[0])
+def test_out_file_complete_after_entry(capsys, tmp_path, argv):
+    """The file --out names holds all of it when entry ends the process:
+    gamma's lines, and oracle's snapshot CSV."""
+    child, here = tmp_path / "child.out", tmp_path / "here.out"
+    res = _child(["-c", ENTRY, *argv, "--out", str(child)], capture_output=True)
+    assert (res.returncode, res.stdout, res.stderr) == run(capsys, *argv, "--out", str(here))
+    assert child.read_bytes() == here.read_bytes()
+    assert len(child.read_bytes().splitlines()) == (5 if argv[0] == "gamma" else 1 + 11 * 33)
+
+
+def test_profile_table_printed_under_cprofile():
+    """cProfile installs a profile function (before 3.12) or registers as a
+    sys.monitoring tool (3.12+); either way entry exits through sys.exit, so
+    the profile table follows the command's output."""
+    res = _child(["-m", "cProfile", "-m", "stefan_reciprocal.cli", "gamma"], capture_output=True)
+    assert res.returncode == 0
+    assert res.stdout.startswith("gamma = ")
+    assert "function calls" in res.stdout and "ncalls" in res.stdout
+
+
+def test_negative_number_compiled_on_first_use(tmp_path):
+    """Importing the CLI and reading an argv with no value that starts with '-'
+    compile no pattern; the first such value compiles the one pattern that
+    argparse's parser then shares."""
+    script = (
+        "import sys\n"
+        "import stefan_reciprocal.cli as cli\n"
+        "codes = [cli.main(['gamma', '--q', '1.5', '--out', sys.argv[1]])]\n"
+        "before = cli._NEGATIVE_NUMBER\n"
+        "codes.append(cli.main(['gamma', '--tm0', '-1e-3', '--out', sys.argv[1]]))\n"
+        "pattern = cli._NEGATIVE_NUMBER\n"
+        "print(repr([codes, before is None, pattern is not None, cli.negative_number() is pattern,"
+        " cli.build_parser()._negative_number_matcher is pattern]))\n"
+    )
+    res = _child(["-c", script, os.devnull], capture_output=True, check=True)
+    assert ast.literal_eval(res.stdout) == [[0, 0], True, True, True, True]
+
+
 @pytest.mark.parametrize("argv", [["verify"], ["oracle"], ["oracle", "--dt", "1e-3"]])
 def test_unset_flags_set_no_attribute(argv):
     """A verify or oracle flag that is not given sets no attribute on either path."""

@@ -187,6 +187,9 @@ class TestGuards:
             ({65: (0, -math.inf)}, None, "0.165"),  # the flux face, first of a block
             ({100: (30, math.inf)}, None, "0.2"),  # the next step's CFL is inf
             ({37: (5, math.nan)}, 38, "0.137"),  # ptsv fails on the next step
+            # the same step also lowers the cell next to the melt face, so the next
+            # step's front stalls (NonmonotoneFront)
+            ({37: ([5, 31], [math.inf, -0.005])}, None, "0.137"),
         ],
     )
     def test_first_non_finite_step_named(
@@ -199,6 +202,14 @@ class TestGuards:
             solve(OracleConfig(n_xi=32, t0=0.1, t_end=0.3, dt=1e-3), baseline_field)
         assert type(exc.value) is sr.StefanError
         assert str(exc.value) == f"non-finite temperature at t={t}"
+
+    def test_front_stall_raises(self, baseline_field, monkeypatch):
+        """Lowering the cell next to the melt face after step 37 makes the melt-face
+        gradient non-negative, so the next step's front does not advance, while its
+        CFL number stays below 1."""
+        _faulty_ptsv(monkeypatch, {37: (31, -0.005)})
+        with pytest.raises(sr.NonmonotoneFront, match=r"^front stalled at t=0\.137$"):
+            solve(OracleConfig(n_xi=32, t0=0.1, t_end=0.3, dt=1e-3), baseline_field)
 
     def test_violations_counted_across_blocks(self, baseline_field, monkeypatch):
         """A +-1 jump in one interior cell breaks the discrete maximum principle

@@ -286,6 +286,22 @@ class TestSolveGamma:
         with pytest.raises(sr.NoSignChange):
             sr.solve_gamma(sr.PhysicalParams(q=1.0, l0=1.0, tm0=-100.0))
 
+    @pytest.mark.parametrize("end", ["lo", "hi"])
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_bisect_returns_an_exact_zero_at_a_bracket_end(self, end, zero):
+        """A bracket end where f is exactly 0 is the root: no midpoint is evaluated."""
+        from stefan_reciprocal.roots import _bisect
+
+        def f(x):
+            raise AssertionError(f"f evaluated at {x!r}")
+
+        lo, hi = 0.25, 3.0
+        f_lo, f_hi = (zero, 1.0) if end == "lo" else (-1.0, zero)
+        x = lo if end == "lo" else hi
+        got = _bisect(f, lo, hi, f_lo, f_hi)
+        assert got == (x, 0.0, x, x, 0)
+        assert math.copysign(1.0, got[1]) == 1.0
+
     def test_never_evaluates_outside_bracket(self, baseline_params, monkeypatch):
         from stefan_reciprocal import roots
 
