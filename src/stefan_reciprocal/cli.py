@@ -34,12 +34,13 @@ a value that starts with '-' is compiled only for an argv that has one.
 
 `entry`, the console script and `python -m stefan_reciprocal.cli`, ends the
 process with os._exit once main has returned and stdout and stderr are
-flushed, so no module teardown, last collection or atexit callback runs.  It
-exits through sys.exit, as main's other callers do, where a flush fails (so
-that CPython reports it) or a tracer, a profiler or a sys.monitoring tool
-such as cProfile is installed (so that it writes its results).
+flushed, so no module teardown, last collection or atexit callback runs, or
+with sys.exit where a flush fails or a tracer, a profiler or a sys.monitoring
+tool such as cProfile is installed.  stdout is flushed where it is written, so
+a closed stdout exits 2 with one `error: [Errno 32] Broken pipe` line, -h too.
 """
 
+import functools
 import itertools
 import math
 import os
@@ -69,10 +70,8 @@ FIELDS = {
                    lambda f, t: (t, f.front(t), f.x_star(f.parts(0.0, t)), f.x1(t))),
 }
 
-#: Defaults that are not values.  A flag not given sets no attribute (argparse.SUPPRESS)
-#: where its default is UNSET, so GridSpec or OracleConfig supplies it (see _grid_spec and
-#: _oracle_config); a flag whose default is REQUIRED must be given.
-UNSET, REQUIRED = object(), object()
+#: The default of a flag that must be given; any other flag not given reads its default.
+REQUIRED = object()
 
 _COMMON = (("--q", float, None), ("--l0", float, None), ("--tm0", float, None),
            ("--delta", float, None), ("--json", bool, False), ("--out", str, None),
@@ -85,26 +84,22 @@ FLAGS = {
     "eval": ("tabulate fields", (*_COMMON, ("--field", tuple(FIELDS), REQUIRED),
                                  ("--t", float, 1.0), ("--t-range", str, "0.25:4:16"),
                                  ("--n", int, 101))),
-    "verify": ("run the identity verification suite", (*_COMMON, ("--grid", str, UNSET))),
+    "verify": ("run the identity verification suite", (*_COMMON, ("--grid", str, None))),
     "oracle": ("front-fixing cross-check", (
-        *_COMMON, ("--n-xi", int, UNSET), ("--t0", float, UNSET), ("--t-end", float, UNSET),
-        ("--dt", float, UNSET), ("--seed", tuple(SEED_MODES), UNSET), ("--s0", float, UNSET))),
+        *_COMMON, ("--n-xi", int, None), ("--t0", float, None), ("--t-end", float, None),
+        ("--dt", float, None), ("--seed", tuple(SEED_MODES), None), ("--s0", float, None))),
     "sweep": ("gamma over a parameter grid", (*_COMMON, ("--q-range", str, None),
                                               ("--l0-range", str, None),
                                               ("--tm0-range", str, None))),
 }
 
-_NEGATIVE_NUMBER = None
-
-
+@functools.cache
 def negative_number():
     """The one compiled pattern of a token that starts with '-' and is a value, not a flag
     (see build_parser's _Parser), compiled on first use: argvs without one never compile it."""
-    global _NEGATIVE_NUMBER
-    if _NEGATIVE_NUMBER is None:
-        import re
-        _NEGATIVE_NUMBER = re.compile(r"-\.?\d|-(?:inf(?:inity)?|nan)$", re.IGNORECASE)
-    return _NEGATIVE_NUMBER
+    import re
+
+    return re.compile(r"-\.?\d|-(?:inf(?:inity)?|nan)$", re.IGNORECASE)
 
 
 def fmt(value) -> str:
@@ -166,6 +161,10 @@ def build_parser():
         def error(self, message):
             self.exit(1, f"{self.prog}: error: {message}\n")
 
+        def _print_message(self, message, file=None):  # argparse's swallows OSError
+            (file := file or sys.stderr).write(message)
+            file.flush()
+
     parser = _Parser(prog="stefan-reciprocal")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_line, flags) in FLAGS.items():
@@ -178,8 +177,7 @@ def build_parser():
             if default is REQUIRED:
                 p.add_argument(flag, required=True, **checks)
             else:
-                unset = default is UNSET
-                p.add_argument(flag, default=argparse.SUPPRESS if unset else default, **checks)
+                p.add_argument(flag, default=default, **checks)
     return parser
 
 
@@ -194,8 +192,7 @@ def _parse_fast(argv):
     if not argv or argv[0] not in FLAGS:
         return None
     flags = {flag: kind for flag, kind, _ in FLAGS[argv[0]][1]}
-    attrs = {flag[2:].replace("-", "_"): default
-             for flag, _, default in FLAGS[argv[0]][1] if default is not UNSET}
+    attrs = {flag[2:].replace("-", "_"): default for flag, _, default in FLAGS[argv[0]][1]}
     tokens = iter(argv[1:])
     for token in tokens:
         if token not in flags:
@@ -323,7 +320,7 @@ def _grid_spec(args):
     from .verify import GridSpec
 
     given = {}
-    if hasattr(args, "grid"):
+    if args.grid is not None:
         try:
             given["n_space"], given["n_time"] = (int(v) for v in args.grid.split(","))
         except ValueError as exc:
@@ -356,10 +353,8 @@ def _oracle_config(args):
     """The OracleConfig of the oracle flags, with OracleConfig's default for a flag not given."""
     from .oracle import OracleConfig
 
-    given = {k: getattr(args, k) for k in ("n_xi", "t0", "t_end", "dt", "s0") if hasattr(args, k)}
-    if hasattr(args, "seed"):
-        given["seed_mode"] = SEED_MODES[args.seed]
-    return OracleConfig(**given)
+    given = dict(vars(args), seed_mode=SEED_MODES.get(args.seed))
+    return OracleConfig(**{k: given[k] for k in OracleConfig._fields if given[k] is not None})
 
 
 def cmd_oracle(args, cfg):
@@ -409,13 +404,13 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _parse_fast(argv)
-    if args is None:
-        try:
-            args = build_parser().parse_args(argv)
-        except SystemExit as exc:
-            return int(exc.code or 0)
     try:
+        args = _parse_fast(argv)
+        if args is None:
+            try:
+                args = build_parser().parse_args(argv)
+            except SystemExit as exc:
+                return int(exc.code or 0)
         lines, code = COMMANDS[args.command](args, _merge_config(args))
         text = "".join(line + "\n" for line in lines)
         # oracle's --out is its snapshot CSV, so its summary goes to stdout
@@ -424,11 +419,14 @@ def main(argv=None) -> int:
                 fh.write(text)
         else:
             sys.stdout.write(text)
+            sys.stdout.flush()
         return code
     except (InvalidParameters, NotMonotone) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (StefanError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError):  # stdout's reader is gone: the rest goes nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

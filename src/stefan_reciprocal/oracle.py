@@ -89,16 +89,11 @@ class OracleResult(namedtuple("OracleResult", "config xi times fronts snapshots 
 
     def to_csv(self, path) -> None:
         """Write snapshot rows t, xi, y, T_num, S_num."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t,xi,y,T_num,S_num\n")
-            for t, s, u in zip(self.times, self.fronts, self.snapshots):
-                for x, uval in zip(self.xi, u):
-                    fh.write(
-                        ",".join(
-                            format(v, ".17g") for v in (t, x, x * s, uval, s)
-                        )
-                        + "\n"
-                    )
+        n = len(self.xi)
+        columns = (np.repeat(self.times, n), np.tile(self.xi, len(self.times)),
+                   np.outer(self.fronts, self.xi), self.snapshots, np.repeat(self.fronts, n))
+        np.savetxt(path, np.column_stack([np.ravel(c) for c in columns]), fmt="%.17g",
+                   delimiter=",", header="t,xi,y,T_num,S_num", comments="")
 
 
 def _check_steps(rows, times, bounds):

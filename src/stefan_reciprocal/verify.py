@@ -16,9 +16,9 @@ sampled quantity, and one quadrature call per integral.
 
 The protocol is fixed.  Boundary and consistency identities are sampled at
 :data:`T_SAMPLES`, which the grid spans.  Quadratures use :data:`QUAD_TOL`,
-except C's in c-consistency (1e-12) and the improper time integrals from
-:data:`T0`: the X0* identity's (1e-11, 300 panels) and H's (1e-9).  Each
-identity's tolerance is written once, at its reduction.
+except C's (1e-12, in both of its callers) and the improper time integrals
+from :data:`T0`: the X0* identity's (1e-11, 300 panels) and H's (1e-9).
+Each identity's tolerance is written once, at its reduction.
 
 Every integral goes through :func:`quad_batch`, an adaptive Gauss-Kronrod
 (G7/K15) rule written in numpy that integrates a batch of intervals in one
@@ -35,7 +35,7 @@ import numpy as np
 from .errors import InvalidParameters, QuadratureFailure, StefanError
 from .roots import _check_ints, _Checked
 from .similarity import StefanField, _check_time, _Jet, _libm, _scalar
-from .transform import PsiField, compute_boundary_coefficients
+from .transform import _EPS, PsiField, compute_boundary_coefficients
 
 #: Times at which the boundary and consistency identities are sampled.
 T_SAMPLES = (0.25, 1.0, 4.0)
@@ -160,7 +160,6 @@ _NODES = np.concatenate([-np.array(_XGK[:7]), np.array(_XGK[::-1])])
 _W_KRONROD = np.concatenate([_WGK[:7], _WGK[::-1]])
 _W_GAUSS = np.zeros(15)
 _W_GAUSS[1::2] = _WG + _WG[-2::-1]
-_EPS = np.finfo(float).eps
 
 
 def _gk15(func, left, right, owner):
@@ -244,12 +243,12 @@ def _from_t0(rate, t, quad_tol: float, limit: int = 200):
         raise QuadratureFailure(f"{exc} at t={np.ravel(t)[exc.interval]:g}", exc.interval) from exc
 
 
-def c_of_t_general(field: StefanField, t, quad_tol: float = 1e-10):
-    """C(t) = integral_0^t [L(tau) - Tm(tau)] * dS/dtau dtau by adaptive quadrature.
+def c_of_t_general(field: StefanField, t):
+    """C(t) = integral_0^t [L(tau) - Tm(tau)] * dS/dtau dtau by adaptive quadrature, to 1e-12.
 
     Reads the field's latent_heat, melt_temperature and front_speed.
-    Integrated in u = sqrt(tau/t), where dtau = 2*t*u du: a front speed that
-    blows up like tau^(-1/2), as for sqrt(t) fronts, becomes smooth in u.
+    Integrated in u = sqrt(tau/t), dtau = 2*t*u du, in which a front speed like tau^(-1/2) is
+    smooth; on the sqrt(t) family the integrand is linear in u, so one G7/K15 pass is exact.
     ``t`` may be an array, whose times form one batch; at t = 0 the interval is empty.
     """
     t = _check_time(t)
@@ -260,7 +259,7 @@ def c_of_t_general(field: StefanField, t, quad_tol: float = 1e-10):
         rate = field.latent_heat(tau) - field.melt_temperature(tau)
         return rate * field.front_speed(tau) * (2.0 * t_k * u)
 
-    return quad_batch(integrand, 0.0, np.where(t == 0, 0.0, 1.0), quad_tol)
+    return quad_batch(integrand, 0.0, np.where(t == 0, 0.0, 1.0), 1e-12)
 
 
 def theta_quadrature(y, t, field: StefanField):
@@ -268,15 +267,13 @@ def theta_quadrature(y, t, field: StefanField):
 
     ``y`` and ``t`` may be arrays that broadcast together: C is integrated
     once per element of ``t``, and the integrals of the field's temperature
-    over every [S(t), y] form one batch, all to QUAD_TOL.  Serves as the
+    over every [S(t), y] form one batch, to QUAD_TOL.  Serves as the
     independent oracle for :meth:`PsiField.theta`.
     """
     t = _check_time(t, positive=True)
-    c_val = c_of_t_general(field, t, QUAD_TOL)
     t_of = np.broadcast_to(t, np.broadcast_shapes(t.shape, np.shape(y))).ravel()
-    return c_val - quad_batch(
-        lambda u, k: field.temperature(u, t_of[k]), field.free_boundary(t), y, QUAD_TOL
-    )
+    return c_of_t_general(field, t) - quad_batch(
+        lambda u, k: field.temperature(u, t_of[k]), field.free_boundary(t), y, QUAD_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +465,7 @@ def theta_consistency_residual(field: PsiField, grid: GridSpec = GridSpec()):
 
 def c_consistency_residual(field: PsiField):
     """Quadrature C(t) against the closed linear form."""
-    c_quad = c_of_t_general(field.stefan, _TIMES, 1e-12)
+    c_quad = c_of_t_general(field.stefan, _TIMES)
     return _reduce("c-consistency", {"C": c_quad - field.c(_TIMES)}, 1e-10)
 
 

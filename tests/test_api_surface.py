@@ -23,9 +23,9 @@ from stefan_reciprocal import oracle, roots, similarity, transform, verify
 from stefan_reciprocal.oracle import OracleConfig
 from stefan_reciprocal.verify import GridSpec
 
-OPTION_COUNT = 16
+OPTION_COUNT = 15
 
-SRC_LINES = 2149
+SRC_LINES = 2139
 
 EXPORTS = (
     "BoundaryCoefficients", "DomainError", "GammaRoot", "GridSpec", "InvalidParameters",

@@ -492,6 +492,39 @@ def test_scan_regression_floor():
                     assert [r.identity for r in reports if not r.passed] == [], params
 
 
+def test_c_quadrature_is_one_pass_per_time(monkeypatch):
+    """At every scan point with a root, c_of_t_general integrates each t in one
+    G7/K15 panel of one pass.  On the sqrt(t) family C's integrand is linear in
+    u, which K15 integrates exactly, so C needs no tolerance of its own; if this
+    fails, C's integrand is no longer a low-degree polynomial in u, and the
+    question of a tolerance for it is open again."""
+    from stefan_reciprocal import verify
+
+    gk15, panels = verify._gk15, []
+
+    def counted(func, left, right, owner):
+        panels.append(left.size)
+        return gk15(func, left, right, owner)
+
+    monkeypatch.setattr(verify, "_gk15", counted)
+    times = np.concatenate([T_SAMPLES, GridSpec().times(), [1e-8, 0.5, 1e3]])
+    points = 0
+    for q in SCAN_Q:
+        for tm0 in SCAN_TM0:
+            for delta in SCAN_DELTA:
+                params = sr.PhysicalParams(q=q, l0=1.0, tm0=tm0, delta=delta)
+                try:
+                    field = sr.StefanField.from_params(params)
+                except sr.NoSignChange:
+                    continue
+                for t in (times, 1.0):
+                    panels.clear()
+                    sr.c_of_t_general(field, t)
+                    assert panels == [np.size(t)], (params, t)
+                points += 1
+    assert points == 108
+
+
 @pytest.mark.parametrize("s", [1e-6, 1e-3, 0.1])
 def test_scaled_scan_passes(s):
     """The SCAN_PASSING pairs with q, l0 and tm0 all multiplied by s pass at delta = 1.
